@@ -49,12 +49,13 @@ int main(int argc, char** argv) {
     table.add_row({"leaky (paper model)", Table::fmt(r.mops()), "0"});
   }
   {
-    efrb::EfrbTreeSet<Key> t;  // default EpochReclaimer(64, 64)
+    efrb::EfrbTreeSet<Key> t;  // default EpochReclaimer(64, 256)
     efrb::prefill(t, config().key_range, 0.5, config().seed);
     const auto r = efrb::run_workload(t, config());
     const auto g = t.reclaimer().gauges();
-    efrb::bench::metrics().add_cell("epoch-batch-64", config(), r, nullptr, &g);
-    table.add_row({"epoch (batch 64)", Table::fmt(r.mops()),
+    efrb::bench::metrics().add_cell("epoch-batch-256", config(), r, nullptr,
+                                    &g);
+    table.add_row({"epoch (batch 256)", Table::fmt(r.mops()),
                    std::to_string(t.reclaimer().freed_count())});
   }
   {

@@ -6,9 +6,6 @@
 #
 #   scripts/bench_json.sh           # default 60 ms cells
 #   EFRB_BENCH_MS=500 scripts/bench_json.sh   # longer cells, lower variance
-#   EFRB_BENCH_REPEATS=3 scripts/bench_json.sh  # recorded in meta; perfdiff
-#                                               # halves its threshold when
-#                                               # both snapshots have >= 3
 #
 # The snapshots are checked in so the numbers travel with the history; rerun
 # this after perf-relevant changes and commit the diff. Absolute numbers are
@@ -19,17 +16,16 @@
 #
 # After the bench binaries write their documents, a top-level `meta` object
 # is injected (hostname, CPU model, cores, governor, perf_event_paranoid,
-# repeats, seed, bench_ms, timestamp) — the provenance tools/efrb_perfdiff
-# uses to refuse cross-host comparisons and to tighten thresholds for
-# min-of-N snapshots. A timestamped copy of each document is archived under
-# bench/history/ so perf trajectories accumulate alongside the code history.
+# seed, bench_ms, timestamp) — the provenance tools/efrb_perfdiff uses to
+# refuse cross-host comparisons. A timestamped copy of each document is
+# archived under bench/history/ so perf trajectories accumulate alongside
+# the code history.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 : "${EFRB_BENCH_MS:=60}"
 : "${EFRB_BENCH_SEED:=3405691582}"
-: "${EFRB_BENCH_REPEATS:=1}"
-export EFRB_BENCH_MS EFRB_BENCH_SEED EFRB_BENCH_REPEATS
+export EFRB_BENCH_MS EFRB_BENCH_SEED
 
 cmake -B build > /dev/null
 cmake --build build --target bench_throughput bench_latency > /dev/null
@@ -77,7 +73,6 @@ meta = {
         '/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor', 'unknown'),
     'perf_event_paranoid': int(
         read('/proc/sys/kernel/perf_event_paranoid', '-100') or '-100'),
-    'repeats': int(os.environ.get('EFRB_BENCH_REPEATS', '1')),
     'seed': int(os.environ['EFRB_BENCH_SEED']),
     'bench_ms': int(os.environ['EFRB_BENCH_MS']),
     'timestamp': datetime.datetime.now(datetime.timezone.utc)

@@ -47,7 +47,7 @@
 // v3 -> v4: cells gained the optional "profile" section (per-phase cost
 // attribution and hardware counters from obs/profile.hpp / obs/perfctr.hpp),
 // and documents may carry an optional top-level "meta" object (host, CPU
-// model, governor, perf_event_paranoid, repeats — written by
+// model, governor, perf_event_paranoid — written by
 // scripts/bench_json.sh, consumed by tools/efrb_perfdiff to refuse
 // cross-host comparisons). The version bump marks a semantics commitment,
 // not a key change: inside "profile", hardware-derived sections ("hw",

@@ -12,9 +12,7 @@
 // A delta counts as a regression only when it clears BOTH a relative
 // threshold and an absolute floor — the floors keep microscopic absolute
 // swings on tiny values (a 0.001 -> 0.0013 mops cell) from tripping the
-// relative gate. The relative threshold is noise-aware: when both documents
-// record meta.repeats >= 3 (min-of-N snapshots are much tighter than
-// single-shot runs) the threshold is halved.
+// relative gate.
 //
 // Cross-host refusal: comparing cycle counts across different machines is
 // noise by construction, so when BOTH documents carry a meta.hostname and
@@ -23,7 +21,6 @@
 // write none; scripts/bench_json.sh injects it) compare without the guard.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -59,7 +56,7 @@ struct PerfDiffReport {
   bool cross_host_refused = false;
   std::string host_a;
   std::string host_b;
-  double effective_threshold = 0;
+  double threshold = 0;  // the relative gate applied (opts.rel_threshold)
   std::vector<MetricDelta> deltas;
   std::vector<std::string> notes;  // unmatched cells, config drift, ...
 
@@ -161,12 +158,7 @@ inline PerfDiffReport perfdiff(const JsonValue& a, const JsonValue& b,
                         "' vs '" + rep.host_b + "'): treat deltas as noise");
   }
 
-  // Noise-aware threshold: min-of-N snapshots (repeats >= 3 on both sides)
-  // earn a halved relative gate.
-  const double repeats_a = a.number_at("meta.repeats", 1);
-  const double repeats_b = b.number_at("meta.repeats", 1);
-  rep.effective_threshold = opts.rel_threshold;
-  if (std::min(repeats_a, repeats_b) >= 3) rep.effective_threshold *= 0.5;
+  rep.threshold = opts.rel_threshold;
 
   const JsonValue* cells_a = a.find("cells");
   const JsonValue* cells_b = b.find("cells");
@@ -225,7 +217,7 @@ inline PerfDiffReport perfdiff(const JsonValue& a, const JsonValue& b,
       d.rel_change = spec.higher_better ? -change : change;
       const double abs_delta = std::fabs(d.candidate - d.baseline);
       const bool significant = std::fabs(d.rel_change) >
-                                   rep.effective_threshold &&
+                                   rep.threshold &&
                                abs_delta > spec.abs_floor(opts);
       d.regression = significant && d.rel_change > 0;
       d.improvement = significant && d.rel_change < 0;
@@ -288,7 +280,7 @@ inline std::string render_perfdiff(const PerfDiffReport& rep,
                 "%zu metric(s) compared, %zu regression(s), %zu "
                 "improvement(s), threshold %.0f%%\n",
                 rep.deltas.size(), rep.regressions(), rep.improvements(),
-                100.0 * rep.effective_threshold);
+                100.0 * rep.threshold);
   out += line;
   for (const std::string& n : rep.notes) {
     out += "note: ";

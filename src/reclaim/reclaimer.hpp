@@ -98,7 +98,7 @@ template <typename R>
 concept ReclaimerPolicy = requires(R r, PoolHook h) {
   { r.pin() };                       // returns a movable RAII guard
   { r.template retire<int>(static_cast<int*>(nullptr)) };
-  { r.flush_slot() };                // drain the calling thread's backlog
+  { r.flush() };                     // drain the calling thread's backlog
   { r.set_pool_return(h) };          // install the retire-to-pool hook
 };
 
@@ -108,8 +108,8 @@ concept ReclaimerPolicy = requires(R r, PoolHook h) {
 // fast path behind EfrbTreeMap::Handle; the implicit thread_local lease
 // remains the fallback behind the policy-level pin()/retire().
 //
-// The attach()/detach()/retire()/flush_slot() spelling is the one unified
-// surface every reclamation backend in this repository exposes — the three
+// The attach()/detach()/retire()/flush() spelling is the one unified surface
+// every reclamation backend in this repository exposes — the three
 // ReclaimerPolicy types below/in reclaim/, and HazardPointerDomain (which is
 // not a ReclaimerPolicy, having no blanket pin(), but models exactly this
 // attachment sub-surface) — so OpContext and the structure handles never
@@ -122,7 +122,7 @@ concept AttachableReclaimerPolicy = ReclaimerPolicy<R> &&
   { a.template retire<int>(static_cast<int*>(nullptr)) };
   { a.attached() } -> std::convertible_to<bool>;
   { a.detach() };
-  { a.flush_slot() };
+  { a.flush() };
 };
 // clang-format on
 
@@ -147,8 +147,6 @@ class LeakyReclaimer {
     template <typename T>
     void retire(T* /*p*/) noexcept {}
     void flush() noexcept {}
-    /// Unified-surface alias of flush(); nothing to drain here.
-    void flush_slot() noexcept {}
 
    private:
     friend class LeakyReclaimer;
@@ -173,12 +171,6 @@ class LeakyReclaimer {
   void set_pool_return(PoolHook /*hook*/) noexcept {}
 
   void flush() noexcept {}
-  /// Unified-surface alias of flush(); nothing to drain here.
-  void flush_slot() noexcept {}
-
-  /// Number of objects handed to retire() and leaked. Always 0 here because we
-  /// do not track them; provided so ablation code compiles across policies.
-  std::size_t retired_count() const noexcept { return 0; }
 
   /// All-zero by design: counting would put a shared fetch_add on the retire
   /// path and pollute the leaky-ceiling ablation this policy exists for.

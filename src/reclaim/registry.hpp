@@ -1,0 +1,503 @@
+// The reclamation core shared by every registry-backed reclaimer
+// (EpochReclaimer, HazardReclaimer, HazardPointerDomain).
+//
+// Everything a deferred-free scheme needs besides its safety rule lives here,
+// once: the type-erased Retired entry, the cache-padded slot table with its
+// bounded-retry acquire_slot(), the orphan store that adopts a released
+// slot's backlog, the thread_local lease and the movable Attachment that own
+// slots, the per-slot gauge counters, the PoolHook return path, and the
+// destructor that frees whatever is left. A policy ("rule") plugs in as a
+// template parameter — no virtual calls — and supplies only:
+//
+//   SlotState                  per-slot announcement (shared) + owner state
+//   Backlog                    the retire-list type: RetireList, or a richer
+//                              set with the same members (grace rounds)
+//   stamp(reg)                 the value recorded with each Retired entry
+//   begin_pass(reg) -> pass    per-pass setup: epoch advance, hazard snapshot
+//   sweep(reg, pass, backlog)  frees what the pass proves safe; returns count
+//   quiesce(slot)              runs before a slot is released
+//   epoch_gauge(reg)           ReclaimGauges::epoch (0 where meaningless)
+//   kName, kPinned             error text; pin() guards vs hazard handles
+//   announce(reg, slot), retract(slot)        pinning rules only
+//   Handle                                    the hazard rule only
+//
+// The registry inherits its rule, so rule-wide shared state (the global
+// epoch, the hazard count) sits beside the slot table. It is shared_ptr-owned
+// by the reclaimer, by every Attachment and by every thread lease, so a
+// thread exiting after the data structure was destroyed cannot touch freed
+// memory.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "reclaim/reclaimer.hpp"
+#include "util/assert.hpp"
+#include "util/cacheline.hpp"
+#include "util/errors.hpp"
+
+namespace efrb::detail {
+
+/// A retired object awaiting its rule's safety condition. The disposer is
+/// dispose_retired<T>, which consults the registry's PoolHook at free time:
+/// pool return when installed, delete otherwise.
+struct Retired {
+  void* ptr;
+  void (*deleter)(void*, const PoolHook&);
+  std::uint64_t stamp;  // rule-defined: the retire epoch for EBR, else 0
+};
+
+/// A single-owner list of Retired entries: a slot's backlog or the orphan
+/// store.
+class RetireList {
+ public:
+  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return entries_.empty(); }
+  void push_back(const Retired& r) { entries_.push_back(r); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+  /// Frees every entry `is_safe` accepts and compacts the rest in place;
+  /// returns the number freed.
+  template <typename Pred>
+  std::uint64_t free_if(Pred is_safe, const PoolHook& hook) noexcept {
+    std::size_t kept = 0;
+    for (const Retired& r : entries_) {
+      if (is_safe(r)) {
+        r.deleter(r.ptr, hook);
+      } else {
+        entries_[kept++] = r;
+      }
+    }
+    const std::uint64_t freed = entries_.size() - kept;
+    entries_.resize(kept);
+    return freed;
+  }
+
+  std::uint64_t free_all(const PoolHook& hook) noexcept {
+    return free_if([](const Retired&) { return true; }, hook);
+  }
+
+  /// Moves every entry of `from` to the back of this list. Capacity is
+  /// reserved first and the copy that follows cannot throw (Retired is
+  /// trivially copyable), so on bad_alloc both lists are left intact: no
+  /// partial hand-off, and no entry held twice.
+  void adopt(RetireList& from) {
+    entries_.reserve(entries_.size() + from.size());
+    entries_.insert(entries_.end(), from.entries_.begin(),
+                    from.entries_.end());
+    from.entries_.clear();
+  }
+
+  /// Returns the buffer of an empty list. The empty replacement cannot
+  /// allocate, so this never throws; a list kept by a failed hand-off keeps
+  /// its entries and capacity for the slot's next owner.
+  void release_memory() noexcept {
+    if (entries_.empty()) entries_.shrink_to_fit();
+  }
+
+ private:
+  std::vector<Retired> entries_;
+};
+
+/// One slot-table entry: the rule's per-slot state, then the bookkeeping
+/// every rule shares. Pin/unpin and the gauge counters touch only the first
+/// cache line.
+template <typename Rule>
+struct RetireSlot : Rule::SlotState {
+  std::atomic<bool> in_use{false};
+  // Gauges: owner-written relaxed, read only by gauges() snapshots. They
+  // survive slot recycling: counting the slot's whole history keeps the
+  // aggregate monotone across attach/detach cycles.
+  std::atomic<std::uint64_t> retired_count{0};
+  std::atomic<std::uint64_t> pins{0};
+  std::atomic<std::uint64_t> unpins{0};
+  // Owner-thread only.
+  std::size_t next_collect = 0;  // backlog.size() that triggers the next pass
+  typename Rule::Backlog backlog;
+};
+
+template <typename Rule>
+class RegistryReclaimer;
+
+template <typename Rule>
+class ReclaimRegistry : public Rule {
+ public:
+  using Slot = RetireSlot<Rule>;
+  using Backlog = typename Rule::Backlog;
+
+  /// Passes per flush(), and per release before anything is orphaned: the
+  /// epoch rule needs two advances past a stamp, the grace-round rule one
+  /// step to start a round and one to end it.
+  static constexpr int kFlushRounds = 3;
+
+  /// RAII pinned region (pinning rules). Movable, not copyable. Nested pins
+  /// on one slot are counted; the outermost release retracts the
+  /// announcement.
+  class Guard {
+   public:
+    Guard() = default;
+    Guard(Guard&& other) noexcept
+        : slot_(std::exchange(other.slot_, nullptr)) {}
+    Guard& operator=(Guard&& other) noexcept {
+      if (this != &other) {
+        release();
+        slot_ = std::exchange(other.slot_, nullptr);
+      }
+      return *this;
+    }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+    ~Guard() { release(); }
+
+   private:
+    friend class ReclaimRegistry;
+    explicit Guard(Slot* slot) noexcept : slot_(slot) {}
+
+    void release() noexcept {
+      if (slot_ != nullptr && --slot_->depth == 0) {
+        Rule::retract(*slot_);
+        slot_->unpins.fetch_add(1, std::memory_order_relaxed);
+      }
+      slot_ = nullptr;
+    }
+
+    Slot* slot_ = nullptr;
+  };
+
+  /// Explicit slot registration: owns one slot for its whole lifetime, so
+  /// pin() / make_handle() / retire() are member accesses with no
+  /// thread_local lookup (the fast path behind per-thread structure
+  /// handles). Movable, not copyable; thread-affine, since the slot's
+  /// backlog is single-owner. detach() or destruction releases the slot
+  /// (see release()).
+  class Attachment {
+   public:
+    Attachment() = default;
+    Attachment(Attachment&& other) noexcept
+        : reg_(std::move(other.reg_)),
+          slot_(std::exchange(other.slot_, nullptr)),
+          retire_batch_(other.retire_batch_) {}
+    Attachment& operator=(Attachment&& other) noexcept {
+      if (this != &other) {
+        detach();
+        reg_ = std::move(other.reg_);
+        slot_ = std::exchange(other.slot_, nullptr);
+        retire_batch_ = other.retire_batch_;
+      }
+      return *this;
+    }
+    Attachment(const Attachment&) = delete;
+    Attachment& operator=(const Attachment&) = delete;
+    ~Attachment() { detach(); }
+
+    bool attached() const noexcept { return slot_ != nullptr; }
+
+    /// Releases the slot. No Guard or Handle on it may be alive.
+    void detach() noexcept {
+      if (slot_ != nullptr) {
+        reg_->release(*slot_);
+        slot_ = nullptr;
+        reg_.reset();
+      }
+    }
+
+    auto pin() requires Rule::kPinned {
+      EFRB_DCHECK(slot_ != nullptr);
+      return reg_->pin(*slot_);
+    }
+
+    auto make_handle() const requires(!Rule::kPinned) {
+      EFRB_DCHECK(slot_ != nullptr);
+      return typename Rule::Handle(slot_);
+    }
+
+    template <typename T>
+    void retire(T* p) {
+      EFRB_DCHECK(slot_ != nullptr);
+      reg_->retire(*slot_, retire_batch_, p);
+    }
+
+    /// Best-effort drain of this slot's backlog and the orphan store.
+    void flush() {
+      EFRB_DCHECK(slot_ != nullptr);
+      reg_->flush(*slot_);
+    }
+
+   private:
+    friend class RegistryReclaimer<Rule>;
+    Attachment(std::shared_ptr<ReclaimRegistry> reg, Slot* slot,
+               std::size_t retire_batch) noexcept
+        : reg_(std::move(reg)), slot_(slot), retire_batch_(retire_batch) {}
+
+    std::shared_ptr<ReclaimRegistry> reg_;
+    Slot* slot_ = nullptr;
+    std::size_t retire_batch_ = 0;
+  };
+
+  explicit ReclaimRegistry(std::size_t max_threads) : slots(max_threads) {}
+
+  ~ReclaimRegistry() {
+    // Last reference dropped: nothing is pinned or published; free all
+    // leftovers. pool_hook's keepalive guarantees the pool state is still
+    // alive here even if the owning structure (and its pool) died first.
+    for (auto& padded : slots) padded->backlog.free_all(pool_hook);
+    orphans.free_all(pool_hook);
+  }
+
+  /// Bounded retry (a concurrent release may be mid-flight), then throws
+  /// CapacityExhausted instead of aborting — see util/errors.hpp.
+  Slot* acquire_slot() {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      for (auto& padded : slots) {
+        Slot& s = padded.value;
+        bool expected = false;
+        if (!s.in_use.load(std::memory_order_relaxed) &&
+            s.in_use.compare_exchange_strong(expected, true,
+                                             std::memory_order_acq_rel)) {
+          return &s;
+        }
+      }
+      std::this_thread::yield();
+    }
+    throw CapacityExhausted(std::string(Rule::kName) +
+                            ": thread-slot capacity exhausted (more "
+                            "concurrent threads/attachments than "
+                            "max_threads)");
+  }
+
+  /// Enters a pinned region on `slot` (pinning rules). Only the outermost
+  /// pin announces, so helping code can pin defensively without weakening
+  /// the outer region.
+  Guard pin(Slot& slot) {
+    if (slot.depth++ == 0) {
+      slot.pins.fetch_add(1, std::memory_order_relaxed);
+      Rule::announce(*this, slot);
+    }
+    return Guard(&slot);
+  }
+
+  template <typename T>
+  void retire(Slot& slot, std::size_t retire_batch, T* p) {
+    EFRB_DCHECK(p != nullptr);
+    slot.backlog.push_back(Retired{p, &dispose_retired<T>, Rule::stamp(*this)});
+    slot.retired_count.fetch_add(1, std::memory_order_relaxed);
+    // Collect on a size *schedule*, not a fixed threshold: when a stalled
+    // reader holds reclamation back, entries pile up past the batch size,
+    // and re-sweeping the whole list on every retire would be quadratic.
+    // Resetting the trigger to size+batch after each pass keeps the
+    // amortized cost per retire O(1).
+    if (slot.backlog.size() >= std::max(slot.next_collect, retire_batch)) {
+      collect(slot);
+      slot.next_collect = slot.backlog.size() + retire_batch;
+    }
+  }
+
+  /// One reclamation pass over `slot`'s backlog and, when its lock is free,
+  /// the orphan store. try_lock: a retire never stalls on the orphan slow
+  /// path. The lock is taken before the rule's pass begins, as the hazard
+  /// rule requires (see HazardRule::begin_pass).
+  void collect(Slot& slot) {
+    const std::unique_lock<std::mutex> orphan_lock(orphan_mu,
+                                                   std::try_to_lock);
+    const auto pass = Rule::begin_pass(*this);
+    sweep_counted(pass, slot.backlog);
+    if (orphan_lock.owns_lock()) sweep_orphans(pass);
+  }
+
+  /// Unconditionally runs kFlushRounds passes: a flush must make progress
+  /// on the orphan store too, which an empty caller backlog says nothing
+  /// about.
+  void flush(Slot& slot) {
+    for (int i = 0; i < kFlushRounds; ++i) collect(slot);
+  }
+
+  /// Common tail of Attachment::detach and the thread-exit lease. Runs the
+  /// flush passes, hands what is still unsafe to the orphan store and
+  /// returns the slot; then drains the orphan store under a blocking lock,
+  /// so the last detach of a quiet structure leaves no backlog behind
+  /// (detach is a slow path, so blocking there is acceptable). Entries still
+  /// covered by a live pin or hazard stay orphaned for a later pass.
+  ///
+  /// noexcept-for-real: the passes and the hand-off allocate, and this runs
+  /// from detach() and thread-exit teardown. On bad_alloc the backlog stays
+  /// in the slot with its rule state intact — safe, collected by the slot's
+  /// next owner or freed at registry destruction.
+  void release(Slot& slot) noexcept {
+    Rule::quiesce(slot);
+    try {
+      flush(slot);
+      if (!slot.backlog.empty()) {
+        const std::lock_guard<std::mutex> lock(orphan_mu);
+        orphans.adopt(slot.backlog);
+        orphan_count.store(orphans.size(), std::memory_order_relaxed);
+      }
+    } catch (...) {
+    }
+    slot.backlog.release_memory();
+    slot.next_collect = 0;
+    slot.in_use.store(false, std::memory_order_release);
+    try {
+      const std::lock_guard<std::mutex> lock(orphan_mu);
+      for (int i = 0; i < kFlushRounds && !orphans.empty(); ++i) {
+        sweep_orphans(Rule::begin_pass(*this));
+      }
+    } catch (...) {
+    }
+  }
+
+  /// Relaxed reads of the owner-written per-slot counters: monotone per
+  /// counter, but not an atomic cross-thread cut (a concurrent retire may
+  /// show in retired_total before its sweep shows in freed_total, so
+  /// backlog() is momentarily conservative).
+  ReclaimGauges gauges() const noexcept {
+    ReclaimGauges g;
+    for (const auto& padded : slots) {
+      g.retired_total += padded->retired_count.load(std::memory_order_relaxed);
+      g.pins += padded->pins.load(std::memory_order_relaxed);
+      g.unpins += padded->unpins.load(std::memory_order_relaxed);
+    }
+    g.freed_total = freed_total.load(std::memory_order_relaxed);
+    g.orphan_depth = orphan_count.load(std::memory_order_relaxed);
+    g.epoch = Rule::epoch_gauge(*this);
+    return g;
+  }
+
+  std::vector<CachePadded<Slot>> slots;
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> freed_total{0};
+  // Backlogs of released slots, re-homed here so they are freed while the
+  // structure is still live, under the same rule as a slot's own backlog.
+  std::mutex orphan_mu;
+  Backlog orphans;
+  // orphans.size() mirrored for lock-free gauge snapshots; stored under
+  // orphan_mu by every mutator of `orphans`.
+  std::atomic<std::uint64_t> orphan_count{0};
+  // Retire-to-pool hook (see reclaim/reclaimer.hpp). Written once by
+  // set_pool_return() before the structure is shared; read by every
+  // disposer call. Unsynchronized by contract.
+  PoolHook pool_hook;
+
+ private:
+  template <typename Pass>
+  void sweep_counted(const Pass& pass, Backlog& list) {
+    const std::uint64_t freed = Rule::sweep(*this, pass, list);
+    if (freed != 0) freed_total.fetch_add(freed, std::memory_order_relaxed);
+  }
+
+  /// Caller holds orphan_mu.
+  template <typename Pass>
+  void sweep_orphans(const Pass& pass) {
+    if (orphans.empty()) return;
+    sweep_counted(pass, orphans);
+    orphan_count.store(orphans.size(), std::memory_order_relaxed);
+  }
+};
+
+/// The public surface every registry-backed reclaimer shares, over the
+/// calling thread's lease or an explicit Attachment. The classes in
+/// epoch.hpp and hazard.hpp derive from it and add their constructor
+/// defaults.
+template <typename Rule>
+class RegistryReclaimer {
+  using Registry = ReclaimRegistry<Rule>;
+  using Slot = typename Registry::Slot;
+
+ public:
+  using Attachment = typename Registry::Attachment;
+
+  /// Acquires a dedicated slot (released by Attachment::detach or
+  /// destruction). Counts against max_threads like a thread lease; a thread
+  /// that uses both an attachment and the implicit thread_local path
+  /// occupies two slots.
+  Attachment attach() {
+    return Attachment(reg_, reg_->acquire_slot(), retire_batch_);
+  }
+
+  /// Pinned region on the calling thread's slot (pinning rules).
+  auto pin() requires Rule::kPinned { return reg_->pin(*local_slot()); }
+
+  /// Hazard handle over the calling thread's slot (hazard-pointer rule).
+  auto make_handle() requires(!Rule::kPinned) {
+    return typename Rule::Handle(local_slot());
+  }
+
+  template <typename T>
+  void retire(T* p) {
+    reg_->retire(*local_slot(), retire_batch_, p);
+  }
+
+  /// Best-effort drain at quiescent points: kFlushRounds passes over the
+  /// calling thread's backlog and the orphan store. Call it outside any
+  /// region of the calling thread, or that region holds its own rounds open.
+  void flush() { reg_->flush(*local_slot()); }
+
+  /// Objects freed so far (for tests asserting reclamation actually happens).
+  std::uint64_t freed_count() const noexcept {
+    return reg_->freed_total.load(std::memory_order_relaxed);
+  }
+
+  /// Gauge snapshot for the observability layer; see ReclaimRegistry::gauges.
+  ReclaimGauges gauges() const noexcept { return reg_->gauges(); }
+
+  /// Installs the retire-to-pool hook (see reclaim/reclaimer.hpp). Must be
+  /// called before this reclaimer is shared between threads — typically once
+  /// in the owning structure's constructor. Entries already queued are also
+  /// re-routed (the hook is consulted at free time, not retire time).
+  void set_pool_return(PoolHook hook) noexcept {
+    reg_->pool_hook = std::move(hook);
+  }
+
+ protected:
+  RegistryReclaimer(std::size_t max_threads, std::size_t retire_batch)
+      : reg_(std::make_shared<Registry>(max_threads)),
+        retire_batch_(retire_batch) {}
+
+  std::shared_ptr<Registry> reg_;
+
+ private:
+  // Thread → slot binding. A lease holds the registry (shared_ptr) so slot
+  // release at thread exit is safe even after the reclaimer died; release
+  // goes through ReclaimRegistry::release, so the departing thread's backlog
+  // is flushed and orphaned, not stranded in the slot.
+  struct Lease {
+    struct Entry {
+      std::shared_ptr<Registry> reg;
+      Slot* slot;
+    };
+    std::vector<Entry> entries;
+    ~Lease() {
+      for (auto& e : entries) e.reg->release(*e.slot);
+    }
+  };
+
+  Slot* local_slot() {
+    thread_local Lease lease;
+    thread_local Registry* cached_reg = nullptr;
+    thread_local Slot* cached_slot = nullptr;
+    Registry* reg = reg_.get();
+    if (cached_reg == reg) return cached_slot;
+    for (const auto& e : lease.entries) {
+      if (e.reg.get() == reg) {
+        cached_reg = reg;
+        cached_slot = e.slot;
+        return e.slot;
+      }
+    }
+    Slot* slot = reg->acquire_slot();
+    lease.entries.push_back(typename Lease::Entry{reg_, slot});
+    cached_reg = reg;
+    cached_slot = slot;
+    return slot;
+  }
+
+  std::size_t retire_batch_;
+};
+
+}  // namespace efrb::detail

@@ -177,18 +177,6 @@ TEST(HazardTest, StressManyThreadsProtectAndRetire) {
   SUCCEED();
 }
 
-TEST(HazardTest, SlotReleasedAtThreadExitIsReusable) {
-  HazardPointerDomain hp(/*max_threads=*/2, 2, 4);
-  for (int round = 0; round < 8; ++round) {
-    std::thread t([&] {
-      auto h = hp.make_handle();
-      hp.retire(new int(round));
-    });
-    t.join();
-  }
-  SUCCEED();
-}
-
 TEST(HazardTest, FreedCountAccounting) {
   HazardPointerDomain hp(8, 2, 4);
   for (int i = 0; i < 40; ++i) hp.retire(new int(i));
@@ -217,32 +205,6 @@ TEST(HazardTest, DetachWithCoveredRetireeOrphansItUntilUncovered) {
   auto other = hp.attach();  // never owned the retiree
   other.flush();
   EXPECT_EQ(freed.load(), 6);
-}
-
-TEST(HazardTest, AttachThrowsCapacityExhaustedAndRecovers) {
-  HazardPointerDomain hp(/*max_threads=*/1, 2);
-  auto a = hp.attach();
-  EXPECT_THROW(hp.attach(), CapacityExhausted);
-  a.detach();
-  EXPECT_NO_THROW(hp.attach());
-}
-
-TEST(HazardReclaimerTest, DetachedThreadsRetireesAreOrphanedAndFreed) {
-  std::atomic<int> freed{0};
-  HazardReclaimer r(/*max_threads=*/4, /*retire_batch=*/64);
-  {
-    auto att = r.attach();
-    {
-      auto g = att.pin();
-    }
-    for (int i = 0; i < 10; ++i) att.retire(new Tracked(&freed));
-    att.detach();
-  }
-  EXPECT_EQ(freed.load(), 0);
-  // Orphaned entries restart a grace round at registry level; with no pinned
-  // readers one flush (three round steps) frees them all.
-  r.flush();
-  EXPECT_EQ(freed.load(), 10);
 }
 
 TEST(HazardReclaimerTest, OrphanedRoundStillWaitsForPinnedReaders) {
@@ -279,59 +241,6 @@ TEST(HazardReclaimerTest, NestedPinsBlockUntilOutermostReleases) {
   outer = HazardReclaimer::Guard{};
   retirer.flush();
   EXPECT_EQ(freed.load(), 8);
-}
-
-TEST(HazardReclaimerTest, OrphanGaugeMirrorsDrainedTotalsUnderChurn) {
-  std::atomic<int> freed{0};
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-  constexpr int kPerRound = 8;
-  constexpr int kTotal = kThreads * kRounds * kPerRound;
-  HazardReclaimer r(/*max_threads=*/16, /*retire_batch=*/64);
-
-  // Same shape as the epoch-side test: churners attach, retire a list short
-  // of the batch, and detach (orphaning it) while a sweeper drains
-  // concurrently — the lock-free orphan_count mirror races release against
-  // sweep the whole time.
-  std::atomic<bool> stop{false};
-  std::thread sweeper([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      r.flush();
-      const ReclaimGauges g = r.gauges();
-      EXPECT_LE(g.orphan_depth, static_cast<std::uint64_t>(kTotal));
-    }
-  });
-  run_threads(kThreads, [&](std::size_t) {
-    for (int round = 0; round < kRounds; ++round) {
-      auto att = r.attach();
-      for (int i = 0; i < kPerRound; ++i) att.retire(new Tracked(&freed));
-      att.detach();
-    }
-  });
-  stop.store(true, std::memory_order_release);
-  sweeper.join();
-
-  // Quiescent with no attachments: every retired-but-not-freed object sits
-  // in the orphan store, so the mirror must equal the backlog exactly.
-  ReclaimGauges g = r.gauges();
-  EXPECT_EQ(g.retired_total, static_cast<std::uint64_t>(kTotal));
-  EXPECT_EQ(g.orphan_depth, g.backlog());
-  EXPECT_EQ(static_cast<std::uint64_t>(freed.load()), g.freed_total);
-
-  // Drain to empty: the mirror must reach zero with the books balanced.
-  for (int i = 0; i < 64 && freed.load() < kTotal; ++i) r.flush();
-  g = r.gauges();
-  EXPECT_EQ(g.orphan_depth, 0u);
-  EXPECT_EQ(g.freed_total, g.retired_total);
-  ASSERT_EQ(freed.load(), kTotal);
-}
-
-TEST(HazardReclaimerTest, AttachThrowsCapacityExhaustedAndRecovers) {
-  HazardReclaimer r(/*max_threads=*/1);
-  auto a = r.attach();
-  EXPECT_THROW(r.attach(), CapacityExhausted);
-  a.detach();
-  EXPECT_NO_THROW(r.attach());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "core/tagged_update.hpp"
+#include "core/layout.hpp"
 
 namespace efrb {
 namespace {

@@ -2,9 +2,7 @@
 // --json output with schema >= 2) and flag perf regressions.
 //
 // Usage: efrb_perfdiff [options] <baseline.json> <candidate.json>
-//   --threshold PCT      relative regression gate in percent (default 15;
-//                        halved automatically when both snapshots record
-//                        meta.repeats >= 3)
+//   --threshold PCT      relative regression gate in percent (default 15)
 //   --allow-cross-host   compare snapshots from different hosts anyway
 //   --verbose            also print metrics inside the noise band
 //
