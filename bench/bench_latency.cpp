@@ -136,7 +136,8 @@ int main(int argc, char** argv) {
       cfg.duration = efrb::bench::cell_duration();
       efrb::prefill(t, cfg.key_range, cfg.prefill_fraction, cfg.seed);
       efrb::LatencySamples lat;
-      const auto r = efrb::run_workload(t, cfg, &lat);
+      const efrb::obs::Instruments instruments{.latency = &lat};
+      const auto r = efrb::run_workload(t, cfg, &instruments);
       const auto g = t.reclaimer().gauges();
       efrb::bench::metrics().add_cell(c.name, cfg, r, nullptr, &g, &lat);
     }

@@ -16,6 +16,7 @@
 #include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/instruments.hpp"
 #include "shard/shard_metrics.hpp"
 #include "shard/sharded_map.hpp"
 #include "util/thread_pool.hpp"
@@ -60,29 +61,24 @@ void run_grid(const OpMix& mix, std::uint64_t range,
 }
 
 // E1b — the handle-path ablation backing docs/API.md: the same tree measured
-// through tree-level methods (thread_local lease per op, shared counters)
-// and through per-thread handles (attached slot, sharded counters), with
-// stats disabled and enabled.
+// through per-thread handles (attached slot, sharded counters), with stats
+// disabled and enabled. The tree-level columns of the original A/B are
+// archived in bench/history/20260809T233337Z_throughput.json.
 void run_handle_ablation(const std::vector<std::size_t>& threads) {
   using Plain = efrb::EfrbTreeSet<Key>;
   using Stats = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
                                   efrb::StatsTraits>;
   std::printf("-- handle ablation: balanced mix, key range 2^16 --\n");
-  Table table({"threads", "tree-methods", "handles", "stats+tree-methods",
-               "stats+handles"});
+  Table table({"threads", "handles", "stats+handles"});
   for (std::size_t t : threads) {
-    WorkloadConfig handle_cfg;
-    handle_cfg.threads = t;
-    handle_cfg.key_range = std::uint64_t{1} << 16;
-    handle_cfg.mix = efrb::kBalanced;
-    handle_cfg.duration = efrb::bench::cell_duration();
-    WorkloadConfig tree_cfg = handle_cfg;
-    tree_cfg.use_handles = false;
+    WorkloadConfig cfg;
+    cfg.threads = t;
+    cfg.key_range = std::uint64_t{1} << 16;
+    cfg.mix = efrb::kBalanced;
+    cfg.duration = efrb::bench::cell_duration();
     table.add_row({std::to_string(t),
-                   Table::fmt(mops_for<Plain>(tree_cfg, "tree-methods")),
-                   Table::fmt(mops_for<Plain>(handle_cfg, "handles")),
-                   Table::fmt(mops_for<Stats>(tree_cfg, "stats+tree-methods")),
-                   Table::fmt(mops_for<Stats>(handle_cfg, "stats+handles"))});
+                   Table::fmt(mops_for<Plain>(cfg, "handles")),
+                   Table::fmt(mops_for<Stats>(cfg, "stats+handles"))});
   }
   table.print();
   std::printf("\n");
@@ -282,17 +278,18 @@ void run_shard_grid() {
   // router — exported as the metrics-v2 `sharding` cell and the Prometheus
   // efrb_shard_* series (shard/shard_metrics.hpp).
   using HeatInner = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                      efrb::obs::HeatmapTraits>;
+                                      efrb::obs::ObsTraits>;
   using HeatSharded =
       efrb::shard::ShardedSet<HeatInner, efrb::shard::HashRouter>;
   efrb::obs::KeyHeatmap heatmap(kRange);
-  efrb::obs::HeatmapTraits::install(&heatmap);
+  const efrb::obs::Instruments instruments{.heatmap = &heatmap};
+  efrb::obs::ObsTraits::attach(&instruments);
   HeatSharded sharded{efrb::shard::HashRouter(8)};
   efrb::prefill(sharded, kRange, 0.5, seed);
   const std::vector<efrb::obs::HeatBucket> before = heatmap.snapshot();
   const auto res =
       efrb::bench::run_fixed_ops(sharded, kOps, kThreads, kRange, seed);
-  efrb::obs::HeatmapTraits::reset();
+  efrb::obs::ObsTraits::detach();
   const efrb::shard::ShardBalanceReport rep = efrb::shard::score_shard_map(
       sharded.router(), heatmap, before, heatmap.snapshot());
   std::printf("shard balance (hash x8, windowed heatmap): imbalance %.2fx, "

@@ -12,6 +12,16 @@ FAST=0
 
 run() { echo "+ $*"; "$@"; }
 
+echo "=== one event seam: no legacy hook arities ==="
+# Protocol events reach Traits only through hooks::emit -> on_event(const
+# Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
+# on_cas hook, a multi-argument at(HookPoint ...) hook, or the old emit_*
+# shims, defined or called anywhere in src/, tools/ or tests/.
+if grep -rnE '\bon_cas\(|\bat\(\s*(efrb::)?HookPoint[^)]*,|\bemit_(help|phase|cas|at)\b' \
+    src tools tests; then
+  echo "legacy hook seam found (use hooks::emit / Traits::on_event)"; exit 1
+fi
+
 echo "=== plain build + tests ==="
 run cmake -B build -G Ninja
 run cmake --build build
@@ -508,9 +518,9 @@ assert best >= 1.5 * single
 print('sharded gate OK')
 EOF
 
-  echo "=== debug-hooks instrumented build (live non-Noop on_cas/at callbacks) ==="
+  echo "=== debug-hooks instrumented build (live non-Noop on_event sink) ==="
   # EFRB_TEST_FORCE_HOOKS switches the concurrent suites to traits whose
-  # on_cas/at hooks run real code, proving every emission point in
+  # on_event sink runs real code, proving every emission point in
   # protocol.hpp survives refactors (NoopTraits compiles them away).
   run cmake -B build-hooks -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DCMAKE_CXX_FLAGS="-DEFRB_TEST_FORCE_HOOKS"

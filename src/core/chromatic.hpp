@@ -259,14 +259,14 @@ class ChromaticCore {
   bool contains(const Key& k, Ctx& ctx) const {
     ctx.set_op_key(k);
     const Node* l = descend(k, ctx);
-    hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
     return cmp_.equals(k, l->key);
   }
 
   std::optional<Value> get(const Key& k, Ctx& ctx) const {
     ctx.set_op_key(k);
     const Node* l = descend(k, ctx);
-    hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
     if (!cmp_.equals(k, l->key)) return std::nullopt;
     return l->value;  // leaf payloads are immutable after publication
   }
@@ -286,7 +286,7 @@ class ChromaticCore {
     ctx.begin_op();
     for (;;) {
       const DescentWindow w = walk(k, ctx);
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       Node* p = w.p;
       Node* l = w.l;
       if (cmp_.equals(k, l->key)) {
@@ -408,7 +408,7 @@ class ChromaticCore {
     ctx.begin_op();
     for (;;) {
       const DescentWindow w = walk(k, ctx);
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       Node* p = w.p;
       Node* l = w.l;
       if (!cmp_.equals(k, l->key) || !(l->value == expected)) {
@@ -450,7 +450,7 @@ class ChromaticCore {
     ctx.begin_op();
     for (;;) {
       const DescentWindow w = walk(k, ctx);
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (!cmp_.equals(k, w.l->key)) {
         ctx.end_op();
         return false;
@@ -562,8 +562,7 @@ class ChromaticCore {
         p1 = u;
         u = c;
       }
-      hooks::emit_at<Traits>(HookPoint::kBeforeRebalance, ctx.tid(),
-                             ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kBeforeRebalance);
       bool fixed;
       if (u->weight >= 2) {
         fixed = fix_overweight(ctx, p2, p1, u);
@@ -850,7 +849,7 @@ class ChromaticCore {
   }
 
   static void scx_retry(Ctx& ctx) {
-    hooks::emit_at<Traits>(HookPoint::kScxRetry, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kScxRetry);
     ctx.retry_pause();
   }
 
@@ -1105,13 +1104,7 @@ template <typename Key, typename Value = detail::Unit,
           typename Compare = std::less<Key>,
           typename Reclaimer = EpochReclaimer, typename Traits = NoopTraits>
 class ChromaticTreeMap {
-  static constexpr bool kTrackKeys = [] {
-    if constexpr (requires { Traits::kTrackKeys; }) {
-      return static_cast<bool>(Traits::kTrackKeys);
-    } else {
-      return false;
-    }
-  }();
+  static constexpr bool kTrackKeys = hooks::track_keys_v<Traits>;
   using Layout = ChromaticLayout<Key, Value>;
   using Node = typename Layout::Node;
   using Rec = typename Layout::Rec;

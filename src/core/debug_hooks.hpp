@@ -1,21 +1,22 @@
-// Instrumentation traits for the EFRB tree.
+// Instrumentation traits for the EFRB tree and the LLX/SCX trees.
 //
-// The tree is parameterized on a Traits type exposing two static hooks:
+// The trees are parameterized on a Traits type. Instrumented Traits expose
+// one static event sink:
 //
-//   Traits::on_cas(CasStep step, bool success, const void* node)
-//     — invoked after every protocol CAS with its outcome; lets tests verify
-//       that the update-field state machine follows exactly the edges of the
-//       paper's Figure 4 and lets benchmarks count helps/retries.
+//   Traits::on_event(const Event& e)
+//     — invoked after every protocol CAS (with its outcome), at named pause
+//       points between protocol steps, at help entry/exit (with the helped
+//       operation's owner stamp), and at explicit phase scope edges. Tests
+//       use it to verify that the update-field state machine follows
+//       exactly the edges of the paper's Figure 4, and to pause a thread
+//       mid-operation (via thread_local state in the sink) to drive
+//       deterministic interleavings: forcing helping branches (lines 51, 61,
+//       77, 78, 85 of the pseudocode), the backtrack path (line 98), and the
+//       Figure 3 schedules. The obs layer fans the same events out to its
+//       sinks (obs/instruments.hpp).
 //
-//   Traits::at(HookPoint point)
-//     — invoked at named points between protocol steps; lets tests pause a
-//       thread mid-operation (via thread_local state in the callback) to
-//       drive deterministic interleavings: forcing helping branches (lines
-//       51, 61, 77, 78, 85 of the pseudocode), the backtrack path (line 98),
-//       and the Figure 3 schedules.
-//
-// The default (NoopTraits) compiles to nothing; instrumented builds pay only
-// inside their own template instantiation.
+// The default (NoopTraits) has no sink and compiles every emission to
+// nothing; instrumented builds pay only inside their own instantiation.
 #pragma once
 
 #include <cstddef>
@@ -177,96 +178,109 @@ inline constexpr std::uint64_t owner_seq(std::uint64_t owner) noexcept {
   return owner & ((std::uint64_t{1} << 48) - 1);
 }
 
+/// What an Event reports; `code` holds the matching enum value.
+enum class EventKind : std::uint8_t {
+  kCas,         // a protocol CAS executed: code = CasStep, ok, node
+  kPoint,       // a pause point passed: code = HookPoint
+  kHelp,        // kBeforeHelp / kAfterHelp: code = HookPoint, owner
+  kPhaseEnter,  // an explicit phase scope opened: code = Phase
+  kPhaseExit,   // an explicit phase scope closed: code = Phase
+};
+
+/// One observation from the protocol: the full site identity (what, which
+/// thread, which operation key) plus the kind-specific payload. `key` is
+/// kNoKey unless the OpContext tracks keys (Traits::kTrackKeys, see
+/// op_context.hpp); `owner` is the packed stamp of the helped operation on
+/// kHelp events of a kCausalTrace tree, kNoOwner otherwise.
+struct Event {
+  EventKind kind;
+  std::uint8_t code;
+  bool ok = false;              // CAS outcome (kCas)
+  const void* node = nullptr;   // CAS target (kCas)
+  unsigned tid = kNoTid;
+  std::uint64_t key = kNoKey;
+  std::uint64_t owner = kNoOwner;
+
+  CasStep step() const noexcept { return static_cast<CasStep>(code); }
+  HookPoint point() const noexcept { return static_cast<HookPoint>(code); }
+  Phase phase() const noexcept { return static_cast<Phase>(code); }
+  /// kPoint or kHelp: the event names a HookPoint.
+  bool at_point() const noexcept {
+    return kind == EventKind::kPoint || kind == EventKind::kHelp;
+  }
+  /// The help entry (kBeforeHelp), the event that carries the owner stamp.
+  bool help_entry() const noexcept {
+    return kind == EventKind::kHelp && point() == HookPoint::kBeforeHelp;
+  }
+};
+
 // ---------------------------------------------------------------------------
-// Hook dispatch shims. Every emission point in protocol.hpp calls through
-// these, passing the full site identity (step/point + the OpContext's thread
-// id and operation key). A Traits type may implement any of three arities —
-// the legacy on_cas(step, ok, node) / at(point), the tid-aware
-// on_cas(step, ok, node, tid) / at(point, tid), or the key-aware
-// on_cas(step, ok, node, tid, key) / at(point, tid, key); the shim detects
-// the widest match at compile time, so existing traits keep working
-// unchanged. The key argument is kNoKey unless the OpContext was built with
-// key tracking enabled (Traits::kTrackKeys, see op_context.hpp).
+// The event seam. Every emission site in core/ calls hooks::emit, which
+// builds an Event and hands it to Traits::on_event(const Event&) — only if
+// the Traits has that member. NoopTraits has none, so default trees build no
+// Event and every emission compiles to nothing. PhaseScope brackets the
+// allocation and retirement clusters with phase enter/exit events.
 //
-// allow_cas is the fault-injection gate: a Traits exposing
-// allow_cas(step, node, tid) -> bool may veto a protocol CAS, which the call
-// site then treats exactly like a CAS that lost its race (the fault model of
-// src/inject/). Traits without the member compile to `true` and the branch
-// folds away.
+// allow_cas is the fault-injection gate, kept apart because it is a veto,
+// not an observation: a Traits exposing allow_cas(step, node, tid) -> bool
+// may veto a protocol CAS, which the call site then treats exactly like a
+// CAS that lost its race (the fault model of src/inject/). Traits without
+// the member compile to `true` and the branch folds away.
 // ---------------------------------------------------------------------------
 namespace hooks {
 
+/// Whether a Traits type receives events at all.
 template <typename Traits>
-inline void emit_cas(CasStep s, bool ok, const void* node, unsigned tid,
-                     std::uint64_t key = kNoKey) {
-  if constexpr (requires { Traits::on_cas(s, ok, node, tid, key); }) {
-    Traits::on_cas(s, ok, node, tid, key);
-  } else if constexpr (requires { Traits::on_cas(s, ok, node, tid); }) {
-    Traits::on_cas(s, ok, node, tid);
-  } else {
-    Traits::on_cas(s, ok, node);
+inline constexpr bool event_sink_v =
+    requires(const Event& e) { Traits::on_event(e); };
+
+/// A protocol CAS on `node` and its outcome, from the operation in `ctx`.
+template <typename Traits, typename Ctx>
+inline void emit([[maybe_unused]] const Ctx& ctx, [[maybe_unused]] CasStep s,
+                 [[maybe_unused]] bool ok, [[maybe_unused]] const void* node) {
+  if constexpr (event_sink_v<Traits>) {
+    Traits::on_event(Event{EventKind::kCas, static_cast<std::uint8_t>(s), ok,
+                           node, ctx.tid(), ctx.op_key()});
   }
 }
 
-template <typename Traits>
-inline void emit_at(HookPoint p, unsigned tid, std::uint64_t key = kNoKey) {
-  if constexpr (requires { Traits::at(p, tid, key); }) {
-    Traits::at(p, tid, key);
-  } else if constexpr (requires { Traits::at(p, tid); }) {
-    Traits::at(p, tid);
-  } else {
-    Traits::at(p);
+/// A pause point. The help points carry the owner stamp read off the
+/// Info/ScxRecord the helper dispatched on and become kHelp events.
+template <typename Traits, typename Ctx>
+inline void emit([[maybe_unused]] const Ctx& ctx, [[maybe_unused]] HookPoint p,
+                 [[maybe_unused]] std::uint64_t owner = kNoOwner) {
+  if constexpr (event_sink_v<Traits>) {
+    const bool help = p == HookPoint::kBeforeHelp || p == HookPoint::kAfterHelp;
+    Traits::on_event(Event{help ? EventKind::kHelp : EventKind::kPoint,
+                           static_cast<std::uint8_t>(p), false, nullptr,
+                           ctx.tid(), ctx.op_key(), owner});
   }
 }
 
-/// Help-site emission: like emit_at, but additionally carries the packed
-/// owner stamp of the operation being helped (read from the Info/ScxRecord
-/// the helper dispatched on). A Traits exposing the owner-aware arity
-/// at(point, tid, key, owner) receives it; every narrower Traits falls back
-/// through emit_at unchanged, so only causality-aware consumers pay for the
-/// extra word.
-template <typename Traits>
-inline void emit_help(HookPoint p, unsigned tid, std::uint64_t key,
-                      std::uint64_t owner) {
-  if constexpr (requires { Traits::at(p, tid, key, owner); }) {
-    Traits::at(p, tid, key, owner);
-  } else {
-    emit_at<Traits>(p, tid, key);
-  }
-}
-
-/// Explicit-phase emission: brackets a region whose cost belongs to a phase
-/// the HookPoint stream cannot infer (reclamation, pool_alloc). A Traits
-/// exposing phase(entered, phase, tid) receives enter/exit edges; for every
-/// other Traits (NoopTraits included) the call folds away entirely, so the
-/// uninstrumented protocol stays byte-identical.
-template <typename Traits>
-inline void emit_phase(bool enter, Phase ph, unsigned tid) {
-  if constexpr (requires { Traits::phase(enter, ph, tid); }) {
-    Traits::phase(enter, ph, tid);
-  } else {
-    (void)enter;
-    (void)ph;
-    (void)tid;
-  }
-}
-
-/// RAII form of emit_phase: enter on construction, exit on destruction.
-/// Placed around allocation/retire clusters in protocol code; with a Traits
-/// that lacks the phase hook both edges fold to nothing.
+/// RAII phase bracket: a kPhaseEnter event on construction, kPhaseExit on
+/// destruction. Marks the regions whose cost the HookPoint stream cannot
+/// infer (reclamation, pool_alloc); with a sink-less Traits both edges fold
+/// to nothing.
 template <typename Traits>
 class PhaseScope {
  public:
   PhaseScope(Phase ph, unsigned tid) noexcept : ph_(ph), tid_(tid) {
-    emit_phase<Traits>(true, ph_, tid_);
+    edge(EventKind::kPhaseEnter);
   }
-  ~PhaseScope() { emit_phase<Traits>(false, ph_, tid_); }
+  ~PhaseScope() { edge(EventKind::kPhaseExit); }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  Phase ph_;
-  unsigned tid_;
+  void edge([[maybe_unused]] EventKind kind) const {
+    if constexpr (event_sink_v<Traits>) {
+      Traits::on_event(Event{kind, static_cast<std::uint8_t>(ph_), false,
+                             nullptr, tid_});
+    }
+  }
+
+  [[maybe_unused]] Phase ph_;
+  [[maybe_unused]] unsigned tid_;
 };
 
 template <typename Traits>
@@ -317,11 +331,23 @@ inline constexpr bool lean_find_v = [] {
   }
 }();
 
+/// kTrackKeys (default false) — stamp each operation's key into its
+/// OpContext so every Event carries it (key-space attribution for the
+/// contention heatmap, obs/heatmap.hpp).
+template <typename Traits>
+inline constexpr bool track_keys_v = [] {
+  if constexpr (requires { Traits::kTrackKeys; }) {
+    return static_cast<bool>(Traits::kTrackKeys);
+  } else {
+    return false;
+  }
+}();
+
 /// kCausalTrace (default false) — stamp every Info/ScxRecord with its
 /// creator's {tid, op_seq} owner word, maintain per-handle progress words
 /// (op_seq/key/retries/step/help depth, core/op_context.hpp) for the
-/// liveness watchdog, and carry the owner through the kBeforeHelp/kAfterHelp
-/// emissions so causality consumers (obs/causal.hpp) can attribute helping.
+/// liveness watchdog, and carry the owner in the kBeforeHelp/kAfterHelp
+/// events so causality consumers (obs/causal.hpp) can attribute helping.
 template <typename Traits>
 inline constexpr bool causal_trace_v = [] {
   if constexpr (requires { Traits::kCausalTrace; }) {
@@ -333,7 +359,7 @@ inline constexpr bool causal_trace_v = [] {
 
 }  // namespace hooks
 
-/// Zero-cost default: all hooks are empty and statistics are disabled.
+/// Zero-cost default: no event sink and statistics are disabled.
 /// kSearchHelpsMarked selects the paper's §6 Search variant: a Search that
 /// encounters a marked internal node helps complete the deletion's dchild
 /// CAS (splicing the node out) and restarts. The paper proposes this
@@ -343,8 +369,6 @@ inline constexpr bool causal_trace_v = [] {
 struct NoopTraits {
   static constexpr bool kCountStats = false;
   static constexpr bool kSearchHelpsMarked = false;
-  static void on_cas(CasStep, bool, const void*) noexcept {}
-  static void at(HookPoint) noexcept {}
 };
 
 /// Pooled-allocation traits: nodes and Info records come from the
@@ -370,23 +394,24 @@ struct HelpingSearchTraits : NoopTraits {
   static constexpr bool kSearchHelpsMarked = true;
 };
 
-/// Test traits: hooks dispatch to (re)settable global std::functions. Distinct
-/// template instantiations do not interfere with trees using NoopTraits; gtest
-/// runs test bodies serially, so tests install/reset these around themselves.
-struct CallbackTraits {
+/// Test traits: CAS and point events dispatch to (re)settable global
+/// std::functions. Distinct template instantiations do not interfere with
+/// trees using NoopTraits; gtest runs test bodies serially, so tests
+/// install/reset these around themselves.
+struct CallbackTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
 
   // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
   static inline std::function<void(CasStep, bool, const void*)> on_cas_fn;
   // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
   static inline std::function<void(HookPoint)> at_fn;
 
-  static void on_cas(CasStep s, bool ok, const void* node) {
-    if (on_cas_fn) on_cas_fn(s, ok, node);
-  }
-  static void at(HookPoint p) {
-    if (at_fn) at_fn(p);
+  static void on_event(const Event& e) {
+    if (e.kind == EventKind::kCas) {
+      if (on_cas_fn) on_cas_fn(e.step(), e.ok, e.node);
+    } else if (e.at_point() && at_fn) {
+      at_fn(e.point());
+    }
   }
 
   static void reset() {
@@ -395,12 +420,9 @@ struct CallbackTraits {
   }
 };
 
-/// Statistics-only traits for benchmarks (E5): counters on, hooks empty.
-struct StatsTraits {
+/// Statistics-only traits for benchmarks (E5): counters on, no event sink.
+struct StatsTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static void on_cas(CasStep, bool, const void*) noexcept {}
-  static void at(HookPoint) noexcept {}
 };
 
 }  // namespace efrb

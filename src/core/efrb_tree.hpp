@@ -49,15 +49,9 @@ template <typename Key, typename Value = detail::Unit,
           typename Compare = std::less<Key>,
           typename Reclaimer = EpochReclaimer, typename Traits = NoopTraits>
 class EfrbTreeMap {
-  // Key attribution is opt-in per Traits (obs/heatmap.hpp sets kTrackKeys);
+  // Key attribution is opt-in per Traits (obs::ObsTraits sets kTrackKeys);
   // absent the member, contexts carry no key state and op_key() folds away.
-  static constexpr bool kTrackKeys = [] {
-    if constexpr (requires { Traits::kTrackKeys; }) {
-      return static_cast<bool>(Traits::kTrackKeys);
-    } else {
-      return false;
-    }
-  }();
+  static constexpr bool kTrackKeys = hooks::track_keys_v<Traits>;
   // Layout computed directly from (Key, Value) — the allocator must be
   // chosen before Core exists, and Core's Layout is the same alias.
   using Layout = TreeLayout<Key, Value>;

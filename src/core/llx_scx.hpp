@@ -249,20 +249,7 @@ struct LlxScx {
     if (m.state() == ScxMark::kMarked) {
       // Marking happens only after all_frozen, so this removal is guaranteed
       // to commit; push it over the line before reporting FINALIZED.
-      if (st == ScxState::kInProgress) {
-        // Owner stamp of the helped transaction; the load exists only in
-        // kCausalTrace instantiations (see the help() note in protocol.hpp).
-        std::uint64_t owner = kNoOwner;
-        if constexpr (hooks::causal_trace_v<Traits>) owner = rinfo->owner;
-        hooks::emit_help<Traits>(HookPoint::kBeforeHelp, ctx.tid(),
-                                 ctx.op_key(), owner);
-        ctx.count_help();
-        ctx.help_enter();
-        help_scx(ctx, rinfo);
-        ctx.help_exit();
-        hooks::emit_help<Traits>(HookPoint::kAfterHelp, ctx.tid(),
-                                 ctx.op_key(), owner);
-      }
+      if (st == ScxState::kInProgress) help_other(ctx, rinfo);
       r.finalized = true;
       return r;
     }
@@ -277,18 +264,24 @@ struct LlxScx {
         return r;
       }
     } else {
-      std::uint64_t owner = kNoOwner;
-      if constexpr (hooks::causal_trace_v<Traits>) owner = rinfo->owner;
-      hooks::emit_help<Traits>(HookPoint::kBeforeHelp, ctx.tid(), ctx.op_key(),
-                               owner);
-      ctx.count_help();
-      ctx.help_enter();
-      help_scx(ctx, rinfo);
-      ctx.help_exit();
-      hooks::emit_help<Traits>(HookPoint::kAfterHelp, ctx.tid(), ctx.op_key(),
-                               owner);
+      help_other(ctx, rinfo);
     }
     return r;  // FAILED
+  }
+
+  /// Helps another operation's in-progress transaction through, bracketed by
+  /// the help events. The owner stamp of the helped transaction is loaded
+  /// only in kCausalTrace instantiations (see the help() note in
+  /// protocol.hpp).
+  static void help_other(Ctx& ctx, Rec* rinfo) {
+    std::uint64_t owner = kNoOwner;
+    if constexpr (hooks::causal_trace_v<Traits>) owner = rinfo->owner;
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeHelp, owner);
+    ctx.count_help();
+    ctx.help_enter();
+    help_scx(ctx, rinfo);
+    ctx.help_exit();
+    hooks::emit<Traits>(ctx, HookPoint::kAfterHelp, owner);
   }
 
   /// Store-conditional-extended: run the transaction described by `rec`
@@ -319,7 +312,7 @@ struct LlxScx {
       if (cur.info() == rec) {
         continue;  // already frozen (or marked) for rec by another helper
       }
-      hooks::emit_at<Traits>(HookPoint::kBeforeFreeze, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kBeforeFreeze);
       Word expected = rec->infos[i];
       rec->refs.fetch_add(1, std::memory_order_acq_rel);
       const bool ok =
@@ -327,7 +320,7 @@ struct LlxScx {
           v->scx.compare_exchange(expected, desired,
                                   std::memory_order_acq_rel,
                                   std::memory_order_acquire);
-      hooks::emit_cas<Traits>(CasStep::kFreeze, ok, v, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, CasStep::kFreeze, ok, v);
       ctx.count_cas(CasStep::kFreeze, ok);
       if (ok) {
         // Unique freeze winner releases the displaced record's reference.
@@ -372,21 +365,20 @@ struct LlxScx {
     // existing node as new_child would break exactly this: a stalled helper
     // holding the displaced value as its expected old_child could fire again
     // and resurrect a retired subtree.
-    hooks::emit_at<Traits>(HookPoint::kBeforeScxChild, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeScxChild);
     Node* old_c = rec->old_child;
     const bool cok =
         hooks::allow_cas<Traits>(CasStep::kScxChild, rec->field, ctx.tid()) &&
         rec->field->compare_exchange_strong(old_c, rec->new_child,
                                             std::memory_order_release,
                                             std::memory_order_relaxed);
-    hooks::emit_cas<Traits>(CasStep::kScxChild, cok, rec->field, ctx.tid(),
-                            ctx.op_key());
+    hooks::emit<Traits>(ctx, CasStep::kScxChild, cok, rec->field);
     ctx.count_cas(CasStep::kScxChild, cok);
 
     // Commit. The unique winner of the state CAS retires the finalized nodes
     // and releases the references their (marked, rec) words hold — those
     // words are never displaced, so nobody else would.
-    hooks::emit_at<Traits>(HookPoint::kBeforeScxCommit, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeScxCommit);
     ScxState exp = ScxState::kInProgress;
     if (rec->state.compare_exchange_strong(exp, ScxState::kCommitted,
                                            std::memory_order_acq_rel,

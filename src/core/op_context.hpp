@@ -543,7 +543,7 @@ class OpContext {
     }
   }
 
-  /// Per-step protocol accounting, recorded at every Traits::on_cas point.
+  /// Per-step protocol accounting, recorded at every CAS event.
   void count_cas(CasStep step, bool ok) noexcept {
     if constexpr (kCount) {
       const auto i = static_cast<std::size_t>(step);

@@ -7,18 +7,19 @@
 // search.hpp. Comments of the form "line N" refer to the paper's pseudocode
 // line numbers.
 //
-// Every protocol CAS emits hooks::emit_cas<Traits>(step, ok, node, tid, key)
-// immediately after executing and hooks::emit_at<Traits>(point, tid, key) at
-// the named pause points — the full step+thread+key identity of the site,
-// keyed on by the fault-injection layer (src/inject/), pinned down by the
-// schedule-sweep and state-machine suites, and bucketed by the contention
-// heatmap (obs/heatmap.hpp). The key comes from ctx.set_op_key(), stamped at
-// each public entry point below; it is the kNoKey constant (and costs
-// nothing) unless the OpContext was instantiated with key tracking. Each CAS is additionally gated on
-// hooks::allow_cas<Traits>(step, node, tid): a vetoed CAS is treated exactly
-// like one that lost its race (the fault model forced-failure injection
-// relies on; a Traits without the member compiles the gate away). Each
-// on_cas site is paired with ctx.count_cas(step, ok), the per-step breakdown
+// Every protocol CAS emits hooks::emit<Traits>(ctx, step, ok, node)
+// immediately after executing and hooks::emit<Traits>(ctx, point) at the
+// named pause points — one Event carrying the full step+thread+key identity
+// of the site, keyed on by the fault-injection layer (src/inject/), pinned
+// down by the schedule-sweep and state-machine suites, and bucketed by the
+// contention heatmap (obs/heatmap.hpp). The key comes from ctx.set_op_key(),
+// stamped at each public entry point below; it is the kNoKey constant (and
+// costs nothing) unless the OpContext was instantiated with key tracking.
+// Each CAS is additionally gated on hooks::allow_cas<Traits>(step, node,
+// tid): a vetoed CAS is treated exactly like one that lost its race (the
+// fault model forced-failure injection relies on; a Traits without the
+// member compiles the gate away). Each CAS event is paired with
+// ctx.count_cas(step, ok), the per-step breakdown
 // counters (compiled out when Traits::kCountStats is false).
 //
 // Callers hold a pinned region for the duration of every call (the facade and
@@ -205,7 +206,7 @@ class TreeCore {
     ctx.begin_op();
     for (;;) {
       const SearchResult s = search(k, ctx);  // line 49
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (cmp_.equals(k, s.l->key)) {  // line 50: duplicate key
         if (!assign_if_present) {
           ctx.dispose(new_leaf);  // never published
@@ -218,7 +219,7 @@ class TreeCore {
         if (s.pupdate.state() != UpdateState::kClean) {
           help(s.pupdate, ctx);
           ctx.count_insert_retry();
-          hooks::emit_at<Traits>(HookPoint::kInsertRetry, ctx.tid(), ctx.op_key());
+          hooks::emit<Traits>(ctx, HookPoint::kInsertRetry);
           ctx.retry_pause();
           continue;
         }
@@ -232,7 +233,7 @@ class TreeCore {
       if (s.pupdate.state() != UpdateState::kClean) {  // line 51
         help(s.pupdate, ctx);
         ctx.count_insert_retry();
-        hooks::emit_at<Traits>(HookPoint::kInsertRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kInsertRetry);
         ctx.retry_pause();
         continue;
       }
@@ -278,7 +279,7 @@ class TreeCore {
     ctx.begin_op();
     for (;;) {
       const SearchResult s = search(k, ctx);
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (!cmp_.equals(k, s.l->key) || !(s.l->value == expected)) {
         ctx.dispose(new_leaf);  // never published (may still be null)
         ctx.end_op();
@@ -287,7 +288,7 @@ class TreeCore {
       if (s.pupdate.state() != UpdateState::kClean) {
         help(s.pupdate, ctx);
         ctx.count_insert_retry();
-        hooks::emit_at<Traits>(HookPoint::kInsertRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kInsertRetry);
         ctx.retry_pause();
         continue;
       }
@@ -309,7 +310,7 @@ class TreeCore {
     ctx.begin_op();
     for (;;) {
       const SearchResult s = search(k, ctx);  // line 75
-      hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (!cmp_.equals(k, s.l->key)) {  // line 76
         ctx.end_op();
         return false;
@@ -317,14 +318,14 @@ class TreeCore {
       if (s.gpupdate.state() != UpdateState::kClean) {  // line 77
         help(s.gpupdate, ctx);
         ctx.count_delete_retry();
-        hooks::emit_at<Traits>(HookPoint::kDeleteRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
         ctx.retry_pause();
         continue;
       }
       if (s.pupdate.state() != UpdateState::kClean) {  // line 78
         help(s.pupdate, ctx);
         ctx.count_delete_retry();
-        hooks::emit_at<Traits>(HookPoint::kDeleteRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
         ctx.retry_pause();
         continue;
       }
@@ -353,13 +354,13 @@ class TreeCore {
       const bool ok =
           hooks::allow_cas<Traits>(CasStep::kDFlag, s.gp, ctx.tid()) &&
           s.gp->update.compare_exchange(expected, flagged);
-      hooks::emit_cas<Traits>(CasStep::kDFlag, ok, s.gp, ctx.tid(), ctx.op_key());  // line 81: dflag CAS
+      hooks::emit<Traits>(ctx, CasStep::kDFlag, ok, s.gp);  // line 81: dflag CAS
       ctx.count_cas(CasStep::kDFlag, ok);
       ctx.count_delete_attempt();
       if (ok) {
         // Last shared reference to the record behind gp's old Clean word.
         if (Info* prev = s.gpupdate.info()) retire_scoped(prev, ctx);
-        hooks::emit_at<Traits>(HookPoint::kAfterDFlag, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kAfterDFlag);
         if (help_delete(op, ctx)) {  // line 83
           ctx.end_op();
           return true;
@@ -367,13 +368,13 @@ class TreeCore {
         // Mark failed; the DFlag has been backtracked and op retired by the
         // backtrack winner. Retry from scratch (line 98's False return).
         ctx.count_delete_retry();
-        hooks::emit_at<Traits>(HookPoint::kDeleteRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
         ctx.retry_pause();
       } else {
         ctx.dispose(op);      // never published; safe to free immediately
         help(expected, ctx);  // line 85: help whoever owns gp now
         ctx.count_delete_retry();
-        hooks::emit_at<Traits>(HookPoint::kDeleteRetry, ctx.tid(), ctx.op_key());
+        hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
         ctx.retry_pause();
       }
     }
@@ -412,30 +413,30 @@ class TreeCore {
     const bool ok =
         hooks::allow_cas<Traits>(CasStep::kIFlag, s.p, ctx.tid()) &&
         s.p->update.compare_exchange(expected, flagged);
-    hooks::emit_cas<Traits>(CasStep::kIFlag, ok, s.p, ctx.tid(), ctx.op_key());  // line 56: iflag CAS
+    hooks::emit<Traits>(ctx, CasStep::kIFlag, ok, s.p);  // line 56: iflag CAS
     ctx.count_cas(CasStep::kIFlag, ok);
     ctx.count_insert_attempt();
     if (ok) {
       // This CAS removed the last shared reference to the Info record that
       // the previous (Clean) word pointed to: retire it now.
       if (Info* prev = s.pupdate.info()) retire_scoped(prev, ctx);
-      hooks::emit_at<Traits>(HookPoint::kAfterIFlag, ctx.tid(), ctx.op_key());
+      hooks::emit<Traits>(ctx, HookPoint::kAfterIFlag);
       help_insert(op, ctx);  // line 58
       return true;           // line 59
     }
     ctx.dispose(op);      // never published
     help(expected, ctx);  // line 61: the witnessed value blocked us
     ctx.count_insert_retry();
-    hooks::emit_at<Traits>(HookPoint::kInsertRetry, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kInsertRetry);
     return false;
   }
 
   // ---------------- HelpInsert (lines 64-68) ----------------
   void help_insert(IInfo* op, Ctx& ctx) {
     EFRB_DCHECK(op != nullptr);
-    hooks::emit_at<Traits>(HookPoint::kBeforeIChild, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeIChild);
     cas_child(op->p, op->l, op->new_node, CasStep::kIChild, ctx);  // line 66
-    hooks::emit_at<Traits>(HookPoint::kBeforeIUnflag, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeIUnflag);
     Update expected = Update::make(UpdateState::kIFlag, op);
     const Update clean = Update::make(UpdateState::kClean, op);
     // Memory-order audit (ellen_bintree_analysis.md, step "iunflag", line 67):
@@ -449,7 +450,7 @@ class TreeCore {
         op->p->update.compare_exchange(expected, clean,
                                        std::memory_order_release,
                                        std::memory_order_relaxed);
-    hooks::emit_cas<Traits>(CasStep::kIUnflag, ok, op->p, ctx.tid(), ctx.op_key());  // line 67: iunflag CAS
+    hooks::emit<Traits>(ctx, CasStep::kIUnflag, ok, op->p);  // line 67: iunflag CAS
     ctx.count_cas(CasStep::kIUnflag, ok);
     if (ok) {
       // §6 retirement point: the unique iunflag winner retires the replaced
@@ -464,7 +465,7 @@ class TreeCore {
   // ---------------- HelpDelete (lines 88-99) ----------------
   bool help_delete(DInfo* op, Ctx& ctx) {
     EFRB_DCHECK(op != nullptr);
-    hooks::emit_at<Traits>(HookPoint::kBeforeMark, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeMark);
     Update expected = op->pupdate;
     const Update marked = Update::make(UpdateState::kMark, op);
     // Memory-order audit (ellen_bintree_analysis.md, step "mark", line 91):
@@ -474,7 +475,7 @@ class TreeCore {
     const bool ok =
         hooks::allow_cas<Traits>(CasStep::kMark, op->p, ctx.tid()) &&
         op->p->update.compare_exchange(expected, marked);
-    hooks::emit_cas<Traits>(CasStep::kMark, ok, op->p, ctx.tid(), ctx.op_key());  // line 91: mark CAS
+    hooks::emit<Traits>(ctx, CasStep::kMark, ok, op->p);  // line 91: mark CAS
     ctx.count_cas(CasStep::kMark, ok);
     if (ok) {
       // The mark overwrote p's Clean word — retire the record it referenced.
@@ -487,7 +488,7 @@ class TreeCore {
     // Mark failed because of a conflicting operation on p (e.g. a concurrent
     // Insert replaced the leaf — the scenario in Fig. 5's doomed Delete).
     help(expected, ctx);  // line 97
-    hooks::emit_at<Traits>(HookPoint::kBeforeBacktrack, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeBacktrack);
     Update exp2 = Update::make(UpdateState::kDFlag, op);
     const Update clean = Update::make(UpdateState::kClean, op);
     // Memory-order audit (ellen_bintree_analysis.md, step "backtrack",
@@ -500,7 +501,7 @@ class TreeCore {
         op->gp->update.compare_exchange(exp2, clean,
                                         std::memory_order_release,
                                         std::memory_order_relaxed);
-    hooks::emit_cas<Traits>(CasStep::kBacktrack, back, op->gp, ctx.tid(), ctx.op_key());  // line 98
+    hooks::emit<Traits>(ctx, CasStep::kBacktrack, back, op->gp);  // line 98
     ctx.count_cas(CasStep::kBacktrack, back);
     if (back) ctx.count_backtrack();
     // `op` stays referenced by gp's (Clean, op) word; whichever CAS later
@@ -519,9 +520,9 @@ class TreeCore {
     } else {
       other = op->p->right.load(std::memory_order_acquire);
     }
-    hooks::emit_at<Traits>(HookPoint::kBeforeDChild, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeDChild);
     cas_child(op->gp, op->p, other, CasStep::kDChild, ctx);  // line 105
-    hooks::emit_at<Traits>(HookPoint::kBeforeDUnflag, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeDUnflag);
     Update expected = Update::make(UpdateState::kDFlag, op);
     const Update clean = Update::make(UpdateState::kClean, op);
     // Memory-order audit (ellen_bintree_analysis.md, step "dunflag",
@@ -534,7 +535,7 @@ class TreeCore {
         op->gp->update.compare_exchange(expected, clean,
                                         std::memory_order_release,
                                         std::memory_order_relaxed);
-    hooks::emit_cas<Traits>(CasStep::kDUnflag, ok, op->gp, ctx.tid(), ctx.op_key());  // line 106
+    hooks::emit<Traits>(ctx, CasStep::kDUnflag, ok, op->gp);  // line 106
     ctx.count_cas(CasStep::kDUnflag, ok);
     if (ok) {
       // §6 retirement point: the unique dunflag winner retires the spliced-out
@@ -562,8 +563,7 @@ class TreeCore {
     if constexpr (hooks::causal_trace_v<Traits>) {
       if (u.info() != nullptr) owner = u.info()->owner;
     }
-    hooks::emit_help<Traits>(HookPoint::kBeforeHelp, ctx.tid(), ctx.op_key(),
-                             owner);
+    hooks::emit<Traits>(ctx, HookPoint::kBeforeHelp, owner);
     ctx.help_enter();
     switch (u.state()) {
       case UpdateState::kIFlag:
@@ -579,8 +579,7 @@ class TreeCore {
         break;
     }
     ctx.help_exit();
-    hooks::emit_help<Traits>(HookPoint::kAfterHelp, ctx.tid(), ctx.op_key(),
-                             owner);
+    hooks::emit<Traits>(ctx, HookPoint::kAfterHelp, owner);
   }
 
   // ---------------- CAS-Child (lines 113-118) ----------------
@@ -607,7 +606,7 @@ class TreeCore {
         child.compare_exchange_strong(expected, new_node,
                                       std::memory_order_release,
                                       std::memory_order_relaxed);
-    hooks::emit_cas<Traits>(step, ok, parent, ctx.tid(), ctx.op_key());
+    hooks::emit<Traits>(ctx, step, ok, parent);
     ctx.count_cas(step, ok);
   }
 

@@ -1,4 +1,4 @@
-// FaultScheduler: executes a FaultPlan against the hook shims of
+// FaultScheduler: executes a FaultPlan against the event seam of
 // core/debug_hooks.hpp.
 //
 // The scheduler is the runtime half of the fault-injection layer. Threads
@@ -185,7 +185,7 @@ class FaultScheduler {
     run_pending(pending);
   }
 
-  /// on_cas trace: records outcomes per (tid, step) for assertions.
+  /// CAS event trace: records outcomes per (tid, step) for assertions.
   void observe_cas(CasStep s, bool ok, unsigned /*handle_tid*/) {
     const std::lock_guard<std::mutex> lock(mu_);
     ThreadState& ts = state_[tl_tid_];
@@ -333,18 +333,16 @@ class FaultScheduler {
 /// when no scheduler is bound — see no-op hooks and a permissive gate, so a
 /// tree instantiated with InjectTraits behaves normally outside scripted
 /// sections. Stats stay on: fault tests assert on the per-step counters.
-struct InjectTraits {
+struct InjectTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
 
-  static void on_cas(CasStep s, bool ok, const void* /*node*/, unsigned tid) {
-    if (FaultScheduler* sched = FaultScheduler::current()) {
-      sched->observe_cas(s, ok, tid);
-    }
-  }
-  static void at(HookPoint p, unsigned tid) {
-    if (FaultScheduler* sched = FaultScheduler::current()) {
-      sched->on_point(p, tid);
+  static void on_event(const Event& e) {
+    FaultScheduler* sched = FaultScheduler::current();
+    if (sched == nullptr) return;
+    if (e.kind == EventKind::kCas) {
+      sched->observe_cas(e.step(), e.ok, e.tid);
+    } else if (e.at_point()) {
+      sched->on_point(e.point(), e.tid);
     }
   }
   static bool allow_cas(CasStep s, const void* /*node*/, unsigned tid) {

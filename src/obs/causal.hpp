@@ -11,9 +11,9 @@
 // stamped at creation with its owner word — pack_owner(tid, op_seq), written
 // before the publishing CAS so the release/acquire pair on the descriptor
 // pointer also publishes the stamp (see core/layout.hpp). The help paths in
-// core/protocol.hpp and core/llx_scx.hpp read the stamp and route it through
-// hooks::emit_help into the 4-argument Traits::at(point, tid, key, owner)
-// overload, which lands here.
+// core/protocol.hpp and core/llx_scx.hpp read the stamp and carry it in the
+// `owner` field of their kHelp events (core/debug_hooks.hpp), which land
+// here through CausalRegistry::on_event.
 //
 // CausalRegistry records three things per help event:
 //   * the helper x owner matrix cell helped_by[helper][owner_tid] (relaxed
@@ -27,10 +27,10 @@
 //     enclosing op span) so chrome://tracing draws an arrow from the helping
 //     span to the stalled operation it completed.
 //
-// CausalTraits is the ready-made debug-hooks Traits: kCausalTrace on, help
-// events into an installed CausalRegistry, and (optionally) a companion
-// TraceRegistry fed the usual CAS/point vocabulary plus kHelpOwner
-// companion slots for the postmortem decoder.
+// obs::ObsTraits (obs/instruments.hpp) turns kCausalTrace on and feeds an
+// attached CausalRegistry; when a TraceRegistry is attached alongside, the
+// trace also gets a kHelpOwner companion slot after each help entry for the
+// postmortem decoder.
 #pragma once
 
 #include <atomic>
@@ -147,6 +147,11 @@ class CausalRegistry {
     // relaxed fetch_add; the runner only ever diffs it on the owner thread.
     rows_[ot].value.helps_received.fetch_add(1, std::memory_order_relaxed);
     edges_[helper].value.push(now_ns(), owner);
+  }
+
+  /// The event sink: each help entry is one record_help.
+  void on_event(const Event& e) noexcept {
+    if (e.help_entry()) record_help(e.tid, e.owner);
   }
 
   std::uint64_t helped_by(unsigned helper, unsigned owner) const noexcept {
@@ -283,53 +288,6 @@ class CausalRegistry {
   std::vector<CachePadded<Row>> rows_;
   std::vector<CachePadded<HelpEdgeRing>> edges_;
   std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Debug-hooks Traits wiring a tree for causal tracing: kCausalTrace turns
-/// on the owner stamp + progress slots in core, the 4-argument at() overload
-/// consumes the owner word hooks::emit_help forwards from the help paths.
-/// An optional companion TraceRegistry receives the normal event vocabulary
-/// plus kHelpOwner companion slots so postmortem timelines carry the help
-/// graph too. Install/reset discipline as with TraceTraits.
-struct CausalTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static constexpr bool kCausalTrace = true;
-
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline CausalRegistry* registry = nullptr;
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline TraceRegistry* trace = nullptr;
-
-  static void install(CausalRegistry* r, TraceRegistry* t = nullptr) noexcept {
-    registry = r;
-    trace = t;
-  }
-  static void reset() noexcept {
-    registry = nullptr;
-    trace = nullptr;
-  }
-
-  static void on_cas(CasStep s, bool ok, const void* /*node*/, unsigned tid) {
-    if (trace != nullptr) trace->record_cas(tid, s, ok);
-  }
-
-  static void at(HookPoint p, unsigned tid) {
-    if (trace != nullptr) trace->record_point(tid, p);
-  }
-
-  /// The help-path overload (hooks::emit_help): owner is the stamp read off
-  /// the descriptor being helped, kNoOwner when unattributed.
-  static void at(HookPoint p, unsigned tid, std::uint64_t /*key*/,
-                 std::uint64_t owner) {
-    if (p == HookPoint::kBeforeHelp && registry != nullptr) {
-      registry->record_help(tid, owner);
-    }
-    if (trace != nullptr) {
-      trace->record_point(tid, p);
-      if (p == HookPoint::kBeforeHelp) trace->record_help_owner(tid, owner);
-    }
-  }
 };
 
 }  // namespace efrb::obs

@@ -20,8 +20,9 @@
 //     dumps to a configured path, restores the previous handler, and
 //     re-raises so the process still dies with the original disposition
 //     (core dumps, test death-assertions, and exit codes all keep working).
-//   * FlightTraits — debug-hooks Traits feeding an installed recorder; pair
-//     with kCausalTrace trees to capture kHelpOwner companion slots.
+//   * FlightRecorder::on_event — the event sink, fed by obs::ObsTraits when
+//     the recorder is attached through obs::Instruments; ObsTraits trees
+//     stamp owners, so help entries leave kHelpOwner companion slots.
 //   * FlightDump — the decoder-side parse of the binary format, shared by
 //     tools/efrb_postmortem and the tests so the format has exactly one
 //     reader and one writer.
@@ -88,14 +89,19 @@ class FlightRecorder {
     push(tid, TraceEvent{now_ns(), kind, code, ok}.pack());
   }
 
+  /// The event sink: CAS and point events, plus the owner companion slot
+  /// after each help entry.
+  void on_event(const Event& e) noexcept {
+    if (e.kind != EventKind::kCas && !e.at_point()) return;
+    record(e.tid, trace_kind(e), e.code, e.ok);
+    if (e.help_entry()) record_help_owner(e.tid, e.owner);
+  }
+
   /// Companion slot after a help entry (same encoding as
   /// TraceRegistry::record_help_owner).
   void record_help_owner(unsigned tid, std::uint64_t owner) noexcept {
     if (owner == kNoOwner || tid == kNoTid || tid >= rings_.size()) return;
-    push(tid, TraceEvent{owner_seq(owner), TraceEventKind::kHelpOwner,
-                         static_cast<std::uint8_t>(owner_tid(owner) & 0xFF),
-                         false}
-                  .pack());
+    push(tid, TraceEvent::help_owner(owner).pack());
   }
 
   /// Registers a live gauge; `value` must outlive the recorder (the dump
@@ -314,44 +320,6 @@ inline void uninstall_flight_handler() noexcept {
   SignalState::recorder = nullptr;
   SignalState::path[0] = '\0';
 }
-
-/// Debug-hooks Traits feeding an installed FlightRecorder. Enables
-/// kCausalTrace so owner stamps flow and kHelpOwner companion slots land in
-/// the rings; composes with the usual install/reset discipline.
-struct FlightTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static constexpr bool kCausalTrace = true;
-
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline FlightRecorder* recorder = nullptr;
-
-  static void install(FlightRecorder* r) noexcept { recorder = r; }
-  static void reset() noexcept { recorder = nullptr; }
-
-  static void on_cas(CasStep s, bool ok, const void* /*node*/, unsigned tid) {
-    if (recorder != nullptr) {
-      recorder->record(tid, TraceEventKind::kCas,
-                       static_cast<std::uint8_t>(s), ok);
-    }
-  }
-
-  static void at(HookPoint p, unsigned tid) {
-    if (recorder == nullptr) return;
-    TraceEventKind kind = TraceEventKind::kPoint;
-    if (p == HookPoint::kBeforeHelp) kind = TraceEventKind::kHelpEnter;
-    if (p == HookPoint::kAfterHelp) kind = TraceEventKind::kHelpExit;
-    recorder->record(tid, kind, static_cast<std::uint8_t>(p), false);
-  }
-
-  static void at(HookPoint p, unsigned tid, std::uint64_t /*key*/,
-                 std::uint64_t owner) {
-    at(p, tid);
-    if (recorder != nullptr && p == HookPoint::kBeforeHelp) {
-      recorder->record_help_owner(tid, owner);
-    }
-  }
-};
 
 // --- decoder side ---------------------------------------------------------
 

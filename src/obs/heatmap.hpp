@@ -9,7 +9,7 @@
 // contention events the hook seams already emit:
 //
 //   * attempts        — operation rounds (HookPoint::kAfterSearch)
-//   * cas_failures    — protocol CAS that lost its race (on_cas with !ok)
+//   * cas_failures    — protocol CAS that lost its race (kCas with !ok)
 //   * helps           — help dispatches entered (HookPoint::kBeforeHelp),
 //                       attributed to the key of the operation that was
 //                       blocked (that is where the conflict lives)
@@ -20,14 +20,14 @@
 // wait-free and a live snapshot is racy-but-consistent per counter (the same
 // policy as StatCounters and LatencyHistogram).
 //
-// Feeding it: HeatmapTraits is a debug-hooks Traits whose key-aware hooks
-// (on_cas(step, ok, node, tid, key) / at(point, tid, key); see the shims in
-// core/debug_hooks.hpp) forward to an installed heatmap. It sets
-// kTrackKeys = true, which makes the tree's OpContext stamp each operation's
-// key at entry (core/protocol.hpp) — the uninstrumented NoopTraits
-// instantiation is untouched, and events whose context carries no key
-// (kNoKey: tree-level calls on non-integral keys) are counted in dropped(),
-// never misattributed.
+// Feeding it: KeyHeatmap::on_event is an event sink (core/debug_hooks.hpp);
+// obs::ObsTraits hands it every event when the heatmap is attached through
+// obs::Instruments (obs/instruments.hpp). ObsTraits sets kTrackKeys = true,
+// which makes the tree's OpContext stamp each operation's key at entry
+// (core/protocol.hpp) — the uninstrumented NoopTraits instantiation is
+// untouched, and events whose context carries no key (kNoKey: tree-level
+// calls on non-integral keys) are counted in dropped(), never
+// misattributed.
 #pragma once
 
 #include <atomic>
@@ -106,6 +106,30 @@ class KeyHeatmap {
   }
   void record_help(std::uint64_t key) noexcept { bump(key, &Cell::helps); }
   void record_retry(std::uint64_t key) noexcept { bump(key, &Cell::retries); }
+
+  /// The event sink: failed CASes, attempts, helps entered and retries, each
+  /// charged to the key of the operation that ran into them.
+  void on_event(const Event& e) noexcept {
+    if (e.kind == EventKind::kCas) {
+      if (!e.ok) record_cas_failure(e.key);
+      return;
+    }
+    if (!e.at_point()) return;
+    switch (e.point()) {
+      case HookPoint::kAfterSearch:
+        record_attempt(e.key);
+        break;
+      case HookPoint::kBeforeHelp:
+        record_help(e.key);
+        break;
+      case HookPoint::kInsertRetry:
+      case HookPoint::kDeleteRetry:
+        record_retry(e.key);
+        break;
+      default:
+        break;
+    }
+  }
 
   /// Events that carried no attributable key (kNoKey / out-of-range).
   std::uint64_t dropped() const noexcept {
@@ -213,46 +237,6 @@ class KeyHeatmap {
   std::vector<CachePadded<Cell>> cells_;
   std::uint64_t width_;
   std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Debug-hooks Traits feeding an installed KeyHeatmap through the key-aware
-/// hook arity. Same install/reset discipline as TraceTraits/CallbackTraits;
-/// with no heatmap installed the hooks are one predictable branch. Stats stay
-/// enabled so a heatmapped tree also reports its per-step breakdown, and
-/// kTrackKeys makes the tree's contexts stamp operation keys.
-struct HeatmapTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static constexpr bool kTrackKeys = true;
-
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline KeyHeatmap* heatmap = nullptr;
-
-  static void install(KeyHeatmap* h) noexcept { heatmap = h; }
-  static void reset() noexcept { heatmap = nullptr; }
-
-  static void on_cas(CasStep /*step*/, bool ok, const void* /*node*/,
-                     unsigned /*tid*/, std::uint64_t key) {
-    if (!ok && heatmap != nullptr) heatmap->record_cas_failure(key);
-  }
-
-  static void at(HookPoint p, unsigned /*tid*/, std::uint64_t key) {
-    if (heatmap == nullptr) return;
-    switch (p) {
-      case HookPoint::kAfterSearch:
-        heatmap->record_attempt(key);
-        break;
-      case HookPoint::kBeforeHelp:
-        heatmap->record_help(key);
-        break;
-      case HookPoint::kInsertRetry:
-      case HookPoint::kDeleteRetry:
-        heatmap->record_retry(key);
-        break;
-      default:
-        break;
-    }
-  }
 };
 
 }  // namespace efrb::obs

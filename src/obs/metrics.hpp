@@ -87,7 +87,6 @@ inline void append_config(JsonWriter& w, const WorkloadConfig& cfg) {
   w.key("seed").value(cfg.seed);
   w.key("zipf").value(cfg.zipf);
   if (cfg.zipf) w.key("zipf_theta").value(cfg.zipf_theta);
-  w.key("use_handles").value(cfg.use_handles);
   w.end_object();
 }
 

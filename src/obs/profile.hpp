@@ -3,16 +3,16 @@
 // A PhaseProfiler partitions each operation's measured time across the
 // efrb::Phase buckets (descent, cas_protocol, helping, rebalance_cleanup,
 // reclamation, pool_alloc) by driving a tiny per-thread state machine off the
-// existing debug-hook stream:
+// event stream (core/debug_hooks.hpp), which on_event() routes to:
 //
 //   op_begin/op_end   — called by the workload runner around every operation;
 //                       they open/close the attribution window.
-//   at(HookPoint)     — the protocol's existing emissions. kAfterSearch closes
+//   on_point(HookPoint) — the protocol's pause points. kAfterSearch closes
 //                       the descent segment, kBeforeHelp/kAfterHelp bracket
 //                       helping (nested helps stay "helping"), the retry
 //                       points reset to descent for the re-descent, and
 //                       kBeforeRebalance opens chromatic cleanup.
-//   phase(enter,...)  — explicit scopes (hooks::PhaseScope) emitted by the
+//   phase(enter,...)  — phase events (hooks::PhaseScope) emitted by the
 //                       protocol around allocation and retirement clusters,
 //                       the two phases the HookPoint stream cannot infer.
 //
@@ -28,8 +28,8 @@
 // and the live gauge helpers read them concurrently. The transient
 // state-machine fields are plain (owner-only).
 //
-// The uninstrumented hot loop is untouched: a Traits without the phase/at
-// hooks folds every emission away (see debug_hooks.hpp), and the runner only
+// The uninstrumented hot loop is untouched: a Traits without an event sink
+// folds every emission away (see debug_hooks.hpp), and the runner only
 // brackets ops when a profiler is attached.
 #pragma once
 
@@ -181,7 +181,17 @@ class PhaseProfiler {
     t->in_op = false;
   }
 
-  void at(HookPoint p, unsigned tid) noexcept {
+  /// The event sink: point and help events drive on_point(), phase edges
+  /// phase().
+  void on_event(const Event& e) noexcept {
+    if (e.at_point()) {
+      on_point(e.point(), e.tid);
+    } else if (e.kind != EventKind::kCas) {
+      phase(e.kind == EventKind::kPhaseEnter, e.phase(), e.tid);
+    }
+  }
+
+  void on_point(HookPoint p, unsigned tid) noexcept {
     ThreadState* t = slot(tid);
     if (t == nullptr) return;
     if (!t->in_op) {
@@ -363,48 +373,6 @@ class PhaseProfiler {
   PerfCounts hw_;
   unsigned hw_threads_ = 0;
   std::string hw_reason_;
-};
-
-/// RAII phase scope against a concrete profiler (tool/test code). Protocol
-/// code uses hooks::PhaseScope<Traits> instead, which folds away when the
-/// Traits carry no phase hook.
-class ProfileScope {
- public:
-  ProfileScope(PhaseProfiler& profiler, Phase ph, unsigned tid) noexcept
-      : profiler_(profiler), ph_(ph), tid_(tid) {
-    profiler_.phase(true, ph_, tid_);
-  }
-  ~ProfileScope() { profiler_.phase(false, ph_, tid_); }
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  PhaseProfiler& profiler_;
-  Phase ph_;
-  unsigned tid_;
-};
-
-/// Installable traits sink, same pattern as HeatmapTraits: a tool installs
-/// its PhaseProfiler, instantiates the structure with a Traits type that
-/// forwards at/phase here (directly or via a fan-out), and resets after.
-struct ProfileTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline PhaseProfiler* profiler = nullptr;
-
-  static void install(PhaseProfiler* p) noexcept { profiler = p; }
-  static void reset() noexcept { profiler = nullptr; }
-
-  static void on_cas(CasStep, bool, const void*, unsigned,
-                     std::uint64_t) noexcept {}
-  static void at(HookPoint p, unsigned tid, std::uint64_t /*key*/) noexcept {
-    if (profiler != nullptr) profiler->at(p, tid);
-  }
-  static void phase(bool enter, Phase ph, unsigned tid) noexcept {
-    if (profiler != nullptr) profiler->phase(enter, ph, tid);
-  }
 };
 
 }  // namespace efrb::obs

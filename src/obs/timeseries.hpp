@@ -181,9 +181,9 @@ inline std::vector<WindowRates> window_rates(
 
 /// Background sampler. Configure the sources (each optional), then either
 /// drive it manually with poll_once() or start() the thread and stop() it
-/// after the measured window. The runner integration
-/// (run_workload(..., poller)) wires the live op counter, starts the thread
-/// when the workers start, and stops it before they join — see
+/// after the measured window. The runner integration (run_workload with
+/// Instruments::poller set) wires the live op counter, starts the thread
+/// when the workers start, and stops it after they join — see
 /// workload/runner.hpp.
 class MetricsPoller {
  public:

@@ -1,5 +1,5 @@
 // Protocol event tracing: per-thread bounded ring buffers of timestamped
-// events, fed from the Traits::on_cas / Traits::at hook seams, exported as
+// events, fed from the event seam (core/debug_hooks.hpp), exported as
 // Chrome trace-event JSON (loadable in chrome://tracing and Perfetto).
 //
 // Pieces:
@@ -11,12 +11,11 @@
 //     every hook emission), plus the shared monotonic clock epoch. Events
 //     with kNoTid (tree-level convenience calls) or an out-of-range tid are
 //     dropped and counted, never recorded racily.
-//   * TraceTraits — a debug-hooks Traits (see core/debug_hooks.hpp) whose
-//     on_cas/at implementations forward to an installed registry. Follows
-//     the CallbackTraits install/reset idiom; when no registry is installed
-//     the hooks are two predictable branches. NoopTraits builds are
-//     untouched — tracing compiles to zero overhead unless the tree is
-//     instantiated with TraceTraits.
+//   * TraceRegistry::on_event — the sink: obs::ObsTraits hands it every
+//     event when the registry is attached through obs::Instruments
+//     (obs/instruments.hpp). NoopTraits builds are untouched — tracing
+//     compiles to zero overhead unless the tree is instantiated with an
+//     event sink.
 //
 // Event vocabulary: every protocol CAS (step + outcome), every hook point,
 // help entry/exit (HookPoint::kBeforeHelp / kAfterHelp mapped to a Chrome
@@ -72,6 +71,16 @@ inline const char* to_string(TraceOp op) noexcept {
   return "?";
 }
 
+/// Ring-record kind of a CAS or point event: the help entry/exit points
+/// become a Chrome B/E span, every other point is an instant marker. Phase
+/// events have no ring record.
+inline TraceEventKind trace_kind(const Event& e) noexcept {
+  if (e.kind == EventKind::kCas) return TraceEventKind::kCas;
+  if (e.point() == HookPoint::kBeforeHelp) return TraceEventKind::kHelpEnter;
+  if (e.point() == HookPoint::kAfterHelp) return TraceEventKind::kHelpExit;
+  return TraceEventKind::kPoint;
+}
+
 struct TraceEvent {
   std::uint64_t ts_ns;  // nanoseconds since the registry's epoch
   TraceEventKind kind;
@@ -91,6 +100,15 @@ struct TraceEvent {
            (static_cast<std::uint64_t>(code) << 48) |
            (static_cast<std::uint64_t>(kind) << 56) |
            (static_cast<std::uint64_t>(ok ? 1 : 0) << 60);
+  }
+
+  /// The kHelpOwner companion record. Reuses the packed-word layout: the
+  /// owner's op_seq rides in the timestamp field (low 48 bits) and the
+  /// owner's tid in the code byte, so a decoder can reconstruct the
+  /// helper -> owner edge without a second ring.
+  static TraceEvent help_owner(std::uint64_t owner) noexcept {
+    return {owner_seq(owner), TraceEventKind::kHelpOwner,
+            static_cast<std::uint8_t>(owner_tid(owner) & 0xFF), false};
   }
 
   static TraceEvent unpack(std::uint64_t w) noexcept {
@@ -182,37 +200,21 @@ class TraceRegistry {
             .count());
   }
 
-  void record_cas(unsigned tid, CasStep step, bool ok) noexcept {
-    if (TraceRing* r = ring_for(tid)) {
-      r->push({now_ns(), TraceEventKind::kCas,
-               static_cast<std::uint8_t>(step), ok});
+  /// The event sink: CAS and point events; phase edges are the profiler's.
+  void on_event(const Event& e) noexcept {
+    if (e.kind != EventKind::kCas && !e.at_point()) return;
+    if (TraceRing* r = ring_for(e.tid)) {
+      r->push({now_ns(), trace_kind(e), e.code, e.ok});
     }
-  }
-
-  void record_point(unsigned tid, HookPoint p) noexcept {
-    TraceRing* r = ring_for(tid);
-    if (r == nullptr) return;
-    // Help entry/exit points become a Chrome B/E span; every other point is
-    // an instant marker.
-    TraceEventKind kind = TraceEventKind::kPoint;
-    if (p == HookPoint::kBeforeHelp) kind = TraceEventKind::kHelpEnter;
-    if (p == HookPoint::kAfterHelp) kind = TraceEventKind::kHelpExit;
-    r->push({now_ns(), kind, static_cast<std::uint8_t>(p), false});
   }
 
   /// Companion slot pushed right after a kHelpEnter when causal tracing
-  /// knows the helped operation's owner. Reuses the packed-word layout:
-  /// the owner's op_seq rides in the timestamp field (low 48 bits) and the
-  /// owner's tid in the code byte, so the decoder can reconstruct the
-  /// helper -> owner edge without a second ring. Skipped by the Chrome
-  /// export (flow arrows come from CausalRegistry, which keeps full-width
-  /// timestamps); consumed by tools/efrb_postmortem.
+  /// knows the helped operation's owner (see TraceEvent::help_owner).
+  /// Skipped by the Chrome export (flow arrows come from CausalRegistry,
+  /// which keeps full-width timestamps); consumed by tools/efrb_postmortem.
   void record_help_owner(unsigned tid, std::uint64_t owner) noexcept {
     if (owner == kNoOwner) return;
-    if (TraceRing* r = ring_for(tid)) {
-      r->push({owner_seq(owner), TraceEventKind::kHelpOwner,
-               static_cast<std::uint8_t>(owner_tid(owner) & 0xFF), false});
-    }
+    if (TraceRing* r = ring_for(tid)) r->push(TraceEvent::help_owner(owner));
   }
 
   void record_op_begin(unsigned tid, TraceOp op) noexcept {
@@ -321,29 +323,6 @@ class TraceRegistry {
   std::chrono::steady_clock::time_point t0_;
   std::vector<CachePadded<TraceRing>> rings_;
   std::atomic<std::uint64_t> dropped_no_tid_{0};
-};
-
-/// Debug-hooks Traits feeding an installed TraceRegistry. Same install/reset
-/// discipline as CallbackTraits: the registry pointer is global to the
-/// traits type, set it around an instrumented run and reset afterwards.
-/// Stats counters stay enabled so a traced tree also reports its per-step
-/// breakdown in the same run.
-struct TraceTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-
-  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-  static inline TraceRegistry* registry = nullptr;
-
-  static void install(TraceRegistry* r) noexcept { registry = r; }
-  static void reset() noexcept { registry = nullptr; }
-
-  static void on_cas(CasStep s, bool ok, const void* /*node*/, unsigned tid) {
-    if (registry != nullptr) registry->record_cas(tid, s, ok);
-  }
-  static void at(HookPoint p, unsigned tid) {
-    if (registry != nullptr) registry->record_point(tid, p);
-  }
 };
 
 }  // namespace efrb::obs

@@ -19,12 +19,10 @@
 #include <vector>
 
 #include "baselines/set_interface.hpp"
-#include "obs/causal.hpp"
 #include "obs/histogram.hpp"
+#include "obs/instruments.hpp"
 #include "obs/perfctr.hpp"
-#include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/barrier.hpp"
 #include "util/cacheline.hpp"
@@ -43,11 +41,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 42;
   bool zipf = false;
   double zipf_theta = 0.99;
-  // Route each worker's operations through a per-thread handle
-  // (make_handle(): real handle when the structure has one, forwarding proxy
-  // otherwise). Off = the tree-level convenience methods, kept for A/B
-  // measurement of the handle path itself.
-  bool use_handles = true;
 };
 
 struct WorkloadResult {
@@ -76,7 +69,7 @@ struct LatencySamples {
   obs::LatencyHistogram insert;
   obs::LatencyHistogram erase;
   obs::LatencyHistogram retried;
-  // Causal split (populated only when run_workload is given a
+  // Causal split (populated only when run_workload's Instruments carry a
   // CausalRegistry): an op lands in helper_completed when some other thread
   // helped it along — its helps_received counter moved while the op ran —
   // and in self_completed otherwise. The pair separates "my latency" from
@@ -98,59 +91,6 @@ struct LatencySamples {
   }
 };
 
-namespace detail {
-
-/// Access-point wrapper that bumps a per-thread relaxed atomic after every
-/// operation — the live op counter a MetricsPoller reads mid-run. A separate
-/// wrapper type (rather than a branch in the worker loop) keeps the
-/// unpolled run_workload instantiations byte-for-byte the old loops: the
-/// counting code exists only in the instantiation taken when a poller is
-/// attached. Forwards the optional tid()/last_op_retried() surface so the
-/// instrumented loop's trace/latency plumbing sees through the wrapper.
-template <typename Target>
-struct OpCounted {
-  Target target;  // Set& on the tree-level path, a handle by value otherwise
-  std::atomic<std::uint64_t>* ops;
-
-  template <typename K>
-  bool contains(const K& k) {
-    const bool r = target.contains(k);
-    ops->fetch_add(1, std::memory_order_relaxed);
-    return r;
-  }
-  template <typename K>
-  bool insert(const K& k) {
-    const bool r = target.insert(k);
-    ops->fetch_add(1, std::memory_order_relaxed);
-    return r;
-  }
-  template <typename K>
-  bool erase(const K& k) {
-    const bool r = target.erase(k);
-    ops->fetch_add(1, std::memory_order_relaxed);
-    return r;
-  }
-
-  unsigned tid() const
-    requires requires(const Target& t) { t.tid(); }
-  {
-    return target.tid();
-  }
-  bool last_op_retried() const
-    requires requires(const Target& t) { t.last_op_retried(); }
-  {
-    return target.last_op_retried();
-  }
-};
-
-template <typename Target>
-OpCounted<Target> with_op_count(Target&& target,
-                                std::atomic<std::uint64_t>* ops) {
-  return OpCounted<Target>{std::forward<Target>(target), ops};
-}
-
-}  // namespace detail
-
 /// Insert uniformly random keys until the structure holds ~fraction*range
 /// keys; gives every run the same expected occupancy and (for trees) the
 /// random shape whose expected depth is logarithmic (§6's cited analysis).
@@ -169,53 +109,47 @@ void prefill(Set& set, std::uint64_t key_range, double fraction,
   }
 }
 
-/// Fixed-duration mixed workload over `set`.
+/// Fixed-duration mixed workload over `set`. Each worker runs its
+/// operations through a per-thread handle (make_handle(): the structure's
+/// own handle when it has one, a forwarding proxy otherwise).
 ///
-/// `latency` (optional) enables per-op latency sampling: every operation is
-/// bracketed by two steady_clock reads and recorded into per-worker
-/// LatencySamples, merged into `*latency` after the join. The bracketing
-/// clock reads are the documented cost of opting in; the uninstrumented path
-/// is byte-for-byte the old loop.
-///
-/// `trace` (optional) emits op begin/end markers into the given registry,
-/// keyed by the target's handle tid when it has one (so op spans land in the
-/// same ring as the protocol events a TraceTraits tree writes), else by the
-/// worker index.
-///
-/// `poller` (optional) attaches a MetricsPoller to the run: workers route
-/// through an op-counting wrapper (one relaxed fetch_add per op into a
-/// per-thread padded counter — the documented cost of opting in), the
-/// poller's ops source is pointed at those counters, and its background
-/// thread is started when the workers pass the start barrier and stopped
-/// after they join — so the sample series spans exactly the measured window.
-/// The caller keeps ownership and sets the stats/gauges sources (they own
-/// the structure); run_workload only wires and unwires the ops source.
-///
-/// `causal` (optional) splits the latency histograms by completion mode:
-/// each sampled op diffs the handle tid's helps_received counter across the
-/// op and records into latency->helper_completed when another thread helped
-/// it (self_completed otherwise). Requires `latency`; two relaxed counter
-/// loads per op is the documented cost.
-///
-/// `profiler` (optional) attaches per-phase cost attribution
-/// (obs/profile.hpp): every op is bracketed by profiler->op_begin/op_end
-/// (two cycle_stamp reads — the documented cost), keyed by the same tid the
-/// trace path uses, and each worker opens a per-thread perf-counter group
-/// (obs/perfctr.hpp) whose end-of-run read is folded into the profiler. On
-/// hosts where perf_event_open is denied the counters silently stay closed
-/// and the profiler reports hardware availability false. Note the profiler
-/// only sees phase detail when the structure was instantiated with a Traits
-/// that forwards at/phase to it (e.g. obs::ProfileTraits); attaching it
-/// here without such a Traits still yields ops/total-cycles/hw totals.
+/// `in` (optional) attaches the run's instruments; each one it carries is
+/// opt-in and costs only when set:
+///   * `latency` — every op is bracketed by two steady_clock reads and
+///     recorded into per-worker LatencySamples, merged into `*latency`
+///     after the join. With `causal` also set, each op diffs the handle
+///     tid's helps_received counter across the op and lands in
+///     helper_completed when another thread helped it (self_completed
+///     otherwise).
+///   * `trace` — op begin/end markers, keyed by the handle tid when it has
+///     one (so op spans land in the same ring as the protocol events an
+///     ObsTraits tree writes), else by the worker index.
+///   * `profiler` — every op is bracketed by op_begin/op_end (two
+///     cycle_stamp reads), keyed like the trace, and each worker opens a
+///     per-thread perf-counter group (obs/perfctr.hpp) whose end-of-run
+///     read is folded into the profiler. Where perf_event_open is denied the
+///     counters stay closed and the profiler reports hardware availability
+///     false. Phase detail needs a tree whose events reach the profiler
+///     (obs::ObsTraits with the same Instruments attached).
+///   * `poller` — each worker adds its 64-op batches to a per-thread padded
+///     counter that becomes the poller's ops source; the poller runs from
+///     the start barrier until the workers join, so the series spans exactly
+///     the measured window. Workers exit at batch boundaries, so the final
+///     sample equals total_ops(). The caller keeps ownership and sets the
+///     stats/gauges sources; run_workload only wires and unwires the ops
+///     source.
+/// The other sinks of `in` are the tree's business (ObsTraits::attach).
 template <typename Set>
 WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
-                            LatencySamples* latency = nullptr,
-                            obs::TraceRegistry* trace = nullptr,
-                            obs::MetricsPoller* poller = nullptr,
-                            const obs::CausalRegistry* causal = nullptr,
-                            obs::PhaseProfiler* profiler = nullptr) {
+                            const obs::Instruments* in = nullptr) {
   EFRB_ASSERT(cfg.threads > 0);
   using Key = typename Set::key_type;
+  constexpr int kBatch = 64;  // ops per stop-flag check and live-count bump
+  const obs::Instruments none;
+  const obs::Instruments& ins = in != nullptr ? *in : none;
+  obs::MetricsPoller* const poller = ins.poller;
+  const bool observed = ins.latency != nullptr || ins.trace != nullptr ||
+                        ins.profiler != nullptr;
 
   std::atomic<bool> stop{false};
   YieldingBarrier start(static_cast<std::uint32_t>(cfg.threads) + 1);
@@ -236,7 +170,7 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
   // histogram buckets — too big for the padded result array), allocated
   // before the workers start and merged after they join.
   std::vector<std::unique_ptr<LatencySamples>> per_thread_lat(cfg.threads);
-  if (latency != nullptr) {
+  if (ins.latency != nullptr) {
     for (auto& p : per_thread_lat) p = std::make_unique<LatencySamples>();
   }
 
@@ -250,126 +184,78 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
   std::vector<std::thread> threads;
   threads.reserve(cfg.threads);
   for (std::size_t tid = 0; tid < cfg.threads; ++tid) {
-    threads.emplace_back([&, tid] {
+    threads.emplace_back([&, tid, observed] {
       Xoshiro256 rng(cfg.seed + 0x1234 * (tid + 1));
       WorkloadResult& local = per_thread[tid].value;
       LatencySamples* lat = per_thread_lat[tid].get();
-      // Generic over the access point: a per-thread handle or the structure
-      // itself, chosen below (identical loop body either way).
-      auto run_loop = [&](auto&& target) {
-        start.arrive_and_wait();
-        while (!stop.load(std::memory_order_relaxed)) {
-          // A small batch per stop-flag check keeps the check off the hot
-          // path.
-          for (int batch = 0; batch < 64; ++batch) {
-            const std::uint64_t raw = zipf ? (*zipf)(rng) : uniform(rng);
-            const Key k = static_cast<Key>(raw);
-            switch (cfg.mix.sample(rng)) {
-              case OpType::kFind:
-                // The result must flow into state the compiler cannot
-                // discard, or a lock-guarded pure traversal gets
-                // dead-code-eliminated and the benchmark measures only the
-                // lock.
-                local.ok_finds += target.contains(k) ? 1 : 0;
-                ++local.finds;
-                break;
-              case OpType::kInsert:
-                local.ok_inserts += target.insert(k) ? 1 : 0;
-                ++local.inserts;
-                break;
-              case OpType::kErase:
-                local.ok_erases += target.erase(k) ? 1 : 0;
-                ++local.erases;
-                break;
-            }
-          }
+      std::atomic<std::uint64_t>* live =
+          poller != nullptr ? &live_ops[tid].value : nullptr;
+      auto target = make_handle(set);
+      unsigned op_tid = static_cast<unsigned>(tid);
+      if constexpr (requires {
+                      { target.tid() } -> std::convertible_to<unsigned>;
+                    }) {
+        if (target.tid() != kNoTid) op_tid = target.tid();
+      }
+      // The result must flow into state the compiler cannot discard, or a
+      // lock-guarded pure traversal gets dead-code-eliminated and the
+      // benchmark measures only the lock.
+      auto apply = [&](OpType op, const Key& k) {
+        bool ok = false;
+        switch (op) {
+          case OpType::kFind:
+            ok = target.contains(k);
+            local.ok_finds += ok ? 1 : 0;
+            ++local.finds;
+            break;
+          case OpType::kInsert:
+            ok = target.insert(k);
+            local.ok_inserts += ok ? 1 : 0;
+            ++local.inserts;
+            break;
+          case OpType::kErase:
+            ok = target.erase(k);
+            local.ok_erases += ok ? 1 : 0;
+            ++local.erases;
+            break;
         }
+        return ok;
       };
-      // Instrumented variant: each op is timed and (optionally) bracketed
-      // by trace markers. Separate loop so the plain path stays untouched.
-      auto run_sampled = [&](auto&& target) {
-        unsigned trace_tid = static_cast<unsigned>(tid);
+      // One op with every attached instrument around it.
+      auto apply_observed = [&](OpType op, const Key& k) {
+        const obs::TraceOp top = op == OpType::kFind     ? obs::TraceOp::kFind
+                                 : op == OpType::kInsert ? obs::TraceOp::kInsert
+                                                         : obs::TraceOp::kErase;
+        if (ins.trace != nullptr) ins.trace->record_op_begin(op_tid, top);
+        if (ins.profiler != nullptr) ins.profiler->op_begin(op_tid);
+        const std::uint64_t helps_before =
+            lat != nullptr && ins.causal != nullptr
+                ? ins.causal->helps_received(op_tid)
+                : 0;
+        const auto a = lat != nullptr ? std::chrono::steady_clock::now()
+                                      : std::chrono::steady_clock::time_point{};
+        const bool ok = apply(op, k);
+        const auto b = lat != nullptr ? std::chrono::steady_clock::now() : a;
+        if (ins.profiler != nullptr) ins.profiler->op_end(op_tid);
+        if (ins.trace != nullptr) ins.trace->record_op_end(op_tid, top, ok);
+        if (lat == nullptr) return;
+        const auto ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
+                .count());
+        (op == OpType::kFind     ? lat->find
+         : op == OpType::kInsert ? lat->insert
+                                 : lat->erase)
+            .record(ns);
         if constexpr (requires {
-                        { target.tid() } -> std::convertible_to<unsigned>;
+                        { target.last_op_retried() } -> std::convertible_to<bool>;
                       }) {
-          if (target.tid() != kNoTid) trace_tid = target.tid();
+          if (target.last_op_retried()) lat->retried.record(ns);
         }
-        start.arrive_and_wait();
-        while (!stop.load(std::memory_order_relaxed)) {
-          for (int batch = 0; batch < 64; ++batch) {
-            const std::uint64_t raw = zipf ? (*zipf)(rng) : uniform(rng);
-            const Key k = static_cast<Key>(raw);
-            const OpType op = cfg.mix.sample(rng);
-            const obs::TraceOp top = op == OpType::kFind ? obs::TraceOp::kFind
-                                     : op == OpType::kInsert
-                                         ? obs::TraceOp::kInsert
-                                         : obs::TraceOp::kErase;
-            if (trace != nullptr) trace->record_op_begin(trace_tid, top);
-            if (profiler != nullptr) profiler->op_begin(trace_tid);
-            const std::uint64_t helps_before =
-                causal != nullptr ? causal->helps_received(trace_tid) : 0;
-            const auto a = std::chrono::steady_clock::now();
-            bool ok = false;
-            switch (op) {
-              case OpType::kFind:
-                ok = target.contains(k);
-                local.ok_finds += ok ? 1 : 0;
-                ++local.finds;
-                break;
-              case OpType::kInsert:
-                ok = target.insert(k);
-                local.ok_inserts += ok ? 1 : 0;
-                ++local.inserts;
-                break;
-              case OpType::kErase:
-                ok = target.erase(k);
-                local.ok_erases += ok ? 1 : 0;
-                ++local.erases;
-                break;
-            }
-            const auto b = std::chrono::steady_clock::now();
-            if (profiler != nullptr) profiler->op_end(trace_tid);
-            if (trace != nullptr) trace->record_op_end(trace_tid, top, ok);
-            if (lat != nullptr) {
-              const auto ns = static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-                      .count());
-              (op == OpType::kFind     ? lat->find
-               : op == OpType::kInsert ? lat->insert
-                                       : lat->erase)
-                  .record(ns);
-              if constexpr (requires {
-                              {
-                                target.last_op_retried()
-                              } -> std::convertible_to<bool>;
-                            }) {
-                if (target.last_op_retried()) lat->retried.record(ns);
-              }
-              if (causal != nullptr) {
-                (causal->helps_received(trace_tid) != helps_before
-                     ? lat->helper_completed
-                     : lat->self_completed)
-                    .record(ns);
-              }
-            }
-          }
-        }
-      };
-      const bool instrument =
-          latency != nullptr || trace != nullptr || profiler != nullptr;
-      auto run_target = [&](auto&& target) {
-        if (instrument) {
-          run_sampled(std::forward<decltype(target)>(target));
-        } else {
-          run_loop(std::forward<decltype(target)>(target));
-        }
-      };
-      auto dispatch = [&](auto&& target) {
-        if (poller != nullptr) {
-          run_target(detail::with_op_count(
-              std::forward<decltype(target)>(target), &live_ops[tid].value));
-        } else {
-          run_target(std::forward<decltype(target)>(target));
+        if (ins.causal != nullptr) {
+          (ins.causal->helps_received(op_tid) != helps_before
+               ? lat->helper_completed
+               : lat->self_completed)
+              .record(ns);
         }
       };
       // Per-thread perf counters for the profiled path. Opened and enabled
@@ -377,18 +263,27 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
       // a run window of milliseconds); read once after the measured loop and
       // folded into the profiler's run totals.
       obs::PerfCounterGroup perf;
-      if (profiler != nullptr) {
+      if (ins.profiler != nullptr) {
         perf.open();
         perf.enable();
       }
-      if (cfg.use_handles) {
-        dispatch(make_handle(set));
-      } else {
-        dispatch(set);
+      start.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        // A batch per stop-flag check keeps the check off the hot path.
+        for (int i = 0; i < kBatch; ++i) {
+          const Key k = static_cast<Key>(zipf ? (*zipf)(rng) : uniform(rng));
+          const OpType op = cfg.mix.sample(rng);
+          if (observed) {
+            apply_observed(op, k);
+          } else {
+            apply(op, k);
+          }
+        }
+        if (live != nullptr) live->fetch_add(kBatch, std::memory_order_relaxed);
       }
-      if (profiler != nullptr) {
+      if (ins.profiler != nullptr) {
         perf.disable();
-        profiler->add_hw(perf.read(), perf.unavailable_reason());
+        ins.profiler->add_hw(perf.read(), perf.unavailable_reason());
       }
     });
   }
@@ -417,8 +312,8 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
     total.ok_erases += p.value.ok_erases;
   }
   total.seconds = std::chrono::duration<double>(t1 - t0).count();
-  if (latency != nullptr) {
-    for (const auto& p : per_thread_lat) latency->merge(*p);
+  if (ins.latency != nullptr) {
+    for (const auto& p : per_thread_lat) ins.latency->merge(*p);
   }
   return total;
 }

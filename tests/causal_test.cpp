@@ -9,15 +9,19 @@
 // top of InjectTraits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
 #include "inject/fault_plan.hpp"
 #include "inject/fault_scheduler.hpp"
 #include "obs/causal.hpp"
+#include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "reclaim/epoch.hpp"
@@ -119,17 +123,17 @@ TEST(CausalRegistryTest, FlowEventsComeInMatchedStartFinishPairs) {
 // ------------------------------------------------- acceptance: stalled op
 //
 // Causal tracing stacked on the fault-injection traits: the scheduler keeps
-// its stall gates and CAS vetoes, help events additionally flow into the
-// installed CausalRegistry (and TraceRegistry) with the owner stamp.
+// its stall gates and CAS vetoes, and every event additionally flows into
+// the obs::Instruments attached to ObsTraits, help events with the owner
+// stamp.
 
 struct CausalInjectTraits : inject::InjectTraits {
   static constexpr bool kCausalTrace = true;
+  static constexpr bool kTrackKeys = true;
 
-  using inject::InjectTraits::at;
-  static void at(HookPoint p, unsigned tid, std::uint64_t key,
-                 std::uint64_t owner) {
-    obs::CausalTraits::at(p, tid, key, owner);
-    inject::InjectTraits::at(p, tid);  // stall gates / hit accounting
+  static void on_event(const Event& e) {
+    obs::ObsTraits::on_event(e);
+    inject::InjectTraits::on_event(e);  // stall gates / hit accounting
   }
 };
 
@@ -146,9 +150,19 @@ FaultAction stall_at(unsigned tid, HookPoint p, unsigned occurrence = 1) {
 }
 
 TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
+  // Every sink attached through one Instruments: the forced help must reach
+  // each of them exactly once.
   obs::TraceRegistry trace;
   obs::CausalRegistry causal(trace.max_tids(), &trace);
-  obs::CausalTraits::install(&causal, &trace);
+  obs::KeyHeatmap heatmap(128);
+  obs::FlightRecorder flight;
+  obs::PhaseProfiler profiler;
+  const obs::Instruments instruments{.trace = &trace,
+                                     .heatmap = &heatmap,
+                                     .causal = &causal,
+                                     .flight = &flight,
+                                     .profiler = &profiler};
+  obs::ObsTraits::attach(&instruments);
 
   CausalTree t;
   for (int k : {10, 30, 50, 70}) ASSERT_TRUE(t.insert(k));
@@ -236,7 +250,33 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
   }
   EXPECT_TRUE(saw_owner_slot);
 
-  obs::CausalTraits::reset();
+  obs::ObsTraits::detach();
+
+  // Exactly once per sink: one help entry in the causal matrix, one help
+  // point plus one owner slot in each of the trace and flight rings, and one
+  // help charged to the heatmap.
+  auto count = [](const std::vector<obs::TraceEvent>& events,
+                  obs::TraceEventKind kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [kind](const obs::TraceEvent& e) {
+                           return e.kind == kind;
+                         });
+  };
+  EXPECT_EQ(causal.total_helps(), 1u);
+  const std::vector<obs::TraceEvent> traced = trace.snapshot(helper_tid);
+  EXPECT_EQ(count(traced, obs::TraceEventKind::kHelpEnter), 1);
+  EXPECT_EQ(count(traced, obs::TraceEventKind::kHelpOwner), 1);
+  const std::string path = ::testing::TempDir() + "causal_flight.bin";
+  ASSERT_TRUE(flight.dump_to_path(path.c_str()));
+  obs::FlightDump dump;
+  ASSERT_TRUE(obs::FlightDump::read_file(path, &dump));
+  std::remove(path.c_str());
+  EXPECT_EQ(count(dump.events(helper_tid), obs::TraceEventKind::kHelpEnter), 1);
+  EXPECT_EQ(count(dump.events(helper_tid), obs::TraceEventKind::kHelpOwner), 1);
+  std::uint64_t heat_helps = 0;
+  for (const obs::HeatBucket& b : heatmap.snapshot()) heat_helps += b.helps;
+  EXPECT_EQ(heat_helps, 1u);
+  EXPECT_EQ(heatmap.snapshot()[heatmap.bucket_of(30)].helps, 1u);
 }
 
 // With causal tracing active, helpers of a *tree-level* operation (no
@@ -245,7 +285,8 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
 
 TEST(CausalAcceptanceTest, TreeLevelOpsStayUnattributed) {
   obs::CausalRegistry causal;
-  obs::CausalTraits::install(&causal);
+  const obs::Instruments instruments{.causal = &causal};
+  obs::ObsTraits::attach(&instruments);
 
   CausalTree t;
   ASSERT_TRUE(t.insert(10));
@@ -273,7 +314,7 @@ TEST(CausalAcceptanceTest, TreeLevelOpsStayUnattributed) {
   EXPECT_EQ(causal.total_helps(), 0u);
   EXPECT_GE(causal.dropped_unattributed(), 1u);
 
-  obs::CausalTraits::reset();
+  obs::ObsTraits::detach();
 }
 
 }  // namespace

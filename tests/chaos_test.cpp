@@ -29,11 +29,10 @@ struct StopOnExit {
 /// Yields with probability 1/4 at every hook point — between every pair of
 /// protocol steps — so flags and marks are routinely left exposed across
 /// context switches.
-struct ChaosTraits {
+struct ChaosTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static void on_cas(CasStep, bool, const void*) noexcept {}
-  static void at(HookPoint) {
+  static void on_event(const Event& e) {
+    if (!e.at_point()) return;
     thread_local Xoshiro256 rng(
         0x517cc1b727220a95ULL ^
         std::hash<std::thread::id>{}(std::this_thread::get_id()));

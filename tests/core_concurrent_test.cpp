@@ -24,20 +24,20 @@ namespace {
 // scripts/check.sh rebuilds this suite with non-default traits:
 //   -DEFRB_TEST_FORCE_STATS — StatsTraits, so every schedule also races the
 //     per-handle stat shards and the shared counter block under TSan;
-//   -DEFRB_TEST_FORCE_HOOKS — live on_cas/at callbacks, so every debug-hook
+//   -DEFRB_TEST_FORCE_HOOKS — a live on_event sink, so every debug-hook
 //     emission point executes real code under full concurrency (NoopTraits
 //     would compile them away).
 #if defined(EFRB_TEST_FORCE_HOOKS)
-struct ForcedHookTraits {
+struct ForcedHookTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
   static inline std::atomic<std::uint64_t> cas_events{0};
   static inline std::atomic<std::uint64_t> point_events{0};
-  static void on_cas(CasStep, bool, const void*) noexcept {
-    cas_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  static void at(HookPoint) noexcept {
-    point_events.fetch_add(1, std::memory_order_relaxed);
+  static void on_event(const Event& e) noexcept {
+    if (e.kind == EventKind::kCas) {
+      cas_events.fetch_add(1, std::memory_order_relaxed);
+    } else if (e.at_point()) {
+      point_events.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 };
 using TestTraits = ForcedHookTraits;

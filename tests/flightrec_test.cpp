@@ -20,6 +20,7 @@
 #include "core/efrb_tree.hpp"
 #include "core/op_context.hpp"
 #include "obs/flightrec.hpp"
+#include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "reclaim/epoch.hpp"
 
@@ -200,13 +201,13 @@ TEST(FlightRecTest, ParseRejectsCorruptAndTruncatedDumps) {
 
 // ----------------------------------------------------------- crash path
 //
-// The child installs the handler, records traffic through a real tree with
-// FlightTraits, then aborts. EXPECT_DEATH observes SIGABRT (the handler
+// The child installs the handler, records traffic through a real ObsTraits
+// tree with the recorder attached, then aborts. EXPECT_DEATH observes SIGABRT (the handler
 // re-raises), and the parent — same process, after the child died — decodes
 // the dump the child's signal handler wrote.
 
 using FlightTree =
-    EfrbTreeSet<int, std::less<int>, EpochReclaimer, obs::FlightTraits>;
+    EfrbTreeSet<int, std::less<int>, EpochReclaimer, obs::ObsTraits>;
 
 TEST(FlightRecDeathTest, AbortHandlerWritesDecodableDump) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -216,7 +217,8 @@ TEST(FlightRecDeathTest, AbortHandlerWritesDecodableDump) {
   EXPECT_DEATH(
       {
         FlightRecorder rec(/*max_tids=*/8, /*ring_capacity=*/256);
-        obs::FlightTraits::install(&rec);
+        const obs::Instruments instruments{.flight = &rec};
+        obs::ObsTraits::attach(&instruments);
         FlightTree t;
         rec.attach_progress(&t.progress_table());
         obs::install_flight_handler(&rec, path.c_str());
@@ -235,8 +237,8 @@ TEST(FlightRecDeathTest, AbortHandlerWritesDecodableDump) {
   EXPECT_EQ(dump.version, obs::kFlightVersion);
   EXPECT_EQ(dump.max_tids, 8u);
   ASSERT_EQ(dump.slots.size(), ProgressTable::kMaxHandles);
-  // The child's traffic ran through FlightTraits: tid 0's ring must hold
-  // protocol events.
+  // The child's traffic ran through the attached recorder: tid 0's ring must
+  // hold protocol events.
   EXPECT_FALSE(dump.events(0).empty());
   bool saw_cas = false;
   for (const TraceEvent& e : dump.events(0)) {

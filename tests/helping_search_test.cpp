@@ -36,13 +36,8 @@ using HelpingTree =
 // A hybrid traits type: hooks like CallbackTraits plus the §6 search, so we
 // can freeze a deleter mid-operation while the tree under test has the
 // helping search enabled.
-struct HookedHelpingTraits {
-  static constexpr bool kCountStats = true;
+struct HookedHelpingTraits : CallbackTraits {
   static constexpr bool kSearchHelpsMarked = true;
-  static void on_cas(CasStep s, bool ok, const void* n) {
-    CallbackTraits::on_cas(s, ok, n);
-  }
-  static void at(HookPoint p) { CallbackTraits::at(p); }
 };
 
 using HookedHelpingTree =

@@ -22,22 +22,33 @@
 namespace efrb {
 namespace {
 
+// Default and stats-only trees build no Event: neither NoopTraits nor a
+// NoopTraits-plus-kCountStats Traits (the shape of perfbench's traced
+// Counting<...>::Traits) has an event sink.
+struct CountingShape : NoopTraits {
+  static constexpr bool kCountStats = true;
+};
+static_assert(!hooks::event_sink_v<NoopTraits>);
+static_assert(!hooks::event_sink_v<CountingShape>);
+static_assert(!hooks::event_sink_v<StatsTraits>);
+static_assert(hooks::event_sink_v<CallbackTraits>);
+
 /// Lock-free counting hooks; one instantiation (and thus one set of counters)
 /// per reclaimer under test.
 template <typename Reclaimer>
-struct CountingTraits {
+struct CountingTraits : NoopTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
 
   static inline std::atomic<std::uint64_t> cas_events{0};
   static inline std::atomic<std::uint32_t> points_seen{0};  // HookPoint bitmask
 
-  static void on_cas(CasStep, bool, const void*) noexcept {
-    cas_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  static void at(HookPoint p) noexcept {
-    points_seen.fetch_or(1u << static_cast<unsigned>(p),
-                         std::memory_order_relaxed);
+  static void on_event(const Event& e) noexcept {
+    if (e.kind == EventKind::kCas) {
+      cas_events.fetch_add(1, std::memory_order_relaxed);
+    } else if (e.at_point()) {
+      points_seen.fetch_or(1u << static_cast<unsigned>(e.point()),
+                           std::memory_order_relaxed);
+    }
   }
   static void reset() {
     cas_events.store(0);
@@ -47,11 +58,8 @@ struct CountingTraits {
 
 /// §6 search variant with stats on, to cover the kSearchHelpsMarked branch
 /// of search_path under a non-Noop instantiation too.
-struct HelpingSearchStatsTraits {
+struct HelpingSearchStatsTraits : HelpingSearchTraits {
   static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = true;
-  static void on_cas(CasStep, bool, const void*) noexcept {}
-  static void at(HookPoint) noexcept {}
 };
 
 template <typename Reclaimer>
@@ -82,8 +90,8 @@ TYPED_TEST(InstrumentedHooksTest, CasEventsAgreeWithPerStepCounters) {
   for (std::size_t i = 0; i < kNumCasSteps; ++i) {
     per_step_total += s.cas_attempts[i];
   }
-  // ctx.count_cas() sits immediately after every Traits::on_cas emission
-  // point in protocol.hpp, so the two totals must agree exactly.
+  // ctx.count_cas() sits immediately after every CAS event emission point
+  // in protocol.hpp, so the two totals must agree exactly.
   EXPECT_EQ(Traits::cas_events.load(), per_step_total);
   EXPECT_GT(per_step_total, 0u);
   EXPECT_TRUE(t.validate().ok);
@@ -146,12 +154,12 @@ struct NestedPinOnHelpTraits : inject::InjectTraits {
   static inline EpochReclaimer* reclaimer = nullptr;
   static inline std::atomic<std::uint64_t> nested_pins{0};
 
-  static void at(HookPoint p, unsigned tid) {
-    if (p == HookPoint::kBeforeHelp && reclaimer != nullptr) {
+  static void on_event(const Event& e) {
+    if (e.help_entry() && reclaimer != nullptr) {
       auto g = reclaimer->pin();
       nested_pins.fetch_add(1, std::memory_order_relaxed);
     }
-    inject::InjectTraits::at(p, tid);
+    inject::InjectTraits::on_event(e);
   }
 };
 

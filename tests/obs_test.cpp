@@ -9,16 +9,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/efrb_tree.hpp"
 #include "obs/histogram.hpp"
+#include "obs/instruments.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reclaim/epoch.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/runner.hpp"
@@ -193,10 +196,18 @@ TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(r.dropped(), 0u);
 }
 
+Event cas_event(unsigned tid, CasStep s, bool ok) {
+  return {EventKind::kCas, static_cast<std::uint8_t>(s), ok, nullptr, tid};
+}
+
+Event point_event(unsigned tid, HookPoint p) {
+  return {EventKind::kPoint, static_cast<std::uint8_t>(p), false, nullptr, tid};
+}
+
 TEST(TraceRegistryTest, DropsEventsWithoutUsableTid) {
   TraceRegistry reg(2, 8);
-  reg.record_cas(kNoTid, CasStep::kIFlag, true);
-  reg.record_cas(7, CasStep::kIFlag, true);  // out of range (max_tids 2)
+  reg.on_event(cas_event(kNoTid, CasStep::kIFlag, true));
+  reg.on_event(cas_event(7, CasStep::kIFlag, true));  // out of range
   EXPECT_EQ(reg.dropped_no_tid(), 2u);
   EXPECT_TRUE(reg.snapshot(0).empty());
   EXPECT_TRUE(reg.snapshot(1).empty());
@@ -206,10 +217,10 @@ TEST(TraceRegistryTest, DropsEventsWithoutUsableTid) {
 TEST(TraceRegistryTest, ChromeExportOrderedAndWellFormed) {
   TraceRegistry reg(2, 16);
   reg.record_op_begin(0, TraceOp::kInsert);
-  reg.record_cas(0, CasStep::kIFlag, true);
-  reg.record_point(0, HookPoint::kBeforeHelp);
-  reg.record_cas(0, CasStep::kIChild, false);
-  reg.record_point(0, HookPoint::kAfterHelp);
+  reg.on_event(cas_event(0, CasStep::kIFlag, true));
+  reg.on_event(point_event(0, HookPoint::kBeforeHelp));
+  reg.on_event(cas_event(0, CasStep::kIChild, false));
+  reg.on_event(point_event(0, HookPoint::kAfterHelp));
   reg.record_op_end(0, TraceOp::kInsert, true);
   reg.record_op_begin(1, TraceOp::kErase);
   reg.record_op_end(1, TraceOp::kErase, false);
@@ -249,16 +260,17 @@ TEST(TraceTraitsTest, TracedTreeEmitsProtocolCasEvents) {
   // Rings must be large enough that this run's ~400 events (CAS + hook
   // points per op) don't wrap — wraparound keeps only the latest window.
   TraceRegistry reg(8, 1024);
-  obs::TraceTraits::install(&reg);
+  const obs::Instruments instruments{.trace = &reg};
+  obs::ObsTraits::attach(&instruments);
   {
     EfrbTreeSet<std::uint64_t, std::less<std::uint64_t>, EpochReclaimer,
-                obs::TraceTraits>
+                obs::ObsTraits>
         t;
     auto h = t.handle();
     for (std::uint64_t k = 0; k < 32; ++k) h.insert(k);
     for (std::uint64_t k = 0; k < 32; k += 2) h.erase(k);
   }
-  obs::TraceTraits::reset();
+  obs::ObsTraits::detach();
 
   std::uint64_t cas_ok = 0;
   for (unsigned tid = 0; tid < reg.max_tids(); ++tid) {
@@ -272,10 +284,75 @@ TEST(TraceTraitsTest, TracedTreeEmitsProtocolCasEvents) {
 }
 
 TEST(TraceTraitsTest, UninstalledRegistryIsIgnored) {
-  obs::TraceTraits::reset();
-  // Hooks must be safe no-ops with no registry installed.
-  obs::TraceTraits::on_cas(CasStep::kIFlag, true, nullptr, 0);
-  obs::TraceTraits::at(HookPoint::kAfterSearch, 0);
+  // Events must be safe no-ops with nothing attached, and with an
+  // Instruments that carries no sinks.
+  const Event cas{EventKind::kCas, static_cast<std::uint8_t>(CasStep::kIFlag),
+                  true, nullptr, 0};
+  const Event point{EventKind::kPoint,
+                    static_cast<std::uint8_t>(HookPoint::kAfterSearch)};
+  obs::ObsTraits::detach();
+  obs::ObsTraits::on_event(cas);
+  obs::ObsTraits::on_event(point);
+  const obs::Instruments empty;
+  obs::ObsTraits::attach(&empty);
+  obs::ObsTraits::on_event(cas);
+  obs::ObsTraits::on_event(point);
+  obs::ObsTraits::detach();
+}
+
+TEST(TraceTraitsTest, EverySinkSeesEachCasExactlyOnce) {
+  // A 2-thread ObsTraits run with trace and flight attached through one
+  // Instruments: each CAS is one event, so both rings hold exactly as many
+  // kCas records as the per-step stats counted. The rings are sized so
+  // nothing wraps.
+  constexpr std::size_t kRing = std::size_t{1} << 15;
+  TraceRegistry reg(4, kRing);
+  obs::FlightRecorder flight(4, kRing);
+  const obs::Instruments instruments{.trace = &reg, .flight = &flight};
+  obs::ObsTraits::attach(&instruments);
+  EfrbTreeSet<std::uint64_t, std::less<std::uint64_t>, EpochReclaimer,
+              obs::ObsTraits>
+      t;
+  run_threads(2, [&](std::size_t tid) {
+    auto h = t.handle();
+    Xoshiro256 rng(tid + 11);
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t k = rng.next_below(32);  // hot: force helping
+      if (rng.next_below(2) == 0) {
+        h.insert(k);
+      } else {
+        h.erase(k);
+      }
+    }
+  });
+  obs::ObsTraits::detach();
+
+  const TreeStats s = t.stats();
+  std::uint64_t stats_cas = 0;
+  for (std::size_t i = 0; i < kNumCasSteps; ++i) stats_cas += s.cas_attempts[i];
+  const std::string path = ::testing::TempDir() + "obs_exactly_once.bin";
+  ASSERT_TRUE(flight.dump_to_path(path.c_str()));
+  obs::FlightDump dump;
+  ASSERT_TRUE(obs::FlightDump::read_file(path, &dump));
+  std::remove(path.c_str());
+  std::uint64_t trace_cas = 0;
+  std::uint64_t flight_cas = 0;
+  for (unsigned tid = 0; tid < reg.max_tids(); ++tid) {
+    const std::vector<TraceEvent> traced = reg.snapshot(tid);
+    ASSERT_LT(traced.size(), kRing) << "trace ring wrapped";
+    for (const TraceEvent& e : traced) {
+      trace_cas += e.kind == TraceEventKind::kCas ? 1 : 0;
+    }
+    const std::vector<TraceEvent> flown = dump.events(tid);
+    ASSERT_LT(flown.size(), kRing) << "flight ring wrapped";
+    for (const TraceEvent& e : flown) {
+      flight_cas += e.kind == TraceEventKind::kCas ? 1 : 0;
+    }
+  }
+  EXPECT_GT(stats_cas, 0u);
+  EXPECT_EQ(trace_cas, flight_cas);
+  EXPECT_EQ(trace_cas, stats_cas);
+  EXPECT_EQ(reg.dropped_no_tid(), 0u);
 }
 
 TEST(TraceRingTest, LiveSnapshotNeverTearsAnEvent) {
@@ -331,9 +408,11 @@ TEST(TraceRegistryTest, LiveExportWhileWritersStillRecord) {
     if (id < kWriters) {
       const auto tid = static_cast<unsigned>(id);
       for (std::uint64_t i = 0; i < 20000; ++i) {
-        reg.record_cas(tid, static_cast<CasStep>(i % kNumCasSteps),
-                       (i & 1) != 0);
-        if ((i & 7) == 0) reg.record_point(tid, HookPoint::kBeforeHelp);
+        reg.on_event(cas_event(tid, static_cast<CasStep>(i % kNumCasSteps),
+                               (i & 1) != 0));
+        if ((i & 7) == 0) {
+          reg.on_event(point_event(tid, HookPoint::kBeforeHelp));
+        }
       }
       writers_done.fetch_add(1, std::memory_order_release);
       return;
@@ -463,7 +542,8 @@ TEST(RunnerTest, LatencySamplingCountsEveryOperation) {
   prefill(t, cfg.key_range, cfg.prefill_fraction, cfg.seed);
 
   LatencySamples lat;
-  const WorkloadResult res = run_workload(t, cfg, &lat);
+  const obs::Instruments instruments{.latency = &lat};
+  const WorkloadResult res = run_workload(t, cfg, &instruments);
   EXPECT_GT(res.total_ops(), 0u);
   // Every operation lands in exactly one of the per-op histograms.
   EXPECT_EQ(lat.find.count(), res.finds);

@@ -3,8 +3,8 @@
 // deterministically, so these pass on hosts with and without a PMU), the
 // PhaseProfiler state machine driven by synthetic hook streams (attribution
 // tiles the op window, helping nests, scopes saturate, out-of-window events
-// are counted but never attributed), the runner integration on a
-// ProfileTraits-instrumented tree, and the metrics-v4 `profile` cell's
+// are counted but never attributed), the runner integration on an
+// ObsTraits-instrumented tree, and the metrics-v4 `profile` cell's
 // absent-not-zero contract validated by round-tripping through the JSON
 // parser.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/efrb_tree.hpp"
+#include "obs/instruments.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfctr.hpp"
@@ -31,9 +32,9 @@ using obs::PerfAvailability;
 using obs::PerfCounterGroup;
 using obs::PerfCounts;
 using obs::PhaseProfiler;
-using obs::ProfileScope;
 using obs::ProfileSnapshot;
-using obs::ProfileTraits;
+using obs::Instruments;
+using obs::ObsTraits;
 
 /// Scoped environment override; restores (or re-unsets) on destruction so a
 /// failing test cannot leak the kill switch into later cases.
@@ -178,12 +179,11 @@ TEST(PhaseProfilerTest, SegmentsTileTheOpWindow) {
   PhaseProfiler prof;
   prof.op_begin(0);
   spin_a_little();                       // descent
-  prof.at(HookPoint::kAfterSearch, 0);   // -> cas_protocol
+  prof.on_point(HookPoint::kAfterSearch, 0);   // -> cas_protocol
   spin_a_little();
-  {
-    ProfileScope alloc(prof, Phase::kPoolAlloc, 0);
-    spin_a_little();
-  }
+  prof.phase(true, Phase::kPoolAlloc, 0);
+  spin_a_little();
+  prof.phase(false, Phase::kPoolAlloc, 0);
   spin_a_little();
   prof.op_end(0);
 
@@ -205,14 +205,14 @@ TEST(PhaseProfilerTest, SegmentsTileTheOpWindow) {
 TEST(PhaseProfilerTest, NestedHelpingStaysHelpingUntilOutermostReturns) {
   PhaseProfiler prof;
   prof.op_begin(3);
-  prof.at(HookPoint::kAfterSearch, 3);  // cas_protocol
-  prof.at(HookPoint::kBeforeHelp, 3);   // helping (depth 1)
+  prof.on_point(HookPoint::kAfterSearch, 3);  // cas_protocol
+  prof.on_point(HookPoint::kBeforeHelp, 3);   // helping (depth 1)
   spin_a_little();
-  prof.at(HookPoint::kBeforeHelp, 3);   // helping (depth 2)
+  prof.on_point(HookPoint::kBeforeHelp, 3);   // helping (depth 2)
   spin_a_little();
-  prof.at(HookPoint::kAfterHelp, 3);    // still helping (depth 1)
+  prof.on_point(HookPoint::kAfterHelp, 3);    // still helping (depth 1)
   spin_a_little();
-  prof.at(HookPoint::kAfterHelp, 3);    // resume cas_protocol
+  prof.on_point(HookPoint::kAfterHelp, 3);    // resume cas_protocol
   spin_a_little();
   prof.op_end(3);
 
@@ -229,10 +229,10 @@ TEST(PhaseProfilerTest, NestedHelpingStaysHelpingUntilOutermostReturns) {
 TEST(PhaseProfilerTest, RetryResetsToDescent) {
   PhaseProfiler prof;
   prof.op_begin(0);
-  prof.at(HookPoint::kAfterSearch, 0);
-  prof.at(HookPoint::kInsertRetry, 0);  // attempt failed -> re-descent
+  prof.on_point(HookPoint::kAfterSearch, 0);
+  prof.on_point(HookPoint::kInsertRetry, 0);  // attempt failed -> re-descent
   spin_a_little();
-  prof.at(HookPoint::kAfterSearch, 0);
+  prof.on_point(HookPoint::kAfterSearch, 0);
   prof.op_end(0);
   const ProfileSnapshot s = prof.snapshot();
   // Two descent enters: op_begin and the retry reset.
@@ -243,7 +243,7 @@ TEST(PhaseProfilerTest, RetryResetsToDescent) {
 
 TEST(PhaseProfilerTest, EventsOutsideAWindowCountButNeverAttribute) {
   PhaseProfiler prof;
-  prof.at(HookPoint::kAfterSearch, 0);       // no open window
+  prof.on_point(HookPoint::kAfterSearch, 0);       // no open window
   prof.phase(true, Phase::kReclamation, 0);  // ditto
   prof.op_end(0);                            // unmatched end: no-op
   const ProfileSnapshot s = prof.snapshot();
@@ -256,7 +256,7 @@ TEST(PhaseProfilerTest, EventsOutsideAWindowCountButNeverAttribute) {
 TEST(PhaseProfilerTest, OutOfRangeTidIsDroppedNotCorrupting) {
   PhaseProfiler prof;
   prof.op_begin(PhaseProfiler::kMaxTids);  // out of range
-  prof.at(HookPoint::kAfterSearch, PhaseProfiler::kMaxTids + 7);
+  prof.on_point(HookPoint::kAfterSearch, PhaseProfiler::kMaxTids + 7);
   const ProfileSnapshot s = prof.snapshot();
   EXPECT_EQ(s.ops, 0u);
   EXPECT_EQ(s.dropped, 2u);
@@ -287,7 +287,7 @@ TEST(PhaseProfilerTest, ResetZeroesEverything) {
   PhaseProfiler prof;
   prof.op_begin(0);
   prof.op_end(0);
-  prof.at(HookPoint::kAfterSearch, PhaseProfiler::kMaxTids);
+  prof.on_point(HookPoint::kAfterSearch, PhaseProfiler::kMaxTids);
   prof.reset();
   const ProfileSnapshot s = prof.snapshot();
   EXPECT_EQ(s.ops, 0u);
@@ -337,7 +337,7 @@ TEST(PhaseProfilerTest, AddHwFoldsThreadReads) {
 
 using ProfiledTree =
     EfrbTreeSet<std::uint64_t, std::less<std::uint64_t>, EpochReclaimer,
-                ProfileTraits>;
+                ObsTraits>;
 
 TEST(ProfileIntegrationTest, WorkloadAttributionCoversEveryOperation) {
   ProfiledTree tree;
@@ -349,10 +349,10 @@ TEST(ProfileIntegrationTest, WorkloadAttributionCoversEveryOperation) {
   prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
 
   PhaseProfiler profiler;
-  ProfileTraits::install(&profiler);
-  const WorkloadResult res =
-      run_workload(tree, cfg, nullptr, nullptr, nullptr, nullptr, &profiler);
-  ProfileTraits::reset();
+  const Instruments instruments{.profiler = &profiler};
+  ObsTraits::attach(&instruments);
+  const WorkloadResult res = run_workload(tree, cfg, &instruments);
+  ObsTraits::detach();
 
   const ProfileSnapshot s = profiler.snapshot();
   EXPECT_GT(res.total_ops(), 0u);
@@ -374,7 +374,8 @@ TEST(ProfileIntegrationTest, FallbackModeStillAttributesAndStaysCorrect) {
   EnvGuard guard("EFRB_PERFCTR_DISABLE", "1");
   ProfiledTree tree;
   PhaseProfiler profiler;
-  ProfileTraits::install(&profiler);
+  const Instruments instruments{.profiler = &profiler};
+  ObsTraits::attach(&instruments);
   std::set<std::uint64_t> reference;
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   for (int i = 0; i < 4000; ++i) {
@@ -396,7 +397,7 @@ TEST(ProfileIntegrationTest, FallbackModeStillAttributesAndStaysCorrect) {
     }
     profiler.op_end(0);
   }
-  ProfileTraits::reset();
+  ObsTraits::detach();
 
   const ProfileSnapshot s = profiler.snapshot();
   EXPECT_EQ(s.ops, 4000u);
@@ -416,10 +417,10 @@ TEST(ProfileMetricsTest, FallbackCellOmitsHwAndDerivedSections) {
   cfg.duration = std::chrono::milliseconds(30);
   prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
   PhaseProfiler profiler;
-  ProfileTraits::install(&profiler);
-  const WorkloadResult res =
-      run_workload(tree, cfg, nullptr, nullptr, nullptr, nullptr, &profiler);
-  ProfileTraits::reset();
+  const Instruments instruments{.profiler = &profiler};
+  ObsTraits::attach(&instruments);
+  const WorkloadResult res = run_workload(tree, cfg, &instruments);
+  ObsTraits::detach();
   const ProfileSnapshot snap = profiler.snapshot();
 
   obs::MetricsDocument doc("profile_test");

@@ -14,6 +14,7 @@
 
 #include "core/efrb_tree.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prom.hpp"
 #include "obs/timeseries.hpp"
@@ -208,16 +209,16 @@ TEST(MetricsPollerTest, RestartAfterStopKeepsSampling) {
 TEST(RunnerPollerTest, FinalSampleOpsMatchesWorkloadResult) {
   // The poller's ops source reads the runner's live per-thread counters;
   // stop() samples after the join, so the last sample must account for
-  // every operation the result reports — the end-to-end check that the
-  // counting wrapper wraps every access point.
+  // every operation the result reports — the end-to-end check that every
+  // worker's last batch reaches its live counter.
   EfrbTreeSet<std::uint64_t> set;
   WorkloadConfig cfg;
   cfg.threads = 3;
   cfg.key_range = 1 << 10;
   cfg.duration = std::chrono::milliseconds(60);
   MetricsPoller poller(std::chrono::milliseconds(10));
-  const WorkloadResult result =
-      run_workload(set, cfg, nullptr, nullptr, &poller);
+  const obs::Instruments instruments{.poller = &poller};
+  const WorkloadResult result = run_workload(set, cfg, &instruments);
   const std::vector<PollSample> samples = poller.samples();
   ASSERT_GE(samples.size(), 1u);
   EXPECT_EQ(samples.back().ops, result.total_ops());
@@ -227,20 +228,6 @@ TEST(RunnerPollerTest, FinalSampleOpsMatchesWorkloadResult) {
   // Mid-run samples exist and saw partial progress (the window was 6
   // interval lengths; even a slow box lands one tick inside it).
   EXPECT_GE(poller.samples_pushed(), 2u);
-}
-
-TEST(RunnerPollerTest, PollerWorksWithTreeLevelPath) {
-  EfrbTreeSet<std::uint64_t> set;
-  WorkloadConfig cfg;
-  cfg.threads = 2;
-  cfg.key_range = 1 << 10;
-  cfg.duration = std::chrono::milliseconds(40);
-  cfg.use_handles = false;
-  MetricsPoller poller(std::chrono::milliseconds(10));
-  const WorkloadResult result =
-      run_workload(set, cfg, nullptr, nullptr, &poller);
-  ASSERT_GE(poller.samples().size(), 1u);
-  EXPECT_EQ(poller.samples().back().ops, result.total_ops());
 }
 
 // ---------------------------------------------------------------- heatmap
@@ -344,7 +331,7 @@ TEST(HeatmapTest, UniformStreamRendersFlatStripOnNonDivisibleRange) {
 // visibly concentrates in the hot buckets; under uniform it does not.
 // ZipfKeys makes low key values hot, so bucket 0 is the hot bucket.
 using HeatTree = EfrbTreeSet<std::uint64_t, std::less<std::uint64_t>,
-                             EpochReclaimer, obs::HeatmapTraits>;
+                             EpochReclaimer, obs::ObsTraits>;
 
 WorkloadConfig heat_cfg(bool zipf) {
   WorkloadConfig cfg;
@@ -358,7 +345,8 @@ WorkloadConfig heat_cfg(bool zipf) {
 
 TEST(HeatmapWorkloadTest, ZipfConcentratesAttemptsUniformDoesNot) {
   KeyHeatmap heat(std::uint64_t{1} << 12);
-  obs::HeatmapTraits::install(&heat);
+  const obs::Instruments instruments{.heatmap = &heat};
+  obs::ObsTraits::attach(&instruments);
 
   HeatTree zipf_tree;
   prefill(zipf_tree, 1 << 12, 0.5, 42);
@@ -370,7 +358,7 @@ TEST(HeatmapWorkloadTest, ZipfConcentratesAttemptsUniformDoesNot) {
   prefill(uni_tree, 1 << 12, 0.5, 42);
   run_workload(uni_tree, heat_cfg(false));
   const std::vector<HeatBucket> uni_snap = heat.snapshot();
-  obs::HeatmapTraits::reset();
+  obs::ObsTraits::detach();
 
   auto share0 = [](const std::vector<HeatBucket>& snap) {
     std::uint64_t total = 0;
@@ -392,7 +380,8 @@ TEST(HeatmapWorkloadTest, ZipfContentionLandsInHotBucket) {
   // box, so accumulate across rounds until there is enough signal, then
   // require the hot bucket to dominate: no other bucket may exceed it.
   KeyHeatmap heat(std::uint64_t{1} << 12);
-  obs::HeatmapTraits::install(&heat);
+  const obs::Instruments instruments{.heatmap = &heat};
+  obs::ObsTraits::attach(&instruments);
   std::uint64_t contended = 0;
   for (int round = 0; round < 8 && contended < 60; ++round) {
     HeatTree tree;
@@ -402,7 +391,7 @@ TEST(HeatmapWorkloadTest, ZipfContentionLandsInHotBucket) {
     for (const HeatBucket& b : heat.snapshot()) contended += b.contended();
   }
   const std::vector<HeatBucket> snap = heat.snapshot();
-  obs::HeatmapTraits::reset();
+  obs::ObsTraits::detach();
   ASSERT_GT(contended, 0u) << "no contention events in 8 zipf rounds";
   std::uint64_t hot = snap[0].contended();
   std::uint64_t elsewhere_max = 0;

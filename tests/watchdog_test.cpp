@@ -16,7 +16,7 @@
 #include "core/op_context.hpp"
 #include "inject/fault_plan.hpp"
 #include "inject/fault_scheduler.hpp"
-#include "obs/causal.hpp"
+#include "obs/instruments.hpp"
 #include "obs/watchdog.hpp"
 #include "reclaim/epoch.hpp"
 
@@ -28,14 +28,14 @@ using inject::FaultKind;
 using inject::FaultPlan;
 using inject::FaultScheduler;
 
+/// Injection traits with owner stamps and progress slots on; events reach
+/// the fault scheduler and whatever obs::Instruments is attached.
 struct CausalInjectTraits : inject::InjectTraits {
   static constexpr bool kCausalTrace = true;
 
-  using inject::InjectTraits::at;
-  static void at(HookPoint p, unsigned tid, std::uint64_t key,
-                 std::uint64_t owner) {
-    obs::CausalTraits::at(p, tid, key, owner);
-    inject::InjectTraits::at(p, tid);
+  static void on_event(const Event& e) {
+    obs::ObsTraits::on_event(e);
+    inject::InjectTraits::on_event(e);
   }
 };
 

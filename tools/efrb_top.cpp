@@ -43,6 +43,7 @@
 #include "core/efrb_tree.hpp"
 #include "obs/causal.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/instruments.hpp"
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/watchdog.hpp"
@@ -55,39 +56,11 @@ namespace {
 
 using Key = std::uint64_t;
 
-/// Heatmap + causal help attribution + phase profiling in one traits type.
-/// kCausalTrace turns on the owner stamp and per-handle progress slots (the
-/// watchdog's sampling surface); help events land in the installed
-/// CausalRegistry via the 4-argument at(); everything keyed flows to the
-/// heatmap; and every hook point plus the explicit phase seams also reach
-/// the installed PhaseProfiler, which drives the dashboard's profile row.
-struct TopTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static constexpr bool kTrackKeys = true;
-  static constexpr bool kCausalTrace = true;
-
-  static void on_cas(efrb::CasStep s, bool ok, const void* node, unsigned tid,
-                     std::uint64_t key) {
-    efrb::obs::HeatmapTraits::on_cas(s, ok, node, tid, key);
-  }
-  static void at(efrb::HookPoint p, unsigned tid, std::uint64_t key) {
-    efrb::obs::HeatmapTraits::at(p, tid, key);
-    efrb::obs::ProfileTraits::at(p, tid, key);
-  }
-  static void at(efrb::HookPoint p, unsigned tid, std::uint64_t key,
-                 std::uint64_t owner) {
-    efrb::obs::CausalTraits::at(p, tid, key, owner);
-    efrb::obs::HeatmapTraits::at(p, tid, key);
-    efrb::obs::ProfileTraits::at(p, tid, key);
-  }
-  static void phase(bool enter, efrb::Phase ph, unsigned tid) {
-    efrb::obs::ProfileTraits::phase(enter, ph, tid);
-  }
-};
-
+/// Heatmap + causal help attribution + phase profiling: the tree hands each
+/// event to the Instruments run_top attaches. kCausalTrace (on in ObsTraits)
+/// also gives every handle a progress slot, the watchdog's sampling surface.
 using TopTree = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                  TopTraits>;
+                                  efrb::obs::ObsTraits>;
 // --shards N: the same workload over the sharded front end; the dashboard
 // grows a per-shard row (load share from the balance report, per-shard
 // reclaimer backlog/orphans).
@@ -379,7 +352,7 @@ void render_shard_rows(const TopSharded& tree,
 /// `extra` renders any structure-specific rows under the common frame.
 template <typename SetT, typename GaugesFn, typename ExtraFn>
 int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
-            const efrb::obs::CausalRegistry* causal = nullptr,
+            efrb::obs::CausalRegistry* causal = nullptr,
             efrb::obs::LivenessWatchdog* watchdog = nullptr) {
   efrb::WorkloadConfig cfg;
   cfg.threads = opt.threads;
@@ -389,18 +362,22 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
   cfg.duration = std::chrono::milliseconds(std::max(10L, opt.ms));
 
   efrb::obs::KeyHeatmap heatmap(cfg.key_range);
-  efrb::obs::HeatmapTraits::install(&heatmap);
-  efrb::prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
-
-  // Phase profiler installed after prefill so the profile row describes the
-  // measured window only, and latency sampling for the p50/p99 + saturated
-  // row (workers record privately; run_workload merges at join).
-  efrb::LatencySamples latency;
   efrb::obs::PhaseProfiler profiler;
-  efrb::obs::ProfileTraits::install(&profiler);
-
+  efrb::LatencySamples latency;
   efrb::obs::MetricsPoller poller(
       std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
+  efrb::obs::Instruments instruments{.heatmap = &heatmap,
+                                     .causal = causal,
+                                     .latency = &latency,
+                                     .poller = &poller};
+  efrb::obs::ObsTraits::attach(&instruments);
+  efrb::prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
+
+  // Phase profiler attached after prefill so the profile row describes the
+  // measured window only; latency sampling feeds the p50/p99 + saturated
+  // row (workers record privately; run_workload merges at join).
+  instruments.profiler = &profiler;
+
   poller.set_sources({
       {},  // ops source is wired by run_workload
       [&tree] { return tree.stats(); },
@@ -412,8 +389,7 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
   std::atomic<bool> done{false};
   efrb::WorkloadResult result;
   std::thread worker([&] {
-    result = efrb::run_workload(tree, cfg, &latency, nullptr, &poller, causal,
-                                &profiler);
+    result = efrb::run_workload(tree, cfg, &instruments);
     done.store(true, std::memory_order_release);
   });
 
@@ -432,8 +408,7 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
   }
   worker.join();
   if (watchdog != nullptr) watchdog->stop();
-  efrb::obs::HeatmapTraits::reset();
-  efrb::obs::ProfileTraits::reset();
+  efrb::obs::ObsTraits::detach();
 
   // Final (or only, with --once) frame from the completed run, plus the
   // protocol-step summary — on the normal screen, so it survives in
@@ -463,13 +438,10 @@ int main(int argc, char** argv) {
   }
   TopTree tree;
   efrb::obs::CausalRegistry causal;
-  efrb::obs::CausalTraits::install(&causal);
   efrb::obs::LivenessWatchdog watchdog(
       tree.progress_table(), efrb::obs::WatchdogBudget{},
       std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
-  const int rc = run_top(
+  return run_top(
       opt, tree, [&tree] { return tree.reclaimer().gauges(); },
       [](const efrb::obs::KeyHeatmap&) {}, &causal, &watchdog);
-  efrb::obs::CausalTraits::reset();
-  return rc;
 }

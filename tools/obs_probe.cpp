@@ -24,6 +24,7 @@
 #include "obs/causal.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/prom.hpp"
@@ -36,47 +37,10 @@ namespace {
 
 using Key = std::uint64_t;
 
-/// Every obs consumer in one instrumented run: statically fans each hook out
-/// to all installed sinks. kTrackKeys makes the tree stamp operation keys
-/// (core/op_context.hpp) for the heatmap; kCausalTrace turns on the owner
-/// stamp + progress slots, routing help events through the 4-argument at()
-/// into the causal registry and the flight recorder.
-struct ProbeTraits {
-  static constexpr bool kCountStats = true;
-  static constexpr bool kSearchHelpsMarked = false;
-  static constexpr bool kTrackKeys = true;
-  static constexpr bool kCausalTrace = true;
-
-  static void on_cas(efrb::CasStep s, bool ok, const void* node, unsigned tid,
-                     std::uint64_t key) {
-    efrb::obs::TraceTraits::on_cas(s, ok, node, tid);
-    efrb::obs::HeatmapTraits::on_cas(s, ok, node, tid, key);
-    efrb::obs::FlightTraits::on_cas(s, ok, node, tid);
-  }
-  static void at(efrb::HookPoint p, unsigned tid, std::uint64_t key) {
-    efrb::obs::TraceTraits::at(p, tid);
-    efrb::obs::HeatmapTraits::at(p, tid, key);
-    efrb::obs::FlightTraits::at(p, tid);
-    efrb::obs::ProfileTraits::at(p, tid, key);
-  }
-  /// Help-path overload (hooks::emit_help): help points arrive here only,
-  /// never through the 3-argument at(), so nothing double-records.
-  static void at(efrb::HookPoint p, unsigned tid, std::uint64_t key,
-                 std::uint64_t owner) {
-    efrb::obs::CausalTraits::at(p, tid, key, owner);
-    efrb::obs::HeatmapTraits::at(p, tid, key);
-    efrb::obs::FlightTraits::at(p, tid, key, owner);
-    efrb::obs::ProfileTraits::at(p, tid, key);
-  }
-  /// Phase scopes (hooks::emit_phase): reclamation / pool_alloc attribution
-  /// from the protocol's PhaseScope seams, consumed by the profiler only.
-  static void phase(bool enter, efrb::Phase ph, unsigned tid) {
-    efrb::obs::ProfileTraits::phase(enter, ph, tid);
-  }
-};
-
+/// Every obs consumer in one instrumented run: the tree hands each event to
+/// the Instruments attached in main(), which fans it out to all of them.
 using ProbedTree = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                     ProbeTraits>;
+                                     efrb::obs::ObsTraits>;
 
 struct Options {
   std::string metrics_path = "obs_metrics.json";
@@ -144,13 +108,20 @@ int main(int argc, char** argv) {
   cfg.duration = std::chrono::milliseconds(std::max(10L, opt.ms));
 
   efrb::obs::TraceRegistry registry;
-  efrb::obs::TraceTraits::install(&registry);
   efrb::obs::KeyHeatmap heatmap(cfg.key_range);
-  efrb::obs::HeatmapTraits::install(&heatmap);
   efrb::obs::CausalRegistry causal(registry.max_tids(), &registry);
-  efrb::obs::CausalTraits::install(&causal, &registry);
   efrb::obs::FlightRecorder flight;
-  efrb::obs::FlightTraits::install(&flight);
+  efrb::obs::PhaseProfiler profiler;
+  efrb::LatencySamples latency;
+  efrb::obs::MetricsPoller poller(
+      std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
+  efrb::obs::Instruments instruments{.trace = &registry,
+                                     .heatmap = &heatmap,
+                                     .causal = &causal,
+                                     .flight = &flight,
+                                     .latency = &latency,
+                                     .poller = &poller};
+  efrb::obs::ObsTraits::attach(&instruments);
   if (opt.abort_after_run && !opt.flight_path.empty()) {
     efrb::obs::install_flight_handler(&flight, opt.flight_path.c_str());
   }
@@ -158,10 +129,9 @@ int main(int argc, char** argv) {
   ProbedTree tree;
   efrb::prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
 
-  // Installed after prefill so the profiler's events_outside_op count
+  // Attached after prefill so the profiler's events_outside_op count
   // describes only the measured window (the runner opens the op windows).
-  efrb::obs::PhaseProfiler profiler;
-  if (opt.profile) efrb::obs::ProfileTraits::install(&profiler);
+  if (opt.profile) instruments.profiler = &profiler;
 
   // Live gauge mirrors for the flight recorder: ReclaimGauges is a snapshot
   // struct, so the poller's gauge source refreshes these atomics each
@@ -187,8 +157,6 @@ int main(int argc, char** argv) {
   }
   flight.attach_progress(&tree.progress_table());
 
-  efrb::obs::MetricsPoller poller(
-      std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
   poller.set_sources({
       {},  // ops source is wired by run_workload
       [&tree] { return tree.stats(); },
@@ -212,10 +180,8 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
   watchdog.start();
 
-  efrb::LatencySamples latency;
   const efrb::WorkloadResult result =
-      efrb::run_workload(tree, cfg, &latency, &registry, &poller, &causal,
-                         opt.profile ? &profiler : nullptr);
+      efrb::run_workload(tree, cfg, &instruments);
 
   watchdog.stop();
 
@@ -226,11 +192,7 @@ int main(int argc, char** argv) {
     std::abort();
   }
 
-  efrb::obs::TraceTraits::reset();
-  efrb::obs::HeatmapTraits::reset();
-  efrb::obs::CausalTraits::reset();
-  efrb::obs::FlightTraits::reset();
-  efrb::obs::ProfileTraits::reset();
+  efrb::obs::ObsTraits::detach();
 
   const efrb::TreeStats stats = tree.stats();
   const efrb::ReclaimGauges gauges = tree.reclaimer().gauges();
