@@ -12,7 +12,7 @@ FAST=0
 
 run() { echo "+ $*"; "$@"; }
 
-echo "=== one event seam: no legacy hook arities ==="
+echo "=== one event seam, one tree facade: no legacy hooks, Handles or knobs ==="
 # Protocol events reach Traits only through hooks::emit -> on_event(const
 # Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
 # on_cas hook, a multi-argument at(HookPoint ...) hook, or the old emit_*
@@ -20,6 +20,16 @@ echo "=== one event seam: no legacy hook arities ==="
 if grep -rnE '\bon_cas\(|\bat\(\s*(efrb::)?HookPoint[^)]*,|\bemit_(help|phase|cas|at)\b' \
     src tools tests; then
   echo "legacy hook seam found (use hooks::emit / Traits::on_event)"; exit 1
+fi
+# One tree facade: every tree's Handle is TreeMap::Handle (core/tree_map.hpp),
+# and the retired lean/full read-path switch stays gone.
+handles=$(grep -rnE '^\s*class Handle\b' src/core | wc -l)
+if [[ "$handles" -gt 1 ]]; then
+  grep -rnE '^\s*class Handle\b' src/core
+  echo "src/core defines class Handle $handles times (derive from TreeMap)"; exit 1
+fi
+if grep -rnE '\bkLeanFind\b|\bFullSearchFindTraits\b' src tests bench tools; then
+  echo "retired read-path knob found (reads always take find_path)"; exit 1
 fi
 
 echo "=== plain build + tests ==="
@@ -384,9 +394,9 @@ if [[ "$FAST" == "0" ]]; then
   run ./build-tsan-pooled/tests/alloc_test --gtest_color=no \
       --gtest_filter='-BlockPoolDeathTest.*'  # fork-based death test under TSan is unreliable
   run ./build-tsan-pooled/tests/core_concurrent_test --gtest_color=no
-  # A/B gate: the redesigned default (pooled + lean find) must not regress
-  # below the heap baseline on the uniform read-mostly cell (E1c). Summed
-  # over thread counts to average scheduler noise.
+  # A/B gate: the pooled tree must not regress below the heap baseline on
+  # the uniform read-mostly cell (E1c). Summed over thread counts to average
+  # scheduler noise.
   EFRB_BENCH_MS="${EFRB_ALLOC_GATE_MS:-60}" run ./build/bench/bench_throughput \
       --json build/alloc_gate.json > /dev/null
   python3 - <<'EOF'
@@ -396,18 +406,13 @@ def total(name):
     t = sum(c['result']['mops'] for c in cells if c['name'] == name)
     assert t > 0, f'no {name} cells in alloc ablation output'
     return t
-heap_full = total('alloc:heap+fullsearch')
 heap_lean = total('alloc:heap+lean')
 pool_lean = total('alloc:pooled+lean')
-total('alloc:pooled+fullsearch')  # presence check for the full 2x2 grid
-print(f'alloc gate: heap+full={heap_full:.2f} heap+lean={heap_lean:.2f} '
+print(f'alloc gate: heap+lean={heap_lean:.2f} '
       f'pooled+lean={pool_lean:.2f} summed Mops over thread counts')
 assert pool_lean >= 0.95 * heap_lean, (
     f'pooled allocation regressed below the heap baseline on the same read '
     f'path: {pool_lean:.2f} < 0.95 * {heap_lean:.2f}')
-assert pool_lean >= 0.95 * heap_full, (
-    f'redesigned default (pooled+lean) lost to the pre-redesign baseline '
-    f'(heap+fullsearch): {pool_lean:.2f} < 0.95 * {heap_full:.2f}')
 print('alloc gate OK')
 EOF
 

@@ -78,11 +78,10 @@
 #include "core/llx_scx.hpp"
 #include "core/op_context.hpp"
 #include "core/protocol.hpp"  // InsertOutcome (shared with the EFRB core)
+#include "core/tree_map.hpp"
 #include "reclaim/epoch.hpp"
 #include "util/assert.hpp"
-#include "util/backoff.hpp"
 #include "util/cacheline.hpp"
-#include "util/rng.hpp"
 
 namespace efrb {
 
@@ -185,12 +184,27 @@ struct ChromaticLayout {
   using Word = ScxWord<Node>;
 
   static_assert(ScxNode<Node>);
+
+  // Navigation seam of the ordered walks (ordered.hpp). A leaf's children
+  // are both null for its whole lifetime and an internal's are never null,
+  // so the leaf test needs no ordering: the acquire load that reached n
+  // already made its construction visible.
+  static bool is_leaf(const Node* n) noexcept {
+    return n->left.load(std::memory_order_relaxed) == nullptr;
+  }
+  static const Node* left(const Node* n) noexcept {
+    return n->left.load(std::memory_order_acquire);
+  }
+  static const Node* right(const Node* n) noexcept {
+    return n->right.load(std::memory_order_acquire);
+  }
+  static const Value& value(const Node* n) noexcept { return n->value; }
 };
 
-/// The chromatic tree core: dictionary operations, the cleanup phase, ordered
-/// navigation and the validator, all over ChromaticLayout nodes and the
-/// LlxScx engine. The facade (ChromaticTreeMap below) wraps it exactly like
-/// efrb_tree.hpp wraps TreeCore.
+/// The chromatic tree core: dictionary operations, the cleanup phase and the
+/// validator, all over ChromaticLayout nodes and the LlxScx engine. The
+/// ordered queries are the shared walks in ordered.hpp, and the facade is
+/// the shared TreeMap (core/tree_map.hpp), exactly as for TreeCore.
 template <typename Key, typename Value, typename Compare, typename Traits,
           typename Ctx>
 class ChromaticCore {
@@ -202,6 +216,8 @@ class ChromaticCore {
   using BKey = typename Layout::BKey;
   using AllocT = typename Ctx::AllocT;
   using Llx = LlxScx<Node, Traits, Ctx>;
+  using ValidationResult = ChromaticValidation;
+  static constexpr const char* kName = "chromatic-tree";
 
   /// Rounds of the bounded cleanup phase. Each round is one root-to-key walk
   /// plus at most one SCX; red-red cascades climb two levels per fix, so the
@@ -582,117 +598,6 @@ class ChromaticCore {
     parked_.stash(k);
   }
 
-  // ---------------- Ordered navigation ----------------
-  // Same weak-consistency contract as ordered.hpp: exact at quiescence;
-  // under concurrency every reported key was present at some time during the
-  // call. Callers hold a pinned region (the facade does).
-
-  std::optional<Key> min_key() const {
-    const Node* n = leftmost(root_);
-    if (!n->key.is_real()) return std::nullopt;
-    return n->key.key;
-  }
-
-  std::optional<Key> max_key() const {
-    const Node* n = rightmost(root_);
-    if (!n->key.is_real()) return std::nullopt;
-    return n->key.key;
-  }
-
-  /// Smallest key >= k (> k when strict); mirror logic of ordered::bound_up
-  /// with the left==null leaf test.
-  std::optional<Key> bound_up(const Key& k, bool strict) const {
-    const Node* n = root_;
-    const Node* last_right = nullptr;
-    for (;;) {
-      const Node* c;
-      if (cmp_.less(k, n->key)) {
-        c = n->left.load(std::memory_order_acquire);
-        if (c == nullptr) break;
-        last_right = n->right.load(std::memory_order_acquire);
-      } else {
-        c = n->right.load(std::memory_order_acquire);
-        if (c == nullptr) break;
-      }
-      n = c;
-    }
-    if (n->key.is_real()) {
-      const bool ge = !cmp_.user_compare()(n->key.key, k);
-      const bool gt = cmp_.user_compare()(k, n->key.key);
-      if (strict ? gt : ge) return n->key.key;
-    }
-    if (last_right == nullptr) return std::nullopt;
-    const Node* succ = leftmost(last_right);
-    if (!succ->key.is_real()) return std::nullopt;
-    return succ->key.key;
-  }
-
-  /// Largest key <= k (< k when strict); mirror image of bound_up.
-  std::optional<Key> bound_down(const Key& k, bool strict) const {
-    const Node* n = root_;
-    const Node* last_left = nullptr;
-    for (;;) {
-      const Node* c;
-      if (cmp_.less(k, n->key)) {
-        c = n->left.load(std::memory_order_acquire);
-        if (c == nullptr) break;
-      } else {
-        c = n->right.load(std::memory_order_acquire);
-        if (c == nullptr) break;
-        last_left = n->left.load(std::memory_order_acquire);
-      }
-      n = c;
-    }
-    if (n->key.is_real()) {
-      const bool le = !cmp_.user_compare()(k, n->key.key);
-      const bool lt = cmp_.user_compare()(n->key.key, k);
-      if (strict ? lt : le) return n->key.key;
-    }
-    if (last_left == nullptr) return std::nullopt;
-    const Node* pred = rightmost(last_left);
-    if (!pred->key.is_real()) return std::nullopt;
-    return pred->key.key;
-  }
-
-  /// Visit every (key, value) with lo <= key <= hi in order, pruning by the
-  /// BST bounds (explicit stack, like ordered::range).
-  template <typename Fn>
-  void range(const Key& lo, const Key& hi, Fn&& fn) const {
-    if (cmp_.user_compare()(hi, lo)) return;
-    std::vector<const Node*> stack{root_};
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      const Node* l = n->left.load(std::memory_order_acquire);
-      if (l != nullptr) {
-        if (!cmp_.less(hi, n->key)) {
-          stack.push_back(n->right.load(std::memory_order_acquire));
-        }
-        if (cmp_.less(lo, n->key)) stack.push_back(l);
-      } else if (n->key.is_real() && !cmp_.user_compare()(n->key.key, lo) &&
-                 !cmp_.user_compare()(hi, n->key.key)) {
-        fn(n->key.key, n->value);
-      }
-    }
-  }
-
-  /// Depth-first in-order visit of every real (key, value) pair.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    std::vector<const Node*> stack{root_};
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      const Node* l = n->left.load(std::memory_order_acquire);
-      if (l != nullptr) {
-        stack.push_back(n->right.load(std::memory_order_acquire));
-        stack.push_back(l);
-      } else if (n->key.is_real()) {
-        fn(n->key.key, n->value);
-      }
-    }
-  }
-
   /// Structural validation (quiescent trees): leaf-oriented shape, BST key
   /// order with sentinel placement, non-negative weights with weight-1
   /// sentinels, and the chromatic hard invariant — every root-to-leaf path
@@ -819,23 +724,6 @@ class ChromaticCore {
     }
     if constexpr (Ctx::kCounts) ctx.count_depth(depth);
     return n;
-  }
-
-  static const Node* leftmost(const Node* from) {
-    const Node* n = from;
-    while (const Node* l = n->left.load(std::memory_order_acquire)) n = l;
-    return n;
-  }
-
-  /// Rightmost real-keyed leaf reachable from `from` (sentinels live on the
-  /// rightmost spine only — go left at sentinel-keyed internals).
-  static const Node* rightmost(const Node* from) {
-    const Node* n = from;
-    for (;;) {
-      const Node* l = n->left.load(std::memory_order_acquire);
-      if (l == nullptr) return n;
-      n = n->key.is_real() ? n->right.load(std::memory_order_acquire) : l;
-    }
   }
 
   /// The child field of `parent` holding `child` per the llx snapshot, or
@@ -1096,376 +984,28 @@ class ChromaticCore {
   ParkedViolation<Key> parked_;
 };
 
-/// Public facade: the chromatic tree behind the same ConcurrentMap surface,
-/// Handle fast path, reclaimer/allocator policies and stats plumbing as
-/// EfrbTreeMap (see efrb_tree.hpp for the contract of every member — the
-/// semantics here are identical, only the structure underneath differs).
+/// TreeMap's view of the chromatic core (see core/tree_map.hpp).
+template <typename Key, typename Value, typename Compare>
+struct ChromaticSpec {
+  using Layout = ChromaticLayout<Key, Value>;
+  using compare_type = Compare;
+  using Pool = ObjectPool<typename Layout::Node, typename Layout::Rec>;
+  template <typename Traits, typename Ctx>
+  using Core = ChromaticCore<Key, Value, Compare, Traits, Ctx>;
+};
+
+/// The chromatic tree behind the same ConcurrentMap surface, Handle fast
+/// path, reclaimer/allocator policies and stats plumbing as EfrbTreeMap: both
+/// are the shared TreeMap over a different core (a class, not an alias, for
+/// the same reason as EfrbTreeMap).
 template <typename Key, typename Value = detail::Unit,
           typename Compare = std::less<Key>,
           typename Reclaimer = EpochReclaimer, typename Traits = NoopTraits>
-class ChromaticTreeMap {
-  static constexpr bool kTrackKeys = hooks::track_keys_v<Traits>;
-  using Layout = ChromaticLayout<Key, Value>;
-  using Node = typename Layout::Node;
-  using Rec = typename Layout::Rec;
-  using Alloc = std::conditional_t<hooks::pooled_alloc_v<Traits>,
-                                   ObjectPool<Node, Rec>, HeapAllocator>;
-  static constexpr bool kCausal = hooks::causal_trace_v<Traits>;
-  using Ctx =
-      OpContext<Reclaimer, Traits::kCountStats, kTrackKeys, Alloc, kCausal>;
-  using Core = ChromaticCore<Key, Value, Compare, Traits, Ctx>;
-  using Shards =
-      std::conditional_t<Traits::kCountStats, ShardPool, EmptyShardPool>;
-  using Progress =
-      std::conditional_t<kCausal, ProgressTable, EmptyProgressTable>;
-
+class ChromaticTreeMap
+    : public TreeMap<ChromaticSpec<Key, Value, Compare>, Reclaimer, Traits> {
  public:
-  using key_type = Key;
-  using mapped_type = Value;
-  using ValidationResult = ChromaticValidation;
-  static constexpr const char* kName = "chromatic-tree";
-
-  explicit ChromaticTreeMap(Compare cmp = Compare{},
-                            Reclaimer reclaimer = Reclaimer{})
-      : reclaimer_(std::move(reclaimer)), core_(std::move(cmp), &alloc_) {
-    if constexpr (Alloc::kPooled) {
-      reclaimer_.set_pool_return(alloc_.pool_hook());
-    }
-  }
-
-  ChromaticTreeMap(const ChromaticTreeMap&) = delete;
-  ChromaticTreeMap& operator=(const ChromaticTreeMap&) = delete;
-
-  /// Requires quiescence, like all destructors.
-  ~ChromaticTreeMap() = default;
-
-  /// Per-thread fast path; same rules as EfrbTreeMap::Handle (movable,
-  /// thread-affine, must not outlive the tree).
-  class Handle {
-   public:
-    Handle() = default;
-
-    Handle(Handle&& other) noexcept
-        : tree_(std::exchange(other.tree_, nullptr)),
-          att_(std::move(other.att_)),
-          cache_(std::move(other.cache_)),
-          shard_(std::exchange(other.shard_, nullptr)),
-          shard_base_(other.shard_base_),
-          progress_(std::exchange(other.progress_, nullptr)),
-          backoff_(other.backoff_),
-          rng_(other.rng_),
-          tid_(other.tid_) {}
-
-    Handle& operator=(Handle&& other) noexcept {
-      if (this != &other) {
-        detach();
-        tree_ = std::exchange(other.tree_, nullptr);
-        att_ = std::move(other.att_);
-        cache_ = std::move(other.cache_);
-        shard_ = std::exchange(other.shard_, nullptr);
-        shard_base_ = other.shard_base_;
-        progress_ = std::exchange(other.progress_, nullptr);
-        backoff_ = other.backoff_;
-        rng_ = other.rng_;
-        tid_ = other.tid_;
-      }
-      return *this;
-    }
-
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-
-    ~Handle() { detach(); }
-
-    bool valid() const noexcept { return tree_ != nullptr; }
-
-    void detach() noexcept {
-      if (tree_ != nullptr && shard_ != nullptr) Shards::release(shard_);
-      shard_ = nullptr;
-      if (tree_ != nullptr) Progress::release(progress_);
-      progress_ = nullptr;
-      att_.detach();
-      cache_ = typename Alloc::Cache{};
-      tree_ = nullptr;
-    }
-
-    bool contains(const Key& k) const {
-      return with_ctx([&](Ctx& c) { return tree_->core_.contains(k, c); });
-    }
-
-    std::optional<Value> get(const Key& k) const {
-      return with_ctx([&](Ctx& c) { return tree_->core_.get(k, c); });
-    }
-
-    bool insert(const Key& k, Value v = Value{}) {
-      return with_ctx([&](Ctx& c) {
-        return tree_->core_.insert(k, std::move(v),
-                                   /*assign_if_present=*/false, c) !=
-               InsertOutcome::kDuplicate;
-      });
-    }
-
-    bool insert_or_assign(const Key& k, Value v) {
-      return with_ctx([&](Ctx& c) {
-        return tree_->core_.insert(k, std::move(v),
-                                   /*assign_if_present=*/true, c) ==
-               InsertOutcome::kInserted;
-      });
-    }
-
-    bool replace(const Key& k, const Value& expected, Value desired) {
-      return with_ctx([&](Ctx& c) {
-        return tree_->core_.replace(k, expected, std::move(desired), c);
-      });
-    }
-
-    Value get_or_insert(const Key& k, Value v) {
-      for (;;) {
-        if (auto cur = get(k)) return *cur;
-        if (insert(k, v)) return v;
-      }
-    }
-
-    bool erase(const Key& k) {
-      return with_ctx([&](Ctx& c) { return tree_->core_.erase(k, c); });
-    }
-
-    std::optional<Key> min_key() const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      return tree_->core_.min_key();
-    }
-
-    std::optional<Key> max_key() const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      return tree_->core_.max_key();
-    }
-
-    std::optional<Key> find_ge(const Key& k) const { return bound(k, false, true); }
-    std::optional<Key> find_gt(const Key& k) const { return bound(k, true, true); }
-    std::optional<Key> find_le(const Key& k) const { return bound(k, false, false); }
-    std::optional<Key> find_lt(const Key& k) const { return bound(k, true, false); }
-
-    template <typename Fn>
-    void range(const Key& lo, const Key& hi, Fn&& fn) const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      tree_->core_.range(lo, hi, std::forward<Fn>(fn));
-    }
-
-    std::size_t count_range(const Key& lo, const Key& hi) const {
-      std::size_t n = 0;
-      range(lo, hi, [&n](const Key&, const Value&) { ++n; });
-      return n;
-    }
-
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      tree_->core_.for_each(std::forward<Fn>(fn));
-    }
-
-    void flush() { att_.flush(); }
-
-    TreeStats local_stats() const noexcept {
-      TreeStats s;
-      if (shard_ != nullptr) {
-        accumulate(s, shard_->counters);
-        subtract(s, shard_base_);
-      }
-      return s;
-    }
-
-    Xoshiro256& rng() noexcept { return rng_; }
-    Backoff& backoff() noexcept { return backoff_; }
-    unsigned tid() const noexcept { return tid_; }
-    bool last_op_retried() const noexcept { return last_retried_; }
-
-   private:
-    friend class ChromaticTreeMap;
-
-    explicit Handle(ChromaticTreeMap* t)
-        : tree_(t),
-          att_(t->reclaimer_.attach()),
-          cache_(t->alloc_.make_cache()),
-          shard_(t->shards_.acquire()),
-          rng_(next_handle_seed()),
-          tid_(t->next_tid_.fetch_add(1, std::memory_order_relaxed)) {
-      if (shard_ != nullptr) accumulate(shard_base_, shard_->counters);
-      try {
-        progress_ = t->progress_.acquire(tid_);
-      } catch (...) {
-        // The ctor body throwing skips ~Handle: hand the shard back here.
-        if (shard_ != nullptr) Shards::release(shard_);
-        throw;
-      }
-    }
-
-    template <typename Fn>
-    decltype(auto) with_ctx(Fn&& fn) const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      last_retried_ = false;
-      auto ctx = Ctx::attached(
-          att_, shard_ != nullptr ? &shard_->counters : nullptr, &backoff_,
-          tid_, &last_retried_, &tree_->alloc_, &cache_, progress_);
-      return fn(ctx);
-    }
-
-    std::optional<Key> bound(const Key& k, bool strict, bool up) const {
-      EFRB_DCHECK(valid());
-      [[maybe_unused]] auto guard = att_.pin();
-      return up ? tree_->core_.bound_up(k, strict)
-                : tree_->core_.bound_down(k, strict);
-    }
-
-    ChromaticTreeMap* tree_ = nullptr;
-    mutable typename Reclaimer::Attachment att_;
-    mutable typename Alloc::Cache cache_;
-    StatShard* shard_ = nullptr;
-    TreeStats shard_base_;
-    ProgressSlot* progress_ = nullptr;  // null unless Traits::kCausalTrace
-    mutable Backoff backoff_;
-    mutable Xoshiro256 rng_{0};
-    unsigned tid_ = kNoTid;
-    mutable bool last_retried_ = false;
-  };
-
-  Handle handle() { return Handle(this); }
-
-  // Tree-level convenience wrappers (thread_local reclaimer lease; hot loops
-  // should go through handle()).
-
-  bool contains(const Key& k) const {
-    return with_ctx([&](Ctx& c) { return core_.contains(k, c); });
-  }
-
-  std::optional<Value> get(const Key& k) const {
-    return with_ctx([&](Ctx& c) { return core_.get(k, c); });
-  }
-
-  bool insert(const Key& k, Value v = Value{}) {
-    return with_ctx([&](Ctx& c) {
-      return core_.insert(k, std::move(v), /*assign_if_present=*/false, c) !=
-             InsertOutcome::kDuplicate;
-    });
-  }
-
-  bool insert_or_assign(const Key& k, Value v) {
-    return with_ctx([&](Ctx& c) {
-      return core_.insert(k, std::move(v), /*assign_if_present=*/true, c) ==
-             InsertOutcome::kInserted;
-    });
-  }
-
-  bool replace(const Key& k, const Value& expected, Value desired) {
-    return with_ctx([&](Ctx& c) {
-      return core_.replace(k, expected, std::move(desired), c);
-    });
-  }
-
-  Value get_or_insert(const Key& k, Value v) {
-    for (;;) {
-      if (auto cur = get(k)) return *cur;
-      if (insert(k, v)) return v;
-    }
-  }
-
-  bool erase(const Key& k) {
-    return with_ctx([&](Ctx& c) { return core_.erase(k, c); });
-  }
-
-  std::optional<Key> min_key() const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    return core_.min_key();
-  }
-
-  std::optional<Key> max_key() const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    return core_.max_key();
-  }
-
-  std::optional<Key> find_ge(const Key& k) const { return bound(k, false, true); }
-  std::optional<Key> find_gt(const Key& k) const { return bound(k, true, true); }
-  std::optional<Key> find_le(const Key& k) const { return bound(k, false, false); }
-  std::optional<Key> find_lt(const Key& k) const { return bound(k, true, false); }
-
-  template <typename Fn>
-  void range(const Key& lo, const Key& hi, Fn&& fn) const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    core_.range(lo, hi, std::forward<Fn>(fn));
-  }
-
-  std::size_t count_range(const Key& lo, const Key& hi) const {
-    std::size_t n = 0;
-    range(lo, hi, [&n](const Key&, const Value&) { ++n; });
-    return n;
-  }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    core_.for_each(std::forward<Fn>(fn));
-  }
-
-  std::size_t size() const {
-    std::size_t n = 0;
-    for_each([&n](const Key&, const Value&) { ++n; });
-    return n;
-  }
-
-  bool empty() const { return !min_key().has_value(); }
-
-  ValidationResult validate() const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    return core_.validate();
-  }
-
-  TreeStats stats() const noexcept { return stats_snapshot(); }
-
-  TreeStats stats_snapshot() const noexcept {
-    TreeStats s;
-    if constexpr (Traits::kCountStats) {
-      accumulate(s, counters_);
-      shards_.accumulate_into(s);
-    }
-    return s;
-  }
-
-  Reclaimer& reclaimer() noexcept { return reclaimer_; }
-  Alloc& allocator() noexcept { return alloc_; }
-
- private:
-  template <typename Fn>
-  decltype(auto) with_ctx(Fn&& fn) const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    auto ctx = Ctx::tree_level(reclaimer_, &counters_, &alloc_,
-                               Alloc::kPooled ? alloc_.local_cache() : nullptr);
-    return fn(ctx);
-  }
-
-  std::optional<Key> bound(const Key& k, bool strict, bool up) const {
-    [[maybe_unused]] auto guard = reclaimer_.pin();
-    return up ? core_.bound_up(k, strict) : core_.bound_down(k, strict);
-  }
-
-  // Same load-bearing declaration order as EfrbTreeMap: pool before core,
-  // destroyed last.
-  [[no_unique_address]] mutable Alloc alloc_;
-  mutable Reclaimer reclaimer_;
-  Core core_;
-  mutable StatCounters counters_;
-  [[no_unique_address]] mutable Shards shards_;
-  // Per-handle liveness progress slots (empty unless Traits::kCausalTrace).
-  [[no_unique_address]] mutable Progress progress_;
-  std::atomic<unsigned> next_tid_{0};
-
- public:
-  /// The per-handle progress table the liveness watchdog samples
-  /// (obs/watchdog.hpp). Meaningful only when Traits::kCausalTrace.
-  const Progress& progress_table() const noexcept { return progress_; }
+  using TreeMap<ChromaticSpec<Key, Value, Compare>, Reclaimer,
+                Traits>::TreeMap;
 };
 
 /// Set flavour: keys only, no mapped values.

@@ -303,12 +303,6 @@ inline bool allow_cas(CasStep s, const void* node, unsigned tid) {
 //   kPooledAlloc (default false) — allocate nodes and Info records from a
 //     per-structure ObjectPool (core/alloc.hpp) instead of the heap, with
 //     retired blocks recycled through the reclaimer's PoolHook.
-//   kLeanFind (default true) — route contains()/get() through the
-//     bookkeeping-free find_path descent (core/search.hpp) instead of the
-//     full Search. Turning it off restores the pre-redesign behaviour where
-//     reads share the updaters' Search instantiation (useful for A/B runs
-//     and for differential tests pinning the two descents against each
-//     other).
 // ---------------------------------------------------------------------------
 
 namespace hooks {
@@ -319,15 +313,6 @@ inline constexpr bool pooled_alloc_v = [] {
     return static_cast<bool>(Traits::kPooledAlloc);
   } else {
     return false;
-  }
-}();
-
-template <typename Traits>
-inline constexpr bool lean_find_v = [] {
-  if constexpr (requires { Traits::kLeanFind; }) {
-    return static_cast<bool>(Traits::kLeanFind);
-  } else {
-    return true;
   }
 }();
 
@@ -376,17 +361,6 @@ struct NoopTraits {
 /// configuration of the allocation ablation; see core/alloc.hpp).
 struct PooledTraits : NoopTraits {
   static constexpr bool kPooledAlloc = true;
-};
-
-/// Pre-redesign read path: contains()/get() run the full Search with
-/// SearchResult capture. The A/B counterpart of the (default) lean find.
-struct FullSearchFindTraits : NoopTraits {
-  static constexpr bool kLeanFind = false;
-};
-
-/// Pooled allocation + full-search reads (completes the 2x2 ablation grid).
-struct PooledFullSearchTraits : PooledTraits {
-  static constexpr bool kLeanFind = false;
 };
 
 /// §6 variant: searches splice out marked nodes they encounter.

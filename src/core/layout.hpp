@@ -3,9 +3,9 @@
 // Everything the paper's Figure 7 declares lives here — the update word
 // (state + Info pointer packed into one CAS word), the Info records, and the
 // leaf-oriented node types — with no algorithm attached. The Search routine
-// (search.hpp), the CAS protocol (protocol.hpp), the ordered navigation
-// (ordered.hpp) and the public facade (efrb_tree.hpp) are all written against
-// these types.
+// (search.hpp), the CAS protocol (protocol.hpp) and the ordered navigation
+// (ordered.hpp, through the is_leaf/left/right/value seam) are all written
+// against these types.
 //
 // Update-word packing (paper §3/§4.1): "The pointer to the Info record is
 // stored in the same memory word as the state. (In typical 32-bit word
@@ -113,6 +113,21 @@ struct TreeLayout {
     Internal(BKey k, Node* l, Node* r)
         : Node(std::move(k), true), left(l), right(r) {}
   };
+
+  // Navigation seam of the ordered walks (ordered.hpp): the leaf test, child
+  // loads (internal nodes only) and a leaf's value.
+  static bool is_leaf(const Node* n) noexcept { return !n->is_internal; }
+  static const Node* left(const Node* n) noexcept {
+    return static_cast<const Internal*>(n)->left.load(
+        std::memory_order_acquire);
+  }
+  static const Node* right(const Node* n) noexcept {
+    return static_cast<const Internal*>(n)->right.load(
+        std::memory_order_acquire);
+  }
+  static const Value& value(const Node* n) noexcept {
+    return static_cast<const Leaf*>(n)->value;
+  }
 
   // lines 12-14. new_node is Node* (not Internal*) to support the
   // insert_or_assign extension, which installs a replacement Leaf.

@@ -1,10 +1,19 @@
-// Layer 4 of the EFRB core: ordered navigation and traversal.
+// The ordered queries of every tree in core/: min/max, predecessor/successor
+// bounds, range visits and whole-tree traversal, written once as read-only
+// walks over a Layout. Both trees are leaf-oriented with the Fig. 6 sentinel
+// spine — real keys live in leaves, an internal's key routes (left < key <=
+// right), and the ∞₁/∞₂ sentinels sit on the rightmost spine only — so one
+// walk serves both. Each node carries its BoundedKey as `key`; the Layout
+// supplies the rest as four static functions:
 //
-// Free functions over a Layout (layout.hpp) and a BoundedCompare: min/max,
-// predecessor/successor bounds, range visits, whole-tree traversal and the
-// structural validator. All are read-only walks built from the degenerate
-// Searches in search.hpp; none touches the update protocol, which is why they
-// live outside protocol.hpp.
+//   is_leaf(n)         whether n is a leaf (stable for n's lifetime)
+//   left(n), right(n)  acquire-load a child of an internal node
+//   value(n)           a leaf's mapped value
+//
+// The walks test is_leaf first and load only the children they descend
+// into. A child load that doubles as the leaf test would cost EFRB scans a
+// load per internal node they only pass through: its leaf test is a plain
+// flag read.
 //
 // Every function requires the caller to hold a pinned region on the tree's
 // reclaimer for the duration of the call (the facade and its handles do
@@ -20,29 +29,38 @@
 // over the whole region.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "core/bounded_key.hpp"
-#include "core/layout.hpp"
-#include "core/search.hpp"
+namespace efrb::ordered {
 
-namespace efrb {
+/// Leftmost leaf under `n`: Search for a key below every real key. The
+/// result is the subtree's minimum (the ∞₁ sentinel on an empty tree).
+template <typename Layout>
+const typename Layout::Node* leftmost(const typename Layout::Node* n) {
+  while (!Layout::is_leaf(n)) n = Layout::left(n);
+  return n;
+}
 
-/// Structural validation outcome (quiescent trees); see ordered::validate.
-struct ValidationResult {
-  bool ok = true;
-  std::string error;
-  std::size_t real_leaves = 0;
-  std::size_t internals = 0;
-  std::size_t height = 0;
-};
+/// Rightmost *real-keyed* leaf under `n`: Search for a virtual key lying
+/// strictly between every real key and ∞₁ — go right at real-keyed
+/// internals, left at sentinel-keyed ones. May still reach a sentinel leaf
+/// when the subtree holds no real keys.
+template <typename Layout>
+const typename Layout::Node* rightmost(const typename Layout::Node* n) {
+  while (!Layout::is_leaf(n)) {
+    n = n->key.is_real() ? Layout::right(n) : Layout::left(n);
+  }
+  return n;
+}
 
-namespace ordered {
+/// The leaf's key, or nullopt for a sentinel.
+template <typename Layout>
+std::optional<typename Layout::key_type> real_key(
+    const typename Layout::Node* leaf) {
+  if (!leaf->key.is_real()) return std::nullopt;
+  return leaf->key.key;
+}
 
 /// Smallest key, or nullopt when empty. Walking left edges is exactly
 /// Search(k) for a key below every real key, so the reached leaf was on that
@@ -50,21 +68,17 @@ namespace ordered {
 /// the result linearizable like Find.
 template <typename Layout>
 std::optional<typename Layout::key_type> min_key(
-    typename Layout::Internal* root) {
-  const auto* leaf = leftmost_leaf<Layout>(root);
-  if (!leaf->key.is_real()) return std::nullopt;
-  return leaf->key.key;
+    const typename Layout::Node* root) {
+  return real_key<Layout>(leftmost<Layout>(root));
 }
 
 /// Largest key, or nullopt when empty. This is Search for a virtual key lying
-/// strictly between every real key and ∞₁ (see rightmost_leaf); the same
+/// strictly between every real key and ∞₁ (see rightmost); the same
 /// search-path argument makes it linearizable.
 template <typename Layout>
 std::optional<typename Layout::key_type> max_key(
-    typename Layout::Internal* root) {
-  const auto* leaf = rightmost_leaf<Layout>(root);
-  if (!leaf->key.is_real()) return std::nullopt;
-  return leaf->key.key;
+    const typename Layout::Node* root) {
+  return real_key<Layout>(rightmost<Layout>(root));
 }
 
 /// Smallest key >= k (or > k when strict). Single pass: descend the search
@@ -75,192 +89,100 @@ std::optional<typename Layout::key_type> max_key(
 /// in the first subtree to the right of the search path).
 template <typename Layout, typename Cmp>
 std::optional<typename Layout::key_type> bound_up(
-    typename Layout::Internal* root, const Cmp& cmp,
+    const typename Layout::Node* root, const Cmp& cmp,
     const typename Layout::key_type& k, bool strict) {
-  using Internal = typename Layout::Internal;
   using Node = typename Layout::Node;
-  Node* l = root;
-  Node* last_right = nullptr;  // right sibling subtree of the search path
-  while (l->is_internal) {
-    auto* in = static_cast<Internal*>(l);
-    if (cmp.less(k, in->key)) {
-      last_right = in->right.load(std::memory_order_acquire);
-      l = in->left.load(std::memory_order_acquire);
+  const Node* n = root;
+  const Node* last_right = nullptr;  // right sibling subtree of the path
+  while (!Layout::is_leaf(n)) {
+    if (cmp.less(k, n->key)) {
+      last_right = Layout::right(n);
+      n = Layout::left(n);
     } else {
-      l = in->right.load(std::memory_order_acquire);
+      n = Layout::right(n);
     }
   }
-  const auto* leaf = static_cast<typename Layout::Leaf*>(l);
-  if (leaf->key.is_real()) {
-    const bool ge = !cmp.user_compare()(leaf->key.key, k);  // leaf >= k
-    const bool gt = cmp.user_compare()(k, leaf->key.key);   // leaf >  k
-    if (strict ? gt : ge) return leaf->key.key;
+  if (n->key.is_real()) {
+    const bool ge = !cmp.user_compare()(n->key.key, k);  // leaf >= k
+    const bool gt = cmp.user_compare()(k, n->key.key);   // leaf >  k
+    if (strict ? gt : ge) return n->key.key;
   }
   if (last_right == nullptr) return std::nullopt;
-  // Minimum of the captured subtree: follow left edges.
-  const auto* succ = leftmost_leaf<Layout>(last_right);
-  if (!succ->key.is_real()) return std::nullopt;  // only sentinels right of k
-  return succ->key.key;
+  // Minimum of the captured subtree; a sentinel there means only sentinels
+  // lie right of k.
+  return real_key<Layout>(leftmost<Layout>(last_right));
 }
 
 /// Largest key <= k (or < k when strict); mirror image of bound_up. The
-/// left sibling subtree of the search path never contains sentinel leaves
-/// (sentinels live on the rightmost spine only), but we re-check is_real
-/// for robustness.
+/// left sibling subtree of the search path never contains sentinel leaves,
+/// but the result is still checked with real_key for robustness.
 template <typename Layout, typename Cmp>
 std::optional<typename Layout::key_type> bound_down(
-    typename Layout::Internal* root, const Cmp& cmp,
+    const typename Layout::Node* root, const Cmp& cmp,
     const typename Layout::key_type& k, bool strict) {
-  using Internal = typename Layout::Internal;
   using Node = typename Layout::Node;
-  Node* l = root;
-  Node* last_left = nullptr;  // left sibling subtree of the search path
-  while (l->is_internal) {
-    auto* in = static_cast<Internal*>(l);
-    if (cmp.less(k, in->key)) {
-      l = in->left.load(std::memory_order_acquire);
+  const Node* n = root;
+  const Node* last_left = nullptr;  // left sibling subtree of the path
+  while (!Layout::is_leaf(n)) {
+    if (cmp.less(k, n->key)) {
+      n = Layout::left(n);
     } else {
-      last_left = in->left.load(std::memory_order_acquire);
-      l = in->right.load(std::memory_order_acquire);
+      last_left = Layout::left(n);
+      n = Layout::right(n);
     }
   }
-  const auto* leaf = static_cast<typename Layout::Leaf*>(l);
-  if (leaf->key.is_real()) {
-    const bool le = !cmp.user_compare()(k, leaf->key.key);  // leaf <= k
-    const bool lt = cmp.user_compare()(leaf->key.key, k);   // leaf <  k
-    if (strict ? lt : le) return leaf->key.key;
+  if (n->key.is_real()) {
+    const bool le = !cmp.user_compare()(k, n->key.key);  // leaf <= k
+    const bool lt = cmp.user_compare()(n->key.key, k);   // leaf <  k
+    if (strict ? lt : le) return n->key.key;
   }
   if (last_left == nullptr) return std::nullopt;
-  // Maximum of the captured subtree (rightmost_leaf handles the sentinel
-  // spine, Fig. 6).
-  const auto* pred = rightmost_leaf<Layout>(last_left);
-  if (!pred->key.is_real()) return std::nullopt;
-  return pred->key.key;
+  return real_key<Layout>(rightmost<Layout>(last_left));
 }
 
 /// Visits every (key, value) with lo <= key <= hi in order, pruning subtrees
-/// by the BST bounds. Uses an explicit stack: sequential insertion produces a
-/// path-shaped tree (the paper leaves balancing to future work, §6), so
-/// recursion depth would be O(n).
+/// by the BST bounds. Uses an explicit stack: the EFRB tree is unbalanced
+/// (the paper leaves balancing to future work, §6), so sequential insertion
+/// produces a path-shaped tree and recursion depth would be O(n).
 template <typename Layout, typename Cmp, typename Fn>
-void range(typename Layout::Internal* root, const Cmp& cmp,
+void range(const typename Layout::Node* root, const Cmp& cmp,
            const typename Layout::key_type& lo,
            const typename Layout::key_type& hi, Fn&& fn) {
-  using Internal = typename Layout::Internal;
-  using Leaf = typename Layout::Leaf;
   using Node = typename Layout::Node;
   if (cmp.user_compare()(hi, lo)) return;  // empty interval
-  std::vector<Node*> stack{root};
+  std::vector<const Node*> stack{root};
   while (!stack.empty()) {
-    Node* n = stack.back();
+    const Node* n = stack.back();
     stack.pop_back();
-    if (n->is_internal) {
-      auto* in = static_cast<Internal*>(n);
-      // Left subtree holds keys < in->key: visit iff lo < in->key.
-      // Right subtree holds keys >= in->key: visit iff hi >= in->key.
-      const bool go_left = cmp.less(lo, in->key);
-      const bool go_right = !cmp.less(hi, in->key);
+    if (!Layout::is_leaf(n)) {
+      // Left subtree holds keys < n->key: visit iff lo < n->key.
+      // Right subtree holds keys >= n->key: visit iff hi >= n->key.
       // Push right first so the left subtree pops first (in-order leaves).
-      if (go_right) stack.push_back(in->right.load(std::memory_order_acquire));
-      if (go_left) stack.push_back(in->left.load(std::memory_order_acquire));
-    } else {
-      auto* leaf = static_cast<Leaf*>(n);
-      if (leaf->key.is_real() && !cmp.user_compare()(leaf->key.key, lo) &&
-          !cmp.user_compare()(hi, leaf->key.key)) {
-        fn(leaf->key.key, leaf->value);
-      }
+      if (!cmp.less(hi, n->key)) stack.push_back(Layout::right(n));
+      if (cmp.less(lo, n->key)) stack.push_back(Layout::left(n));
+    } else if (n->key.is_real() && !cmp.user_compare()(n->key.key, lo) &&
+               !cmp.user_compare()(hi, n->key.key)) {
+      fn(n->key.key, Layout::value(n));
     }
   }
 }
 
-/// Number of keys in [lo, hi] (weakly consistent; exact at quiescence).
-template <typename Layout, typename Cmp>
-std::size_t count_range(typename Layout::Internal* root, const Cmp& cmp,
-                        const typename Layout::key_type& lo,
-                        const typename Layout::key_type& hi) {
-  std::size_t n = 0;
-  range<Layout>(root, cmp, lo, hi,
-                [&n](const typename Layout::key_type&,
-                     const typename Layout::mapped_type&) { ++n; });
-  return n;
-}
-
-/// Depth-first in-order visit of every real (key, value) pair under `start`.
+/// Depth-first in-order visit of every real (key, value) pair under `root`.
 template <typename Layout, typename Fn>
-void for_each(typename Layout::Node* start, Fn&& fn) {
-  using Internal = typename Layout::Internal;
-  using Leaf = typename Layout::Leaf;
+void for_each(const typename Layout::Node* root, Fn&& fn) {
   using Node = typename Layout::Node;
-  std::vector<Node*> stack{start};
+  std::vector<const Node*> stack{root};
   while (!stack.empty()) {
-    Node* n = stack.back();
+    const Node* n = stack.back();
     stack.pop_back();
-    if (n->is_internal) {
-      auto* in = static_cast<Internal*>(n);
+    if (!Layout::is_leaf(n)) {
       // Right first so the left subtree pops first: in-order for leaves.
-      stack.push_back(in->right.load(std::memory_order_acquire));
-      stack.push_back(in->left.load(std::memory_order_acquire));
-    } else {
-      auto* leaf = static_cast<Leaf*>(n);
-      if (leaf->key.is_real()) fn(leaf->key.key, leaf->value);
+      stack.push_back(Layout::right(n));
+      stack.push_back(Layout::left(n));
+    } else if (n->key.is_real()) {
+      fn(n->key.key, Layout::value(n));
     }
   }
 }
 
-/// Structural validation for tests (quiescent trees): checks the
-/// leaf-oriented shape, the BST key order with sentinel placement (Fig. 6),
-/// and the permanent ∞₂ root.
-template <typename Layout, typename Cmp>
-ValidationResult validate(typename Layout::Internal* root, const Cmp& cmp) {
-  using BKey = typename Layout::BKey;
-  using Internal = typename Layout::Internal;
-  using Leaf = typename Layout::Leaf;
-  using Node = typename Layout::Node;
-  ValidationResult r;
-  if (root->key.cls != KeyClass::kInf2) {
-    r.ok = false;
-    r.error = "root key is not ∞₂";
-    return r;
-  }
-  struct Frame {
-    Node* n;
-    const BKey* lower;  // inclusive (equal keys go right)
-    const BKey* upper;  // exclusive
-    std::size_t depth;
-  };
-  std::vector<Frame> stack{{root, nullptr, nullptr, 1}};
-  while (!stack.empty() && r.ok) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    r.height = std::max(r.height, f.depth);
-    if (f.lower != nullptr && cmp(f.n->key, *f.lower)) {
-      r.ok = false;
-      r.error = "key below the lower bound inherited from an ancestor";
-      return r;
-    }
-    if (f.upper != nullptr && !cmp(f.n->key, *f.upper)) {
-      r.ok = false;
-      r.error = "key not strictly below the upper bound from an ancestor";
-      return r;
-    }
-    if (!f.n->is_internal) {
-      if (static_cast<Leaf*>(f.n)->key.is_real()) ++r.real_leaves;
-      continue;
-    }
-    auto* in = static_cast<Internal*>(f.n);
-    ++r.internals;
-    Node* left = in->left.load(std::memory_order_acquire);
-    Node* right = in->right.load(std::memory_order_acquire);
-    if (left == nullptr || right == nullptr) {
-      r.ok = false;
-      r.error = "internal node with a null child (leaf-oriented shape broken)";
-      return r;
-    }
-    stack.push_back(Frame{left, f.lower, &in->key, f.depth + 1});
-    stack.push_back(Frame{right, &in->key, f.upper, f.depth + 1});
-  }
-  return r;
-}
-
-}  // namespace ordered
-}  // namespace efrb
+}  // namespace efrb::ordered

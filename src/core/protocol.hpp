@@ -44,8 +44,11 @@
 //     Fig. 3(c) lost-insert bug.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -60,6 +63,15 @@ namespace efrb {
 /// Result of the insert machinery (shared by insert / insert_or_assign).
 enum class InsertOutcome { kInserted, kAssigned, kDuplicate };
 
+/// Structural validation outcome (quiescent trees); see TreeCore::validate.
+struct ValidationResult {
+  bool ok = true;
+  std::string error;
+  std::size_t real_leaves = 0;
+  std::size_t internals = 0;
+  std::size_t height = 0;
+};
+
 template <typename Key, typename Value, typename Compare, typename Traits,
           typename Ctx>
 class TreeCore {
@@ -73,6 +85,8 @@ class TreeCore {
   using DInfo = typename Layout::DInfo;
   using SearchResult = typename Layout::SearchResult;
   using AllocT = typename Ctx::AllocT;
+  using ValidationResult = efrb::ValidationResult;
+  static constexpr const char* kName = "efrb-tree";
 
   /// `alloc` must outlive the core and is required when AllocT::kPooled (the
   /// facade passes its own pool); in heap mode it may stay null — every
@@ -129,6 +143,56 @@ class TreeCore {
   const BoundedCompare<Key, Compare>& cmp() const noexcept { return cmp_; }
   Internal* root() const noexcept { return root_; }
 
+  /// Structural validation for tests (quiescent trees): checks the
+  /// leaf-oriented shape, the BST key order with sentinel placement (Fig. 6),
+  /// and the permanent ∞₂ root.
+  ValidationResult validate() const {
+    ValidationResult r;
+    if (root_->key.cls != KeyClass::kInf2) {
+      r.ok = false;
+      r.error = "root key is not ∞₂";
+      return r;
+    }
+    struct Frame {
+      Node* n;
+      const BKey* lower;  // inclusive (equal keys go right)
+      const BKey* upper;  // exclusive
+      std::size_t depth;
+    };
+    std::vector<Frame> stack{{root_, nullptr, nullptr, 1}};
+    while (!stack.empty()) {
+      const Frame f = stack.back();
+      stack.pop_back();
+      r.height = std::max(r.height, f.depth);
+      if (f.lower != nullptr && cmp_(f.n->key, *f.lower)) {
+        r.ok = false;
+        r.error = "key below the lower bound inherited from an ancestor";
+        return r;
+      }
+      if (f.upper != nullptr && !cmp_(f.n->key, *f.upper)) {
+        r.ok = false;
+        r.error = "key not strictly below the upper bound from an ancestor";
+        return r;
+      }
+      if (!f.n->is_internal) {
+        if (f.n->key.is_real()) ++r.real_leaves;
+        continue;
+      }
+      auto* in = static_cast<Internal*>(f.n);
+      ++r.internals;
+      Node* left = in->left.load(std::memory_order_acquire);
+      Node* right = in->right.load(std::memory_order_acquire);
+      if (left == nullptr || right == nullptr) {
+        r.ok = false;
+        r.error = "internal node with a null child (leaf-oriented shape broken)";
+        return r;
+      }
+      stack.push_back(Frame{left, f.lower, &in->key, f.depth + 1});
+      stack.push_back(Frame{right, &in->key, f.upper, f.depth + 1});
+    }
+    return r;
+  }
+
   // ---------------- Search (lines 23-35) ----------------
 
   SearchResult search(const Key& k, Ctx& ctx) const {
@@ -152,28 +216,22 @@ class TreeCore {
     }
   }
 
-  /// The leaf a Find for k terminates at. Routed through the lean find_path
-  /// descent (no SearchResult capture, no update-word loads unless the §6
-  /// helping variant is on) under the default Traits::kLeanFind; traits with
-  /// kLeanFind = false restore the shared full-Search read path (the A/B
-  /// counterpart, and the oracle for the differential tests).
+  /// The leaf a Find for k terminates at, via the lean find_path descent:
+  /// no SearchResult capture, and no update-word loads unless the §6
+  /// helping variant is on.
   const Leaf* find_leaf(const Key& k, Ctx& ctx) const {
     ctx.set_op_key(k);
-    if constexpr (hooks::lean_find_v<Traits>) {
-      auto splice_marked = [this, &ctx](DInfo* op) {
-        const_cast<TreeCore*>(this)->help_marked(op, ctx);
-      };
-      if constexpr (Ctx::kCounts) {
-        std::size_t depth = 0;
-        const Leaf* l =
-            find_path<Traits, Layout>(root_, k, cmp_, splice_marked, &depth);
-        ctx.count_depth(depth);
-        return l;
-      } else {
-        return find_path<Traits, Layout>(root_, k, cmp_, splice_marked);
-      }
+    auto splice_marked = [this, &ctx](DInfo* op) {
+      const_cast<TreeCore*>(this)->help_marked(op, ctx);
+    };
+    if constexpr (Ctx::kCounts) {
+      std::size_t depth = 0;
+      const Leaf* l =
+          find_path<Traits, Layout>(root_, k, cmp_, splice_marked, &depth);
+      ctx.count_depth(depth);
+      return l;
     } else {
-      return search(k, ctx).l;
+      return find_path<Traits, Layout>(root_, k, cmp_, splice_marked);
     }
   }
 

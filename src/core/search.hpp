@@ -1,11 +1,9 @@
 // Layer 2 of the EFRB core: the descent routines.
 //
-// search_path is the paper's Search (Fig. 8, lines 23-35) — the one descent
-// loop shared by Find, Insert, Delete and the protocol's retry rounds. The
-// leftmost/rightmost walks below it are the degenerate Searches used by the
-// ordered queries (ordered.hpp): a walk down left edges is Search for a
-// virtual key below every real key; the rightmost walk is Search for a key
-// strictly between every real key and ∞₁.
+// search_path is the paper's Search (Fig. 8, lines 23-35) — the descent loop
+// shared by Insert, Delete and the protocol's retry rounds; find_path is the
+// lean read-only descent behind Find. The ordered queries' degenerate
+// Searches (leftmost/rightmost) live with the walks in ordered.hpp.
 //
 // All routines only read child pointers reachable from the root while the
 // caller holds a pinned region, so every node touched is protected from
@@ -129,35 +127,6 @@ const typename Layout::Leaf* find_path(typename Layout::Internal* root,
   }
   if (depth_out != nullptr) *depth_out = depth;
   return static_cast<const Leaf*>(l);
-}
-
-/// Leftmost leaf under `from`: Search for a key below every real key. The
-/// result is the subtree's minimum (possibly the ∞₁ sentinel on an empty
-/// tree).
-template <typename Layout>
-const typename Layout::Leaf* leftmost_leaf(typename Layout::Node* from) {
-  typename Layout::Node* m = from;
-  while (m->is_internal) {
-    m = static_cast<typename Layout::Internal*>(m)->left.load(
-        std::memory_order_acquire);
-  }
-  return static_cast<const typename Layout::Leaf*>(m);
-}
-
-/// Rightmost *real-keyed* leaf under `from`: Search for a virtual key lying
-/// strictly between every real key and ∞₁ — go right at real-keyed internals,
-/// left at sentinel-keyed ones (sentinels live on the rightmost spine only,
-/// Fig. 6). May still reach a sentinel leaf when the subtree holds no real
-/// keys; callers check is_real().
-template <typename Layout>
-const typename Layout::Leaf* rightmost_leaf(typename Layout::Node* from) {
-  typename Layout::Node* m = from;
-  while (m->is_internal) {
-    auto* in = static_cast<typename Layout::Internal*>(m);
-    m = in->key.is_real() ? in->right.load(std::memory_order_acquire)
-                          : in->left.load(std::memory_order_acquire);
-  }
-  return static_cast<const typename Layout::Leaf*>(m);
 }
 
 }  // namespace efrb

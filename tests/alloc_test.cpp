@@ -7,8 +7,8 @@
 //   * retire-to-pool — a pooled tree's erased nodes come back through the
 //     reclaimer's PoolHook and are reused instead of hitting the heap;
 //   * differential oracles — pooled vs heap trees driven by the same op
-//     stream, and the lean find_path descent vs the full Search on random
-//     and adversarial key streams;
+//     stream, and the lean find_path descent vs a std::map on random and
+//     adversarial key streams;
 //   * concurrency witnesses — raw pool alloc/free across threads and a
 //     pooled tree under churn (the cells check.sh reruns under TSan/ASan);
 //   * fault injection — a deleter stalled mid-protocol while other threads
@@ -256,42 +256,31 @@ TEST(AllocDifferential, PooledMatchesHeapOnTheSameOpStream) {
   EXPECT_TRUE(pooled_tree.validate().ok) << pooled_tree.validate().error;
 }
 
-/// Drives the lean find_path (default) and the full-Search read path
-/// (FullSearchFindTraits) with identical operations and demands identical
-/// answers, against a std::map oracle.
-void lean_vs_full(const std::vector<int>& keys) {
-  EfrbTreeMap<int, int> lean;  // kLeanFind defaults to true
-  EfrbTreeMap<int, int, std::less<int>, EpochReclaimer, FullSearchFindTraits>
-      full;
+/// Drives the lean find_path read descent through a random op stream and
+/// checks every get/contains against a std::map oracle.
+void lean_vs_oracle(const std::vector<int>& keys) {
+  EfrbTreeMap<int, int> tree;
   std::map<int, int> oracle;
   Xoshiro256 rng(0x1ea2f1adu);
-  auto lh = lean.handle();
-  auto fh = full.handle();
+  auto h = tree.handle();
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const int k = keys[i];
     switch (rng.next() % 5) {
-      case 0: {
-        const bool erased = oracle.erase(k) != 0;
-        EXPECT_EQ(lh.erase(k), erased);
-        EXPECT_EQ(fh.erase(k), erased);
+      case 0:
+        EXPECT_EQ(h.erase(k), oracle.erase(k) != 0);
         break;
-      }
       case 1:
       case 2: {
         const int v = static_cast<int>(i);
-        const bool inserted = oracle.emplace(k, v).second;
-        EXPECT_EQ(lh.insert(k, v), inserted);
-        EXPECT_EQ(fh.insert(k, v), inserted);
+        EXPECT_EQ(h.insert(k, v), oracle.emplace(k, v).second);
         break;
       }
       default: {
         const auto it = oracle.find(k);
         const std::optional<int> want =
             it == oracle.end() ? std::nullopt : std::optional<int>(it->second);
-        EXPECT_EQ(lh.get(k), want) << "lean get(" << k << ")";
-        EXPECT_EQ(fh.get(k), want) << "full get(" << k << ")";
-        EXPECT_EQ(lh.contains(k), want.has_value());
-        EXPECT_EQ(fh.contains(k), want.has_value());
+        EXPECT_EQ(h.get(k), want) << "get(" << k << ")";
+        EXPECT_EQ(h.contains(k), want.has_value());
         break;
       }
     }
@@ -305,7 +294,7 @@ TEST(LeanFindDifferential, RandomKeyStream) {
   for (int i = 0; i < 20000; ++i) {
     keys.push_back(static_cast<int>(rng.next() % 1024));
   }
-  lean_vs_full(keys);
+  lean_vs_oracle(keys);
 }
 
 TEST(LeanFindDifferential, AdversarialKeyStreams) {
@@ -320,7 +309,7 @@ TEST(LeanFindDifferential, AdversarialKeyStreams) {
     keys.push_back(std::numeric_limits<int>::max());
     keys.push_back(std::numeric_limits<int>::min());
   }
-  lean_vs_full(keys);
+  lean_vs_oracle(keys);
 }
 
 TEST(LeanFindDifferential, LeanReadsUnderConcurrentChurn) {

@@ -1,6 +1,6 @@
 // Single-threaded correctness and *shape* of the chromatic tree: sequential
-// set/map semantics, the ordered-query tier, the structural validator
-// (weighted path sums, violation counts), and the balance property itself —
+// set/map semantics, the structural validator (weighted path sums, violation
+// counts), and the balance property itself —
 // a fully sorted insertion stream must leave a logarithmic-depth tree where
 // the unbalanced EFRB tree degenerates into a linked list. The concurrent
 // and fault-injection matrices live in chromatic_concurrent_test.cpp.
@@ -111,41 +111,6 @@ TEST(ChromaticMapTest, ValueOperations) {
   EXPECT_TRUE(m.erase(2));
   EXPECT_FALSE(m.get(2).has_value());
   EXPECT_TRUE(m.validate().ok);
-}
-
-// --------------------------- ordered-query tier ----------------------------
-
-TEST(ChromaticOrderedTest, BoundsAndRanges) {
-  Map m;
-  for (int k = 0; k <= 60; k += 3) ASSERT_TRUE(m.insert(k, k * 10));
-
-  EXPECT_EQ(m.min_key().value(), 0);
-  EXPECT_EQ(m.max_key().value(), 60);
-  EXPECT_EQ(m.find_ge(14).value(), 15);
-  EXPECT_EQ(m.find_ge(15).value(), 15);
-  EXPECT_EQ(m.find_gt(15).value(), 18);
-  EXPECT_EQ(m.find_le(14).value(), 12);
-  EXPECT_EQ(m.find_le(15).value(), 15);
-  EXPECT_EQ(m.find_lt(15).value(), 12);
-  EXPECT_FALSE(m.find_gt(60).has_value());
-  EXPECT_FALSE(m.find_lt(0).has_value());
-
-  EXPECT_EQ(m.count_range(10, 20), 3u);  // 12, 15, 18 — both ends closed
-  EXPECT_EQ(m.count_range(12, 18), 3u);
-  EXPECT_EQ(m.count_range(61, 100), 0u);
-
-  std::vector<int> keys;
-  m.range(9, 21, [&](const int& k, const int& v) {
-    keys.push_back(k);
-    EXPECT_EQ(v, k * 10);
-  });
-  EXPECT_EQ(keys, (std::vector<int>{9, 12, 15, 18, 21}));
-
-  std::vector<int> all;
-  m.for_each([&](const int& k, const int&) { all.push_back(k); });
-  ASSERT_EQ(all.size(), 21u);
-  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_LT(all[i - 1], all[i]);
-  EXPECT_EQ(m.size(), 21u);
 }
 
 // --------------------------- validator-driven fuzz -------------------------
@@ -262,7 +227,7 @@ TEST(ChromaticStatsTest, DepthAndRotationCountersPopulate) {
   EXPECT_GT(e.depth_max, 10 * s.depth_max);
 }
 
-// --------------------------- pooled allocation & handles -------------------
+// --------------------------- pooled allocation -----------------------------
 
 TEST(ChromaticAllocTest, PooledVariantFullCycle) {
   using Pooled =
@@ -278,29 +243,6 @@ TEST(ChromaticAllocTest, PooledVariantFullCycle) {
   EXPECT_EQ(t.size(), 1000u);
   EXPECT_FALSE(t.contains(0));
   EXPECT_TRUE(t.contains(1));
-}
-
-TEST(ChromaticHandleTest, HandleCoversFullSurface) {
-  Map m;
-  auto h = m.handle();
-  EXPECT_TRUE(h.insert(1, 10));
-  EXPECT_TRUE(h.insert_or_assign(2, 20));
-  EXPECT_FALSE(h.insert_or_assign(2, 21));
-  EXPECT_EQ(h.get(2).value(), 21);
-  EXPECT_TRUE(h.replace(2, 21, 22));
-  EXPECT_EQ(h.get_or_insert(3, 30), 30);
-  EXPECT_TRUE(h.contains(1));
-  EXPECT_EQ(h.min_key().value(), 1);
-  EXPECT_EQ(h.max_key().value(), 3);
-  EXPECT_EQ(h.find_ge(2).value(), 2);
-  EXPECT_EQ(h.count_range(1, 3), 3u);
-  EXPECT_TRUE(h.erase(1));
-  EXPECT_FALSE(h.erase(1));
-
-  // Handles are movable; the moved-to handle keeps working.
-  auto h2 = std::move(h);
-  EXPECT_TRUE(h2.contains(2));
-  EXPECT_TRUE(m.validate().ok);
 }
 
 }  // namespace

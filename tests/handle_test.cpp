@@ -1,13 +1,15 @@
 // Lifecycle and accounting tests for the per-thread operation Handle API:
 // slot/shard acquisition and release across thread churn, moved-from handle
-// semantics, and exact stats aggregation across cacheline-padded shards —
-// under both the epoch reclaimer and the grace-round hazard reclaimer.
+// semantics (on both trees, which share one Handle), and exact stats
+// aggregation across cacheline-padded shards — under both the epoch
+// reclaimer and the grace-round hazard reclaimer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <utility>
 #include <vector>
 
+#include "core/chromatic.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
 #include "leak_check_opt_out.hpp"  // LeakyReclaimer cells leak by design
@@ -117,6 +119,46 @@ TEST(HandleTest, MoveAssignReleasesTargetResources) {
     b = std::move(a);     // must free b's original slot, not leak it
     ASSERT_TRUE(b.contains(i));
   }
+}
+
+/// Vetoes the next `veto` protocol CASes, forcing a deterministic retry.
+struct VetoTraits : NoopTraits {
+  static inline int veto = 0;  // NOLINT: test-only global, tests run serially
+  static bool allow_cas(CasStep, const void*, unsigned) {
+    if (veto == 0) return true;
+    --veto;
+    return false;
+  }
+};
+
+template <typename Tree>
+class HandleMoveTest : public ::testing::Test {};
+
+using VetoTrees =
+    ::testing::Types<EfrbTreeMap<int, int, std::less<int>, EpochReclaimer,
+                                 VetoTraits>,
+                     ChromaticTreeMap<int, int, std::less<int>,
+                                      EpochReclaimer, VetoTraits>>;
+TYPED_TEST_SUITE(HandleMoveTest, VetoTrees);
+
+TYPED_TEST(HandleMoveTest, MovesCarryLastOpRetried) {
+  TypeParam t;
+  auto a = t.handle();
+  VetoTraits::veto = 1;
+  ASSERT_TRUE(a.insert(1, 10));
+  ASSERT_EQ(VetoTraits::veto, 0);
+  ASSERT_TRUE(a.last_op_retried());
+
+  auto b = t.handle();
+  ASSERT_TRUE(b.insert(2, 20));
+  ASSERT_FALSE(b.last_op_retried());
+  b = std::move(a);  // move assignment
+  EXPECT_TRUE(b.last_op_retried());
+
+  typename TypeParam::Handle c(std::move(b));  // move construction
+  EXPECT_TRUE(c.last_op_retried());
+  EXPECT_TRUE(c.contains(1));
+  EXPECT_FALSE(c.last_op_retried());  // a clean op resets it
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
-// Ordered navigation: find_ge / find_gt / find_le / find_lt, range() and
-// count_range() — checked against std::set's lower_bound/upper_bound oracle
-// across randomized sweeps, plus weak-consistency smoke under concurrency.
+// Ordered navigation on both trees — min_key / max_key, find_ge / find_gt /
+// find_le / find_lt, range(), count_range() and for_each() — checked against
+// a std::map oracle through the tree and through a Handle, on EfrbTreeMap
+// and ChromaticTreeMap, heap and pooled. Both trees share one facade
+// (core/tree_map.hpp) and one set of walks (core/ordered.hpp), so every test
+// here runs on all four instantiations; weak-consistency smoke under
+// concurrency closes the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <optional>
-#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -17,41 +25,112 @@
 namespace efrb {
 namespace {
 
-using Tree = EfrbTreeSet<int>;
+using Oracle = std::map<int, int>;
+using Pairs = std::vector<std::pair<int, int>>;
 
-std::optional<int> oracle_ge(const std::set<int>& s, int k) {
-  auto it = s.lower_bound(k);
-  if (it == s.end()) return std::nullopt;
-  return *it;
+std::optional<int> key_of(Oracle::const_iterator it, const Oracle& o) {
+  if (it == o.end()) return std::nullopt;
+  return it->first;
 }
-std::optional<int> oracle_gt(const std::set<int>& s, int k) {
-  auto it = s.upper_bound(k);
-  if (it == s.end()) return std::nullopt;
-  return *it;
+std::optional<int> oracle_ge(const Oracle& o, int k) {
+  return key_of(o.lower_bound(k), o);
 }
-std::optional<int> oracle_le(const std::set<int>& s, int k) {
-  auto it = s.upper_bound(k);
-  if (it == s.begin()) return std::nullopt;
-  return *std::prev(it);
+std::optional<int> oracle_gt(const Oracle& o, int k) {
+  return key_of(o.upper_bound(k), o);
 }
-std::optional<int> oracle_lt(const std::set<int>& s, int k) {
-  auto it = s.lower_bound(k);
-  if (it == s.begin()) return std::nullopt;
-  return *std::prev(it);
+std::optional<int> oracle_le(const Oracle& o, int k) {
+  auto it = o.upper_bound(k);
+  if (it == o.begin()) return std::nullopt;
+  return std::prev(it)->first;
 }
-
-TEST(OrderedQueryTest, EmptyTreeReturnsNullopt) {
-  Tree t;
-  EXPECT_EQ(t.find_ge(5), std::nullopt);
-  EXPECT_EQ(t.find_gt(5), std::nullopt);
-  EXPECT_EQ(t.find_le(5), std::nullopt);
-  EXPECT_EQ(t.find_lt(5), std::nullopt);
-  EXPECT_EQ(t.count_range(0, 100), 0u);
+std::optional<int> oracle_lt(const Oracle& o, int k) {
+  auto it = o.lower_bound(k);
+  if (it == o.begin()) return std::nullopt;
+  return std::prev(it)->first;
+}
+Pairs oracle_range(const Oracle& o, int lo, int hi) {
+  if (hi < lo) return {};
+  return Pairs(o.lower_bound(lo), o.upper_bound(hi));
 }
 
-TEST(OrderedQueryTest, SingleKeyBoundaries) {
-  Tree t;
-  t.insert(10);
+template <typename Q>
+Pairs ranged(const Q& q, int lo, int hi) {
+  Pairs out;
+  q.range(lo, hi, [&](const int& k, const int& v) { out.emplace_back(k, v); });
+  return out;
+}
+
+template <typename Q>
+Pairs all_of(const Q& q) {
+  Pairs out;
+  q.for_each([&](const int& k, const int& v) { out.emplace_back(k, v); });
+  return out;
+}
+
+/// Every ordered query of `q` (a tree or a handle) against the oracle: the
+/// four bounds at `probe`, range and count_range over [lo, hi], min/max and
+/// a full for_each.
+template <typename Q>
+void expect_matches(const Q& q, const Oracle& o, int probe, int lo, int hi) {
+  const std::optional<int> lo_key =
+      o.empty() ? std::nullopt : std::optional<int>(o.begin()->first);
+  const std::optional<int> hi_key =
+      o.empty() ? std::nullopt : std::optional<int>(o.rbegin()->first);
+  EXPECT_EQ(q.min_key(), lo_key);
+  EXPECT_EQ(q.max_key(), hi_key);
+  EXPECT_EQ(q.find_ge(probe), oracle_ge(o, probe)) << "probe " << probe;
+  EXPECT_EQ(q.find_gt(probe), oracle_gt(o, probe)) << "probe " << probe;
+  EXPECT_EQ(q.find_le(probe), oracle_le(o, probe)) << "probe " << probe;
+  EXPECT_EQ(q.find_lt(probe), oracle_lt(o, probe)) << "probe " << probe;
+  const Pairs want = oracle_range(o, lo, hi);
+  EXPECT_EQ(ranged(q, lo, hi), want) << "[" << lo << "," << hi << "]";
+  EXPECT_EQ(q.count_range(lo, hi), want.size()) << "[" << lo << "," << hi
+                                                << "]";
+  EXPECT_EQ(all_of(q), Pairs(o.begin(), o.end()));
+}
+
+/// Both paths: the tree-level queries and a handle's.
+template <typename Tree>
+void expect_both(Tree& t, const Oracle& o, int probe, int lo, int hi) {
+  expect_matches(t, o, probe, lo, hi);
+  const auto h = t.handle();
+  expect_matches(h, o, probe, lo, hi);
+}
+
+template <typename Tree>
+class OrderedQueryTest : public ::testing::Test {};
+
+using Trees = ::testing::Types<
+    EfrbTreeMap<int, int>,
+    EfrbTreeMap<int, int, std::less<int>, EpochReclaimer, PooledTraits>,
+    ChromaticTreeMap<int, int>,
+    ChromaticTreeMap<int, int, std::less<int>, EpochReclaimer, PooledTraits>>;
+
+struct TreeNames {
+  template <typename T>
+  static std::string GetName(int i) {
+    static const char* const kNames[] = {"EfrbHeap", "EfrbPooled",
+                                         "ChromaticHeap", "ChromaticPooled"};
+    return kNames[i];
+  }
+};
+
+TYPED_TEST_SUITE(OrderedQueryTest, Trees, TreeNames);
+
+constexpr int kProbes[] = {INT_MIN, INT_MIN + 1, -1, 0, 1, INT_MAX - 1,
+                           INT_MAX};
+
+TYPED_TEST(OrderedQueryTest, EmptyTreeReturnsNothing) {
+  TypeParam t;
+  const Oracle empty;
+  for (int p : kProbes) expect_both(t, empty, p, INT_MIN, INT_MAX);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TYPED_TEST(OrderedQueryTest, SingleKeyBoundaries) {
+  TypeParam t;
+  t.insert(10, 100);
   EXPECT_EQ(t.find_ge(10), std::optional<int>(10));
   EXPECT_EQ(t.find_gt(10), std::nullopt);
   EXPECT_EQ(t.find_le(10), std::optional<int>(10));
@@ -60,173 +139,107 @@ TEST(OrderedQueryTest, SingleKeyBoundaries) {
   EXPECT_EQ(t.find_le(11), std::optional<int>(10));
   EXPECT_EQ(t.find_ge(11), std::nullopt);
   EXPECT_EQ(t.find_le(9), std::nullopt);
+  const Oracle o{{10, 100}};
+  for (int p : {9, 10, 11}) expect_both(t, o, p, p, 10);
 }
 
-TEST(OrderedQueryTest, GapsAreBridged) {
-  Tree t;
-  for (int k : {10, 20, 30}) t.insert(k);
-  EXPECT_EQ(t.find_ge(15), std::optional<int>(20));
-  EXPECT_EQ(t.find_gt(20), std::optional<int>(30));
-  EXPECT_EQ(t.find_le(25), std::optional<int>(20));
-  EXPECT_EQ(t.find_lt(20), std::optional<int>(10));
-  EXPECT_EQ(t.find_ge(31), std::nullopt);
-  EXPECT_EQ(t.find_lt(10), std::nullopt);
-}
-
-TEST(OrderedQueryTest, BoundsBelowAllAndAboveAll) {
-  Tree t;
-  for (int k = 100; k <= 200; k += 10) t.insert(k);
-  EXPECT_EQ(t.find_ge(-1000), std::optional<int>(100));
-  EXPECT_EQ(t.find_le(1000), std::optional<int>(200));
-  EXPECT_EQ(t.find_gt(200), std::nullopt);
-  EXPECT_EQ(t.find_lt(100), std::nullopt);
-}
-
-class OrderedQuerySweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(OrderedQuerySweep, AllFourBoundsMatchStdSet) {
-  const std::uint64_t seed = GetParam();
-  Tree t;
-  std::set<int> oracle;
-  Xoshiro256 rng(seed);
-  // Random population with churn, probing all four bounds continuously.
-  for (int i = 0; i < 4000; ++i) {
-    const int k = static_cast<int>(rng.next_below(512));
-    if (rng.next_below(3) == 0) {
-      t.erase(k);
-      oracle.erase(k);
-    } else {
-      t.insert(k);
-      oracle.insert(k);
-    }
-    const int probe = static_cast<int>(rng.next_below(512));
-    ASSERT_EQ(t.find_ge(probe), oracle_ge(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_gt(probe), oracle_gt(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_le(probe), oracle_le(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_lt(probe), oracle_lt(oracle, probe)) << "probe " << probe;
+TYPED_TEST(OrderedQueryTest, BoundsAndRanges) {
+  TypeParam t;
+  Oracle o;
+  for (int k = 0; k <= 60; k += 3) {
+    ASSERT_TRUE(t.insert(k, k * 10));
+    o.emplace(k, k * 10);
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OrderedQuerySweep,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(RangeQueryTest, EmptyAndDegenerateIntervals) {
-  Tree t;
-  for (int k : {10, 20, 30}) t.insert(k);
-  EXPECT_EQ(t.count_range(21, 29), 0u);
-  EXPECT_EQ(t.count_range(20, 20), 1u);  // single point
+  EXPECT_EQ(t.find_ge(14), std::optional<int>(15));
+  EXPECT_EQ(t.find_gt(15), std::optional<int>(18));
+  EXPECT_EQ(t.find_le(14), std::optional<int>(12));
+  EXPECT_EQ(t.find_lt(15), std::optional<int>(12));
+  EXPECT_EQ(t.find_gt(60), std::nullopt);
+  EXPECT_EQ(t.find_lt(0), std::nullopt);
+  EXPECT_EQ(t.count_range(10, 20), 3u);  // 12, 15, 18 — both ends closed
+  EXPECT_EQ(t.count_range(20, 20), 0u);
+  EXPECT_EQ(t.count_range(21, 21), 1u);  // single point
   EXPECT_EQ(t.count_range(25, 15), 0u);  // inverted: empty by definition
+  EXPECT_EQ(t.size(), 21u);
+  for (int p = -2; p <= 62; ++p) expect_both(t, o, p, p - 7, p + 7);
+  for (int p : kProbes) expect_both(t, o, p, INT_MIN, p);
 }
 
-TEST(RangeQueryTest, InclusiveBothEnds) {
-  Tree t;
-  for (int k = 0; k < 100; ++k) t.insert(k);
-  EXPECT_EQ(t.count_range(10, 19), 10u);
-  EXPECT_EQ(t.count_range(0, 99), 100u);
-  EXPECT_EQ(t.count_range(-5, 4), 5u);
-  EXPECT_EQ(t.count_range(95, 200), 5u);
-}
-
-TEST(RangeQueryTest, VisitsInOrderWithValues) {
-  EfrbTreeMap<int, int> m;
-  for (int k : {5, 1, 9, 3, 7}) m.insert(k, k * 10);
-  std::vector<std::pair<int, int>> seen;
-  m.range(2, 8, [&](const int& k, const int& v) { seen.emplace_back(k, v); });
-  EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{{3, 30}, {5, 50}, {7, 70}}));
-}
-
-TEST(RangeQueryTest, MatchesOracleOnRandomSets) {
-  Tree t;
-  std::set<int> oracle;
-  Xoshiro256 rng(99);
-  for (int i = 0; i < 2000; ++i) {
-    const int k = static_cast<int>(rng.next_below(1000));
-    t.insert(k);
-    oracle.insert(k);
+TYPED_TEST(OrderedQueryTest, ExtremeKeysAreOrdinary) {
+  // INT_MIN/INT_MAX sit next to the sentinel ordering (∞₁ < ∞₂ above every
+  // real key): neither may be confused with a sentinel, and a range touching
+  // the top of the key space must not report the sentinel spine.
+  TypeParam t;
+  Oracle o;
+  for (int k : {INT_MAX, INT_MIN, 0, INT_MAX - 1, INT_MIN + 1}) {
+    ASSERT_TRUE(t.insert(k, k / 2));
+    o.emplace(k, k / 2);
+    for (int p : kProbes) expect_both(t, o, p, p, INT_MAX);
   }
-  for (int i = 0; i < 200; ++i) {
-    int lo = static_cast<int>(rng.next_below(1000));
-    int hi = static_cast<int>(rng.next_below(1000));
-    if (lo > hi) std::swap(lo, hi);
-    const auto expected = static_cast<std::size_t>(
-        std::distance(oracle.lower_bound(lo), oracle.upper_bound(hi)));
-    ASSERT_EQ(t.count_range(lo, hi), expected) << "[" << lo << "," << hi << "]";
+  EXPECT_EQ(ranged(t, INT_MAX - 2, INT_MAX),
+            (Pairs{{INT_MAX - 1, (INT_MAX - 1) / 2}, {INT_MAX, INT_MAX / 2}}));
+  for (int k : {INT_MIN, INT_MAX, 0, INT_MIN + 1, INT_MAX - 1}) {
+    ASSERT_TRUE(t.erase(k));
+    o.erase(k);
+    for (int p : kProbes) expect_both(t, o, p, INT_MIN, p);
   }
+  EXPECT_TRUE(t.empty());
 }
 
-TEST(RangeQueryTest, PruningSkipsSentinelSpine) {
-  // A range query touching the top of the key space must not visit the ∞
-  // sentinels (they would appear as garbage keys if ever reported).
-  Tree t;
-  t.insert(INT32_MAX);
-  t.insert(INT32_MAX - 1);
-  std::vector<int> seen;
-  t.range(INT32_MAX - 2, INT32_MAX,
-          [&](const int& k, const auto&) { seen.push_back(k); });
-  EXPECT_EQ(seen, (std::vector<int>{INT32_MAX - 1, INT32_MAX}));
-}
-
-// ---------------------------------------------------------------------------
-// Handle fast path: every ordered query is also a Handle method (pinning
-// through the handle's attachment instead of the thread_local lease).
-// ---------------------------------------------------------------------------
-
-TEST(OrderedQueryHandleTest, AllQueriesMatchTreeLevel) {
-  Tree t;
-  auto h = t.handle();
-  for (int k : {10, 20, 30, 40}) ASSERT_TRUE(h.insert(k));
-  EXPECT_EQ(h.min_key(), std::optional<int>(10));
-  EXPECT_EQ(h.max_key(), std::optional<int>(40));
-  EXPECT_EQ(h.find_ge(15), t.find_ge(15));
-  EXPECT_EQ(h.find_gt(20), t.find_gt(20));
-  EXPECT_EQ(h.find_le(25), t.find_le(25));
-  EXPECT_EQ(h.find_lt(20), t.find_lt(20));
-  EXPECT_EQ(h.find_gt(40), std::nullopt);
-  EXPECT_EQ(h.count_range(15, 35), 2u);
-  std::vector<int> ranged;
-  h.range(15, 45, [&](const int& k, const auto&) { ranged.push_back(k); });
-  EXPECT_EQ(ranged, (std::vector<int>{20, 30, 40}));
-  std::vector<int> all;
-  h.for_each([&](const int& k, const auto&) { all.push_back(k); });
-  EXPECT_EQ(all, (std::vector<int>{10, 20, 30, 40}));
-}
-
-TEST(OrderedQueryHandleTest, SweepMatchesStdSetOracle) {
-  Tree t;
-  auto h = t.handle();
-  std::set<int> oracle;
-  Xoshiro256 rng(21);
-  for (int i = 0; i < 2000; ++i) {
-    const int k = static_cast<int>(rng.next_below(512));
-    if (rng.next_below(3) == 0) {
-      h.erase(k);
-      oracle.erase(k);
-    } else {
-      h.insert(k);
-      oracle.insert(k);
+TYPED_TEST(OrderedQueryTest, RandomChurnMatchesStdMap) {
+  for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    TypeParam t;
+    auto h = t.handle();
+    Oracle o;
+    Xoshiro256 rng(seed);
+    // Random population with churn, alternating the tree-level and handle
+    // update paths, probing every query through both after each step.
+    for (int i = 0; i < 4000; ++i) {
+      const int k = static_cast<int>(rng.next_below(512)) - 256;
+      if (rng.next_below(3) == 0) {
+        const bool erased = i % 2 == 0 ? h.erase(k) : t.erase(k);
+        ASSERT_EQ(erased, o.erase(k) != 0);
+      } else {
+        const bool inserted = i % 2 == 0 ? h.insert(k, i) : t.insert(k, i);
+        ASSERT_EQ(inserted, o.emplace(k, i).second);
+      }
+      const int probe = static_cast<int>(rng.next_below(600)) - 300;
+      const int lo = static_cast<int>(rng.next_below(600)) - 300;
+      const int hi = lo + static_cast<int>(rng.next_below(600));
+      expect_matches(t, o, probe, lo, hi);
+      expect_matches(h, o, probe, lo, hi);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << i;
+      }
     }
-    const int probe = static_cast<int>(rng.next_below(512));
-    ASSERT_EQ(h.find_ge(probe), oracle_ge(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(h.find_gt(probe), oracle_gt(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(h.find_le(probe), oracle_le(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(h.find_lt(probe), oracle_lt(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(h.min_key(), oracle.empty()
-                               ? std::nullopt
-                               : std::optional<int>(*oracle.begin()));
-    ASSERT_EQ(h.max_key(), oracle.empty()
-                               ? std::nullopt
-                               : std::optional<int>(*oracle.rbegin()));
+    EXPECT_TRUE(t.validate().ok);
   }
 }
 
-TEST(OrderedQueryHandleTest, MovedFromHandleStaysUsableAfterMoveTarget) {
-  Tree t;
-  auto h1 = t.handle();
-  ASSERT_TRUE(h1.insert(5));
-  Tree::Handle h2 = std::move(h1);
-  EXPECT_TRUE(h2.valid());
-  EXPECT_EQ(h2.min_key(), std::optional<int>(5));
-  EXPECT_EQ(h2.count_range(0, 10), 1u);
+TYPED_TEST(OrderedQueryTest, HandleCoversFullSurface) {
+  TypeParam t;
+  auto h = t.handle();
+  EXPECT_TRUE(h.insert(1, 10));
+  EXPECT_TRUE(h.insert_or_assign(2, 20));
+  EXPECT_FALSE(h.insert_or_assign(2, 21));
+  EXPECT_EQ(h.get(2), std::optional<int>(21));
+  EXPECT_TRUE(h.replace(2, 21, 22));
+  EXPECT_EQ(h.get_or_insert(3, 30), 30);
+  EXPECT_EQ(h.get_or_insert(3, 31), 30);  // already present: existing wins
+  EXPECT_TRUE(h.contains(1));
+  expect_matches(h, Oracle{{1, 10}, {2, 22}, {3, 30}}, 2, 1, 3);
+  EXPECT_TRUE(h.erase(1));
+  EXPECT_FALSE(h.erase(1));
+
+  // Handles are movable; the moved-to handle keeps working.
+  auto h2 = std::move(h);
+  EXPECT_FALSE(h.valid());  // NOLINT(bugprone-use-after-move): spec under test
+  ASSERT_TRUE(h2.valid());
+  EXPECT_TRUE(h2.contains(2));
+  typename TypeParam::Handle h3;
+  h3 = std::move(h2);
+  expect_matches(h3, Oracle{{2, 22}, {3, 30}}, 0, 0, 10);
+  EXPECT_TRUE(t.validate().ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,96 +254,93 @@ struct StopOnExit {
   ~StopOnExit() { stop.store(true); }
 };
 
-TEST(OrderedQueryConcurrentTest, StableRegionIsAlwaysReported) {
+/// The stable-region answers of StableRegionIsAlwaysReported, through a tree
+/// or a handle.
+template <typename Q>
+void expect_stable_region(const Q& q) {
+  ASSERT_EQ(q.count_range(1000, 1009), 10u);
+  ASSERT_EQ(q.find_ge(950), std::optional<int>(1000));  // gap is quiet
+  ASSERT_EQ(q.find_le(1500), std::optional<int>(1009));
+  ASSERT_EQ(q.find_gt(1009), std::nullopt);  // no keys exist above 1009
+  ASSERT_EQ(q.max_key(), std::optional<int>(1009));
+}
+
+TYPED_TEST(OrderedQueryTest, StableRegionIsAlwaysReported) {
   // Keys 1000..1009 are permanent; churn happens strictly below 900. Queries
   // probing from WITHIN the quiet gap (900, 1000) or above the stable region
-  // must see exactly the stable keys. (A probe from below the churn region,
-  // e.g. find_ge(600), could legitimately return a transiently present churn
-  // key — that is the documented weak consistency, not a bug.)
-  Tree t;
-  for (int k = 1000; k < 1010; ++k) t.insert(k);
-  std::atomic<bool> stop{false};
-  run_threads(4, [&](std::size_t tid) {
-    if (tid == 0) {
-      StopOnExit guard{stop};
-      for (int i = 0; i < 4000; ++i) {
-        ASSERT_EQ(t.count_range(1000, 1009), 10u);
-        ASSERT_EQ(t.find_ge(950), std::optional<int>(1000));  // gap is quiet
-        ASSERT_EQ(t.find_le(1500), std::optional<int>(1009));
-        ASSERT_EQ(t.find_gt(1009), std::nullopt);  // no keys exist above 1009
-      }
-    } else if (tid == 1) {
-      Xoshiro256 rng(tid);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int k = static_cast<int>(rng.next_below(500));
-        t.insert(k);
-        t.erase(k);
-      }
-    } else {
-      Xoshiro256 rng(tid);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int k = 700 + static_cast<int>(rng.next_below(200));
-        t.insert(k);
-        t.erase(k);
-      }
-    }
-  });
-  EXPECT_TRUE(t.validate().ok);
-}
-
-TEST(OrderedQueryConcurrentTest, BoundsNeverInventKeys) {
-  // Churn over even keys only; bounds must never report an odd key (odd keys
-  // are never inserted), and reported keys must lie on the queried side.
-  Tree t;
-  std::atomic<bool> stop{false};
-  run_threads(3, [&](std::size_t tid) {
-    if (tid == 0) {
-      StopOnExit guard{stop};
-      Xoshiro256 rng(7);
-      for (int i = 0; i < 8000; ++i) {
-        const int probe = static_cast<int>(rng.next_below(512));
-        if (const auto g = t.find_ge(probe)) {
-          ASSERT_EQ(*g % 2, 0) << "invented key";
-          ASSERT_GE(*g, probe);
-        }
-        if (const auto l = t.find_le(probe)) {
-          ASSERT_EQ(*l % 2, 0) << "invented key";
-          ASSERT_LE(*l, probe);
-        }
-      }
-    } else {
-      Xoshiro256 rng(tid);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int k = static_cast<int>(rng.next_below(256)) * 2;
-        t.insert(k);
-        t.erase(k);
-      }
-    }
-  });
-  EXPECT_TRUE(t.validate().ok);
-}
-
-TEST(OrderedQueryConcurrentTest, HandleQueriesUnderChurn) {
-  // Same stable-region argument as above, but every thread — reader and
-  // churners alike — drives the tree through its own Handle.
-  Tree t;
-  for (int k = 1000; k < 1010; ++k) t.insert(k);
+  // must see exactly the stable keys, through the tree and through the
+  // reader's own handle. (A probe from below the churn region, e.g.
+  // find_ge(600), could legitimately return a transiently present churn key
+  // — that is the documented weak consistency, not a bug.)
+  TypeParam t;
+  for (int k = 1000; k < 1010; ++k) t.insert(k, k);
   std::atomic<bool> stop{false};
   run_threads(4, [&](std::size_t tid) {
     auto h = t.handle();
     if (tid == 0) {
       StopOnExit guard{stop};
-      for (int i = 0; i < 4000; ++i) {
-        ASSERT_EQ(h.count_range(1000, 1009), 10u);
-        ASSERT_EQ(h.find_ge(950), std::optional<int>(1000));
-        ASSERT_EQ(h.find_le(1500), std::optional<int>(1009));
-        ASSERT_EQ(h.max_key(), std::optional<int>(1009));
+      for (int i = 0; i < 4000 && !::testing::Test::HasFatalFailure(); ++i) {
+        expect_stable_region(t);
+        expect_stable_region(h);
+      }
+    } else {
+      Xoshiro256 rng(tid);
+      // Thread 1 churns through the tree-level path, the others through
+      // handles; both paths share the stable-region guarantee.
+      const int base = tid == 1 ? 0 : 700;
+      const int span = tid == 1 ? 500 : 200;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int k = base + static_cast<int>(rng.next_below(span));
+        if (tid == 1) {
+          t.insert(k, k);
+          t.erase(k);
+        } else {
+          h.insert(k, k);
+          h.erase(k);
+        }
+      }
+    }
+  });
+  EXPECT_TRUE(t.validate().ok);
+}
+
+/// Bounds and range through a tree or a handle under even-key churn: every
+/// reported key is even (odd keys are never inserted) and on the queried
+/// side of `probe`.
+template <typename Q>
+void expect_no_invented_keys(const Q& q, int probe) {
+  if (const auto g = q.find_ge(probe)) {
+    ASSERT_EQ(*g % 2, 0) << "invented key";
+    ASSERT_GE(*g, probe);
+  }
+  if (const auto l = q.find_le(probe)) {
+    ASSERT_EQ(*l % 2, 0) << "invented key";
+    ASSERT_LE(*l, probe);
+  }
+  q.range(probe, probe + 16, [&](const int& k, const int& v) {
+    ASSERT_EQ(k % 2, 0) << "invented key";
+    ASSERT_EQ(v, k);
+  });
+}
+
+TYPED_TEST(OrderedQueryTest, BoundsNeverInventKeys) {
+  TypeParam t;
+  std::atomic<bool> stop{false};
+  run_threads(3, [&](std::size_t tid) {
+    auto h = t.handle();
+    if (tid == 0) {
+      StopOnExit guard{stop};
+      Xoshiro256 rng(7);
+      for (int i = 0; i < 8000 && !::testing::Test::HasFatalFailure(); ++i) {
+        const int probe = static_cast<int>(rng.next_below(512));
+        expect_no_invented_keys(t, probe);
+        expect_no_invented_keys(h, probe);
       }
     } else {
       Xoshiro256 rng(tid);
       while (!stop.load(std::memory_order_relaxed)) {
-        const int k = static_cast<int>(rng.next_below(500));
-        h.insert(k);
+        const int k = static_cast<int>(rng.next_below(256)) * 2;
+        h.insert(k, k);
         h.erase(k);
       }
     }
