@@ -9,12 +9,17 @@
 //     `delete`. Stateless, default-constructible, zero overhead; every
 //     existing instantiation keeps exactly its old behaviour.
 //   * BlockPool / ObjectPool — per-thread slab pools with free-list
-//     recycling. Blocks are cache-line-aligned and uniformly sized (the
-//     rounded-up max of the pooled types), so a recycled block can be reused
-//     for ANY of the structure's node/record types without per-block type
-//     bookkeeping, and the reclaimers can return a retired block through the
-//     type-erased PoolHook (reclaim/reclaimer.hpp) after running its exact
-//     destructor.
+//     recycling. Blocks are uniformly sized (the rounded-up max of the pooled
+//     types), so a recycled block can be reused for ANY of the structure's
+//     node/record types without per-block type bookkeeping, and the
+//     reclaimers can return a retired block through the type-erased PoolHook
+//     (reclaim/reclaimer.hpp) after running its exact destructor.
+//
+// Whole-line blocks are a pool-only property: every block is a multiple of
+// the cache line and starts on a line boundary, so no two pooled nodes share
+// a line. The node and record types are naturally aligned (kPlainNewAligned,
+// util/cacheline.hpp), so under HeapAllocator neighbouring nodes may share a
+// line.
 //
 // Concurrency model of BlockPool (mirrors the reclaimer slot/lease design):
 //   * Cache — a thread-affine handle holding a private free chain and a
@@ -31,7 +36,9 @@
 //     keepalive reference (pool object, live Caches, reclaimer registries
 //     holding the PoolHook) drops — so a block parked in a retire list or the
 //     orphan store can always be safely returned, even after the structure
-//     died.
+//     died. A thread's lease Cache on a destroyed pool is dropped on that
+//     thread's next lease slow path, so it does not pin the slabs until the
+//     thread exits.
 //
 // ABA note: recycling a block can hand a later create<T> the SAME address an
 // earlier node had. This is precisely the hazard the reclaimers exist to
@@ -115,8 +122,9 @@ struct PoolStats {
 };
 
 /// Fixed-size-block pool. BlockSize must be a multiple of the cache line so
-/// every block starts on a line boundary (the layout win measured by the
-/// alloc ablation) and so distinct blocks never share a line.
+/// every block starts on a line boundary and distinct blocks never share a
+/// line — the only line-private placement the repository promises (the node
+/// types are naturally aligned; see the header comment).
 template <std::size_t BlockSize>
 class BlockPool {
   static_assert(BlockSize >= 2 * sizeof(void*),
@@ -148,6 +156,9 @@ class BlockPool {
     std::atomic<std::uint64_t> slab_count{0};
     std::atomic<std::uint64_t> recycled{0};
     std::atomic<std::uint64_t> refills{0};
+    // Set by ~BlockPool: no pool object can look this state up any more, so
+    // thread leases drop their Cache on it (see local_cache).
+    std::atomic<bool> pool_gone{false};
 
     ~State() {
       // Last keepalive dropped: no Cache, no reclaimer registry, no retired
@@ -262,19 +273,29 @@ class BlockPool {
   };
 
   BlockPool() : state_(std::make_shared<State>()) {}
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+  ~BlockPool() { state_->pool_gone.store(true, std::memory_order_relaxed); }
 
   /// A private cache for a structure handle; see Cache.
   Cache make_cache() { return Cache(state_); }
 
   /// The calling thread's lease cache (the tree-level convenience path, same
   /// pattern as the reclaimers' thread_local slot lease). Wait-free after the
-  /// first call per (thread, pool).
+  /// first call per (thread, pool). The slow path first drops the leases of
+  /// destroyed pools, so a thread that once used a pooled structure holds its
+  /// slabs only until its next new pool, not until it exits.
   Cache* local_cache() {
     thread_local std::vector<std::unique_ptr<Cache>> leases;
     thread_local State* cached_state = nullptr;
     thread_local Cache* cached = nullptr;
     State* s = state_.get();
     if (cached_state == s) return cached;
+    // Reset first: pruning below may free the state cached_state names.
+    cached_state = nullptr;
+    std::erase_if(leases, [](const std::unique_ptr<Cache>& c) {
+      return c->state_->pool_gone.load(std::memory_order_relaxed);
+    });
     for (const auto& c : leases) {
       if (c->state_.get() == s) {
         cached_state = s;

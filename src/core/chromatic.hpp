@@ -168,7 +168,7 @@ struct ChromaticLayout {
   using mapped_type = Value;
   using BKey = BoundedKey<Key>;
 
-  struct alignas(kCacheLineSize) Node {
+  struct Node {
     const BKey key;
     [[no_unique_address]] Value value;  // meaningful in leaves only
     const std::int32_t weight;          // 0 = red, 1 = black, >= 2 overweight
@@ -184,6 +184,10 @@ struct ChromaticLayout {
   using Word = ScxWord<Node>;
 
   static_assert(ScxNode<Node>);
+  static_assert(kPlainNewAligned<Node, Rec>,
+                "over-aligned node or SCX record: every heap `new` would "
+                "take aligned operator new (glibc memalign, no tcache) on "
+                "the update path; leave line alignment to the pool");
 
   // Navigation seam of the ordered walks (ordered.hpp). A leaf's children
   // are both null for its whole lifetime and an internal's are never null,

@@ -53,9 +53,9 @@ struct Info {
   /// written by the creator *before* the record's publishing CAS and read by
   /// helpers only after an acquire load of the update word that published it
   /// — so a plain (non-atomic) word is race-free. Stays kNoOwner unless the
-  /// instantiating Traits enable kCausalTrace (core/debug_hooks.hpp); both
-  /// concrete Info records are cache-line aligned, so the word rides in
-  /// existing padding.
+  /// instantiating Traits enable kCausalTrace (core/debug_hooks.hpp). The
+  /// word costs eight bytes in every record, traced or not (IInfo 40 B,
+  /// DInfo 48 B).
   std::uint64_t owner = kNoOwner;
   virtual ~Info() = default;
 };
@@ -98,15 +98,13 @@ struct TreeLayout {
     Leaf(BKey k, Value v) : Node(std::move(k), false), value(std::move(v)) {}
   };
 
-  // Cache-line alignment of the hot mutable types: an Internal's update word
-  // and child pointers are the CAS/coherence hot spots of the whole protocol;
-  // giving each Internal (and each in-flight Info record) a private line
-  // stops unrelated operations from false-sharing through the allocator's
-  // packing. Leaves stay compact — they are immutable after publication, so
-  // sharing a line costs read-side traffic only. (The pooled allocator hands
-  // out whole-line blocks regardless; the alignas makes the layout guarantee
-  // hold for heap allocation too.)
-  struct alignas(kCacheLineSize) Internal final : Node {
+  // Naturally aligned, like every per-operation heap type (the
+  // kPlainNewAligned assert below): a cache-line alignas would keep hot
+  // Internals and Info records off each other's lines, but it sends every
+  // heap `new` on the update path through memalign, which measured costlier
+  // than the false sharing it prevents (EXPERIMENTS.md, E1c). Line-private
+  // nodes come from the pooled allocator, whose blocks are whole lines.
+  struct Internal final : Node {
     AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     std::atomic<Node*> left;
     std::atomic<Node*> right;
@@ -131,7 +129,7 @@ struct TreeLayout {
 
   // lines 12-14. new_node is Node* (not Internal*) to support the
   // insert_or_assign extension, which installs a replacement Leaf.
-  struct alignas(kCacheLineSize) IInfo final : Info {
+  struct IInfo final : Info {
     Internal* p;
     Leaf* l;
     Node* new_node;
@@ -139,7 +137,7 @@ struct TreeLayout {
   };
 
   // lines 15-18
-  struct alignas(kCacheLineSize) DInfo final : Info {
+  struct DInfo final : Info {
     Internal* gp;
     Internal* p;
     Leaf* l;
@@ -150,6 +148,10 @@ struct TreeLayout {
 
   static_assert(alignof(IInfo) >= 4 && alignof(DInfo) >= 4,
                 "two low pointer bits must be free for the state tag");
+  static_assert(kPlainNewAligned<Leaf, Internal, IInfo, DInfo>,
+                "over-aligned node or Info record: every heap `new` would "
+                "take aligned operator new (glibc memalign, no tcache) on "
+                "the update path; leave line alignment to the pool");
 
   /// Postcondition bundle of the Search routine (paper lines 24-26).
   struct SearchResult {

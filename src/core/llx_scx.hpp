@@ -177,7 +177,7 @@ using AtomicScxWord = AtomicInfoWord<ScxWord<Node>>;
 /// never been linked into the structure before — the child swing's
 /// ABA-freedom depends on it (see the note in help_scx()).
 template <typename Node>
-struct alignas(kCacheLineSize) ScxRecordOf {
+struct ScxRecordOf {
   static constexpr std::size_t kMaxNodes = 4;
 
   Node* nodes[kMaxNodes] = {};

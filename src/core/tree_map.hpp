@@ -79,7 +79,7 @@ class TreeMap {
     // Route retired nodes back into the pool instead of `delete` (installed
     // before the tree is shared — the PoolHook write is unsynchronized by
     // contract). The hook carries a keepalive share of the pool state, so
-    // registry stragglers (leases, orphans) can return blocks even after
+    // registry stragglers (attachments, orphans) can return blocks even after
     // this object is gone.
     if constexpr (Alloc::kPooled) {
       reclaimer_.set_pool_return(alloc_.pool_hook());

@@ -35,9 +35,9 @@ namespace efrb {
 // otherwise.
 //
 // The `keepalive` shared_ptr is the lifetime contract: retired entries can
-// outlive the owning structure (thread_local leases and the orphan lists keep
-// the registry alive past structure destruction), so the registry must keep
-// the pool's backing storage alive until its own destructor has run the last
+// outlive the owning structure (a reclaimer copy or an Attachment keeps the
+// registry alive past structure destruction), so the registry must keep the
+// pool's backing storage alive until its own destructor has run the last
 // disposer. Installing the hook hands the registry a share of the pool state.
 //
 // set_pool_return must be called before any retire() that should recycle —

@@ -23,9 +23,10 @@
 //
 // The registry inherits its rule, so rule-wide shared state (the global
 // epoch, the hazard count) sits beside the slot table. It is shared_ptr-owned
-// by the reclaimer, by every Attachment and by every thread lease, so a
-// thread exiting after the data structure was destroyed cannot touch freed
-// memory.
+// by the reclaimer and by every Attachment; thread leases hold it weakly and
+// lock it to release their slot, so a thread exiting after the data
+// structure was destroyed cannot touch freed memory, and a destroyed
+// structure's registry is not pinned by every thread that ever used it.
 #pragma once
 
 #include <algorithm>
@@ -462,18 +463,27 @@ class RegistryReclaimer {
   std::shared_ptr<Registry> reg_;
 
  private:
-  // Thread → slot binding. A lease holds the registry (shared_ptr) so slot
-  // release at thread exit is safe even after the reclaimer died; release
-  // goes through ReclaimRegistry::release, so the departing thread's backlog
-  // is flushed and orphaned, not stranded in the slot.
+  // Thread → slot binding. A lease entry holds its registry weakly, so a
+  // thread that once made a tree-level call does not keep a dead
+  // structure's registry (and, through the PoolHook keepalive, its pool
+  // slabs) alive until it exits: the registry dies with its last reclaimer
+  // or Attachment, and its destructor frees every slot's leftovers. Thread
+  // exit locks the entry and, if the registry still lives, releases the
+  // slot through ReclaimRegistry::release, so the departing thread's backlog
+  // is flushed and orphaned, not stranded. Expired entries are pruned on the
+  // slow path; until then their make_shared block stays allocated, so a new
+  // registry can never reuse a cached address.
   struct Lease {
     struct Entry {
-      std::shared_ptr<Registry> reg;
+      const Registry* key;  // lookup only; never dereferenced
+      std::weak_ptr<Registry> reg;
       Slot* slot;
     };
     std::vector<Entry> entries;
     ~Lease() {
-      for (auto& e : entries) e.reg->release(*e.slot);
+      for (auto& e : entries) {
+        if (auto reg = e.reg.lock()) reg->release(*e.slot);
+      }
     }
   };
 
@@ -483,15 +493,19 @@ class RegistryReclaimer {
     thread_local Slot* cached_slot = nullptr;
     Registry* reg = reg_.get();
     if (cached_reg == reg) return cached_slot;
+    // Reset first: pruning below may free the block cached_reg points into.
+    cached_reg = nullptr;
+    std::erase_if(lease.entries,
+                  [](const typename Lease::Entry& e) { return e.reg.expired(); });
     for (const auto& e : lease.entries) {
-      if (e.reg.get() == reg) {
+      if (e.key == reg) {
         cached_reg = reg;
         cached_slot = e.slot;
         return e.slot;
       }
     }
     Slot* slot = reg->acquire_slot();
-    lease.entries.push_back(typename Lease::Entry{reg_, slot});
+    lease.entries.push_back(typename Lease::Entry{reg, reg_, slot});
     cached_reg = reg;
     cached_slot = slot;
     return slot;

@@ -39,4 +39,14 @@ struct alignas(kCacheLineSize) CachePadded {
 static_assert(sizeof(CachePadded<char>) == kCacheLineSize);
 static_assert(alignof(CachePadded<char>) == kCacheLineSize);
 
+/// True when a plain `new` of every T takes the ordinary operator new. A type
+/// aligned past __STDCPP_DEFAULT_NEW_ALIGNMENT__ (16 on x86-64) goes through
+/// the aligned overload instead — glibc's memalign path, which bypasses the
+/// thread cache and splits a chunk on every call. Per-operation heap types
+/// (tree nodes, Info/SCX records) assert this; cache-line placement is the
+/// pooled allocator's job (core/alloc.hpp), not the type's.
+template <typename... Ts>
+inline constexpr bool kPlainNewAligned =
+    ((alignof(Ts) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) && ...);
+
 }  // namespace efrb

@@ -12,20 +12,34 @@
 //   * concurrency witnesses — raw pool alloc/free across threads and a
 //     pooled tree under churn (the cells check.sh reruns under TSan/ASan);
 //   * fault injection — a deleter stalled mid-protocol while other threads
-//     churn pooled allocations (stall between retire and pool-return).
+//     churn pooled allocations (stall between retire and pool-return);
+//   * lease lifetime — a thread's reclaimer and pool leases do not keep
+//     destroyed trees' memory alive.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// Exported by the ASan and TSan runtimes; declared here because not every
+// toolchain installs <sanitizer/allocator_interface.h>.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
 #include "core/alloc.hpp"
+#include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
 #include "baselines/harris_list.hpp"
 #include "inject/fault_plan.hpp"
@@ -130,6 +144,16 @@ TEST(BlockPool, HookKeepsStateAliveAfterPoolDies) {
   hook = PoolHook{};  // drop the last keepalive; slabs are freed here
 }
 
+TEST(BlockPool, TreePoolsKeepWholeLineBlocks) {
+  // The node types are naturally aligned (smaller than a line on the heap);
+  // the tree pools still round every block up to whole cache lines.
+  using K = std::uint64_t;
+  EXPECT_EQ((EfrbSpec<K, K, std::less<K>>::Pool::kBlockSize), 64u);
+  EXPECT_EQ((ChromaticSpec<K, K, std::less<K>>::Pool::kBlockSize), 128u);
+  EXPECT_LT(sizeof(TreeLayout<K, K>::Internal), kCacheLineSize);
+  EXPECT_LT(sizeof(ChromaticLayout<K, K>::Node), kCacheLineSize);
+}
+
 using BlockPoolDeathTest = ::testing::Test;
 
 TEST(BlockPoolDeathTest, DoubleReturnIsCaught) {
@@ -188,6 +212,49 @@ TYPED_TEST(PooledTreeTest, ChurnReusesBlocksInsteadOfGrowing) {
     t.reclaimer().flush();
   }
   EXPECT_LE(t.allocator().stats().slabs, warm + 1);
+}
+
+// Bytes allocated and not yet freed. A sanitizer runtime replaces malloc
+// (its mallinfo2 reports zeros), so ask its allocator; otherwise glibc's
+// in-use total: arena chunks plus mmapped ones.
+std::size_t heap_in_use() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#endif
+}
+
+TYPED_TEST(PooledTreeTest, DestroyedTreesAreNotPinnedByThreadLeases) {
+  // Tree-level calls go through the calling thread's reclaimer lease and
+  // pool lease. Those leases must not hold a destroyed tree's registry or
+  // slabs until the thread exits: after five build/destroy cycles on one
+  // thread, at most one tree's worth may still be in use (the newest pool's
+  // slabs stay with the pool lease until the thread's next new pool). Runs
+  // on a fresh thread so the measurement ends before its leases are torn
+  // down.
+  std::vector<int> keys(20000);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937(7));  // keep it shallow
+  std::size_t one_tree = 0;
+  std::size_t after = 0;
+  std::size_t before = 0;
+  std::thread([&] {
+    before = heap_in_use();
+    for (int round = 0; round < 5; ++round) {
+      PooledTree<TypeParam> t;
+      for (int k : keys) t.insert(k, k);
+      // Retire half through the lease slot, so its backlog holds blocks.
+      for (std::size_t i = 0; i < keys.size(); i += 2) t.erase(keys[i]);
+      if (round == 0) one_tree = heap_in_use() - before;
+    }
+    after = heap_in_use();
+  }).join();
+  const std::size_t pinned = after > before ? after - before : 0;
+  EXPECT_LE(pinned, one_tree)
+      << "one live tree: " << one_tree << " B; still in use after five "
+      << "destroyed trees: " << pinned << " B";
 }
 
 TEST(PooledHandle, DetachFlushesThePrivateCache) {
