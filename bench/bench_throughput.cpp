@@ -84,31 +84,6 @@ void run_handle_ablation(const std::vector<std::size_t>& threads) {
   std::printf("\n");
 }
 
-// E1c — the allocation ablation backing the allocator redesign: the same
-// tree on the heap and on the ObjectPool, uniform read-mostly mix (the cell
-// scripts/check.sh gates on: pooled must not regress below heap). Both reads
-// take the lean find descent; the cell names keep their "+lean" suffix so
-// snapshots stay comparable with the archived 2x2 grid in bench/history/.
-void run_alloc_ablation(const std::vector<std::size_t>& threads) {
-  using Heap = efrb::EfrbTreeSet<Key>;
-  using Pooled = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                   efrb::PooledTraits>;
-  std::printf("-- alloc ablation: read-mostly mix, key range 2^16 --\n");
-  Table table({"threads", "heap+lean", "pooled+lean"});
-  for (std::size_t t : threads) {
-    WorkloadConfig cfg;
-    cfg.threads = t;
-    cfg.key_range = std::uint64_t{1} << 16;
-    cfg.mix = efrb::kReadMostly;
-    cfg.duration = efrb::bench::cell_duration();
-    table.add_row({std::to_string(t),
-                   Table::fmt(mops_for<Heap>(cfg, "alloc:heap+lean")),
-                   Table::fmt(mops_for<Pooled>(cfg, "alloc:pooled+lean"))});
-  }
-  table.print();
-  std::printf("\n");
-}
-
 // E1d — the balance ablation backing the chromatic tree (PR 7). Three cells,
 // each efrb-vs-chromatic:
 //   balance:sorted-insert — fixed work, one ascending key stream split round-
@@ -328,7 +303,6 @@ int main(int argc, char** argv) {
     }
   }
   run_handle_ablation(threads);
-  run_alloc_ablation(threads);
   run_balance_grid(threads);
   run_shard_grid();
   return efrb::bench::metrics().finish() ? 0 : 1;

@@ -12,7 +12,7 @@ FAST=0
 
 run() { echo "+ $*"; "$@"; }
 
-echo "=== one event seam, one tree facade: no legacy hooks, Handles or knobs ==="
+echo "=== one event seam, one tree facade, one allocator: no legacy hooks, Handles, knobs or pool ==="
 # Protocol events reach Traits only through hooks::emit -> on_event(const
 # Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
 # on_cas hook, a multi-argument at(HookPoint ...) hook, or the old emit_*
@@ -30,6 +30,12 @@ if [[ "$handles" -gt 1 ]]; then
 fi
 if grep -rnE '\bkLeanFind\b|\bFullSearchFindTraits\b' src tests bench tools; then
   echo "retired read-path knob found (reads always take find_path)"; exit 1
+fi
+# One allocator: every node and record is a plain new/delete. The object
+# pool and its plumbing stay deleted.
+if grep -rnE 'ObjectPool|BlockPool|PooledTraits|kPooledAlloc|PoolHook|set_pool_return|EFRB_TEST_POOLED|HeapAllocator' \
+    src tests bench tools examples; then
+  echo "object-pool name found (nodes and records use plain new/delete)"; exit 1
 fi
 
 echo "=== plain build + tests ==="
@@ -375,58 +381,9 @@ if [[ "$FAST" == "0" ]]; then
   run ctest --test-dir build-tsan-stats --output-on-failure --timeout 900 \
       -R 'Handle|Stats|Concurrent|Chaos'
 
-  echo "=== allocation: pooled configuration under ASan/TSan + A/B throughput gate ==="
-  # EFRB_TEST_POOLED switches the concurrent suites to PooledTraits, so every
-  # schedule also exercises the ObjectPool (per-handle caches, the global
-  # free list, retire-to-pool through the reclaimers) under both sanitizers.
-  # The alloc_test suite (pool unit + differential + fault-injection cells)
-  # rides along in the same builds.
-  run cmake -B build-asan-pooled -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -DEFRB_TEST_POOLED" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  run cmake --build build-asan-pooled --target alloc_test core_concurrent_test
-  run ./build-asan-pooled/tests/alloc_test --gtest_color=no
-  run ./build-asan-pooled/tests/core_concurrent_test --gtest_color=no
-  run cmake -B build-tsan-pooled -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
-      -DEFRB_SANITIZE_THREAD=ON \
-      -DCMAKE_CXX_FLAGS="-DEFRB_TEST_POOLED"
-  run cmake --build build-tsan-pooled --target alloc_test core_concurrent_test
-  run ./build-tsan-pooled/tests/alloc_test --gtest_color=no \
-      --gtest_filter='-BlockPoolDeathTest.*'  # fork-based death test under TSan is unreliable
-  run ./build-tsan-pooled/tests/core_concurrent_test --gtest_color=no
-  # A/B gate: the pooled tree must not regress below the heap baseline on
-  # the uniform read-mostly cell (E1c). Summed over thread counts to average
-  # scheduler noise.
-  EFRB_BENCH_MS="${EFRB_ALLOC_GATE_MS:-60}" run ./build/bench/bench_throughput \
-      --json build/alloc_gate.json > /dev/null
-  python3 - <<'EOF'
-import json
-cells = json.load(open('build/alloc_gate.json'))['cells']
-def total(name):
-    t = sum(c['result']['mops'] for c in cells if c['name'] == name)
-    assert t > 0, f'no {name} cells in alloc ablation output'
-    return t
-heap_lean = total('alloc:heap+lean')
-pool_lean = total('alloc:pooled+lean')
-print(f'alloc gate: heap+lean={heap_lean:.2f} '
-      f'pooled+lean={pool_lean:.2f} summed Mops over thread counts')
-assert pool_lean >= 0.95 * heap_lean, (
-    f'pooled allocation regressed below the heap baseline on the same read '
-    f'path: {pool_lean:.2f} < 0.95 * {heap_lean:.2f}')
-print('alloc gate OK')
-EOF
-
-  echo "=== balanced tree: chromatic suites under the pooled sanitizer builds + balance gate ==="
-  # The plain ASan/TSan ctest sweeps above already run the chromatic suites;
-  # here the same suites additionally run with -DEFRB_TEST_POOLED (every
-  # schedule through the ObjectPool, including pooled ScxRecord recycling)
-  # under both sanitizers.
-  run cmake --build build-asan-pooled --target chromatic_test chromatic_concurrent_test
-  run ./build-asan-pooled/tests/chromatic_test --gtest_color=no
-  run ./build-asan-pooled/tests/chromatic_concurrent_test --gtest_color=no
-  run cmake --build build-tsan-pooled --target chromatic_test chromatic_concurrent_test
-  run ./build-tsan-pooled/tests/chromatic_test --gtest_color=no
-  run ./build-tsan-pooled/tests/chromatic_concurrent_test --gtest_color=no
+  echo "=== balanced tree: advisory balance gate ==="
+  # The chromatic suites (chromatic_test, chromatic_concurrent_test) run
+  # under both sanitizers in the plain ASan/TSan ctest sweeps above.
   # A/B gate over the E1d balance ablation: the chromatic tree must crush the
   # EFRB tree on its pathological input (sorted insert: the vine vs O(log n)
   # rebalancing) while paying at most 10% rent on the uniform balanced mix.
@@ -486,20 +443,10 @@ EOF
          "set EFRB_BALANCE_GATE_STRICT=1 to enforce)"
   fi
 
-  echo "=== sharded front end: suites under both sanitizers + advisory scaling gate ==="
-  # The sharded suites (routing, tree-of-trees surface, ordered oracle,
-  # balance scoring, mixed-op storms) and the sharded linearizability burst
-  # replays run under the pooled ASan and TSan builds, so cross-shard handle
-  # affinity and per-shard reclaimer plumbing face both sanitizers with the
-  # ObjectPool in the loop.
-  run cmake --build build-asan-pooled --target sharded_map_test map_lincheck_test
-  run ./build-asan-pooled/tests/sharded_map_test --gtest_color=no
-  run ./build-asan-pooled/tests/map_lincheck_test --gtest_color=no \
-      --gtest_filter='ShardedMapLinearizabilityTest.*'
-  run cmake --build build-tsan-pooled --target sharded_map_test map_lincheck_test
-  run ./build-tsan-pooled/tests/sharded_map_test --gtest_color=no
-  run ./build-tsan-pooled/tests/map_lincheck_test --gtest_color=no \
-      --gtest_filter='ShardedMapLinearizabilityTest.*'
+  echo "=== sharded front end: advisory scaling gate ==="
+  # The sharded suites (sharded_map_test, and the sharded linearizability
+  # burst replays in map_lincheck_test) run under both sanitizers in the
+  # plain ASan/TSan ctest sweeps above.
   # Scaling gate over the E1e shard ablation (fixed-op, pinned-seed cells from
   # the smoke --json above): the best sharded 16-thread configuration should
   # beat the single tree by >= 1.5x once real cores back the threads. ADVISORY

@@ -31,32 +31,22 @@
 
 namespace efrb {
 
-template <typename Key, typename Compare = std::less<Key>,
-          typename Alloc = HeapAllocator>
+template <typename Key, typename Compare = std::less<Key>>
 class HarrisList {
- public:
-  using key_type = Key;
-  static constexpr const char* kName = "harris-list";
-
-  /// Node layout, public so pool configurations (PooledHarrisList) can size
-  /// their ObjectPool on it.
   struct LNode {
     const Key key;
     std::atomic<std::uintptr_t> next{0};  // bit 0 = mark ("I am deleted")
     explicit LNode(Key k) : key(std::move(k)) {}
   };
-  using node_type = LNode;
+
+ public:
+  using key_type = Key;
+  static constexpr const char* kName = "harris-list";
 
   explicit HarrisList(Compare cmp = Compare{})
-      : cmp_(std::move(cmp)), hp_(kMaxThreads, kHazardsPerOp) {
-    head_ = make_direct(Key{});
-    if constexpr (Alloc::kPooled) {
-      // Route retired nodes back into the pool instead of the heap (the
-      // hook's keepalive pins the pool state past this object's lifetime;
-      // see reclaim/reclaimer.hpp).
-      hp_.set_pool_return(alloc_.pool_hook());
-    }
-  }
+      : cmp_(std::move(cmp)),
+        hp_(kMaxThreads, kHazardsPerOp),
+        head_(new LNode(Key{})) {}
 
   HarrisList(const HarrisList&) = delete;
   HarrisList& operator=(const HarrisList&) = delete;
@@ -65,7 +55,7 @@ class HarrisList {
     LNode* n = head_;
     while (n != nullptr) {
       LNode* next = unmark(n->next.load(std::memory_order_relaxed));
-      dispose_direct(n);
+      delete n;
       n = next;
     }
   }
@@ -108,18 +98,12 @@ class HarrisList {
    private:
     friend class HarrisList;
     explicit Handle(HarrisList& list)
-        : list_(&list),
-          att_(list.hp_.attach()),
-          cache_(list.alloc_.make_cache()) {}
+        : list_(&list), att_(list.hp_.attach()) {}
 
-    auto make_ctx() const {
-      return Ctx::attached(att_, nullptr, nullptr, kNoTid, nullptr,
-                           &list_->alloc_, &cache_);
-    }
+    auto make_ctx() const { return Ctx::attached(att_, nullptr, nullptr); }
 
     HarrisList* list_;
     mutable HazardPointerDomain::Attachment att_;
-    mutable typename Alloc::Cache cache_;  // private recycle chain (pool mode)
   };
 
   /// Create a per-thread handle (see Handle). At most one per thread should
@@ -158,9 +142,7 @@ class HarrisList {
   HazardPointerDomain& reclaimer() noexcept { return hp_; }
 
  private:
-  using Ctx =
-      OpContext<HazardPointerDomain, /*kCount=*/false, /*kTrackKeys=*/false,
-                Alloc>;
+  using Ctx = OpContext<HazardPointerDomain, /*kCount=*/false>;
 
   static constexpr std::size_t kMaxThreads = 64;
   static constexpr std::size_t kHazardsPerOp = 3;  // prev node, curr, next
@@ -178,38 +160,14 @@ class HarrisList {
     LNode* curr;                        // first node with key >= k (or null)
   };
 
-  Ctx tree_ctx() const {
-    return Ctx::tree_level(hp_, nullptr, &alloc_,
-                           Alloc::kPooled ? alloc_.local_cache() : nullptr);
-  }
-
-  /// Structure-lifetime allocation (head sentinel, destructor walk): same
-  /// pool as the operations, through the thread_local lease cache.
-  template <typename... Args>
-  LNode* make_direct(Args&&... args) {
-    if constexpr (Alloc::kPooled) {
-      return alloc_.template create<LNode>(*alloc_.local_cache(),
-                                           std::forward<Args>(args)...);
-    } else {
-      return new LNode(std::forward<Args>(args)...);
-    }
-  }
-
-  void dispose_direct(LNode* n) noexcept {
-    if (n == nullptr) return;
-    if constexpr (Alloc::kPooled) {
-      alloc_.template destroy<LNode>(*alloc_.local_cache(), n);
-    } else {
-      delete n;
-    }
-  }
+  Ctx tree_ctx() const { return Ctx::tree_level(hp_, nullptr); }
 
   bool do_insert(const Key& k, HazardPointerDomain::Handle& h, Ctx& ctx) {
-    auto* node = ctx.template make<LNode>(k);
+    auto* node = new LNode(k);
     for (;;) {
       Window w{};
       if (find(k, w, h, ctx)) {
-        ctx.dispose(node);  // never published
+        delete node;  // never published
         return false;
       }
       node->next.store(pack(w.curr, false), std::memory_order_relaxed);
@@ -308,21 +266,9 @@ class HarrisList {
     return false;
   }
 
-  // Declaration order is load-bearing: the pool must be constructed before
-  // the domain that recycles into it (and the PoolHook keepalive covers the
-  // reverse destruction order regardless).
-  [[no_unique_address]] mutable Alloc alloc_;
   Compare cmp_;
   mutable HazardPointerDomain hp_;
   LNode* head_;  // dummy; key never examined
 };
-
-/// Pool-backed list: every LNode comes from a per-structure ObjectPool and
-/// recycles through the hazard-pointer domain (the list-side counterpart of
-/// the tree's PooledTraits configuration).
-template <typename Key, typename Compare = std::less<Key>>
-using PooledHarrisList =
-    HarrisList<Key, Compare,
-               ObjectPool<typename HarrisList<Key, Compare>::node_type>>;
 
 }  // namespace efrb

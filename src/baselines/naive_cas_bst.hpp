@@ -39,7 +39,7 @@
 namespace efrb {
 
 template <typename Key, typename Compare = std::less<Key>,
-          typename Reclaimer = LeakyReclaimer, typename Alloc = HeapAllocator>
+          typename Reclaimer = LeakyReclaimer>
 class NaiveCasBst {
  public:
   using key_type = Key;
@@ -47,8 +47,7 @@ class NaiveCasBst {
 
  private:
   using BKey = BoundedKey<Key>;
-  using Ctx = OpContext<Reclaimer, /*kCount=*/false, /*kTrackKeys=*/false,
-                        Alloc>;
+  using Ctx = OpContext<Reclaimer, /*kCount=*/false>;
 
  public:
   struct Node {
@@ -63,16 +62,15 @@ class NaiveCasBst {
 
   explicit NaiveCasBst(Compare cmp = Compare{}) : cmp_(std::move(cmp)) {
     // Sentinel construction with rollback: if a later allocation throws, the
-    // earlier sentinels are returned to their source (same discipline as
-    // TreeCore's constructor).
-    Node* left = make_direct(BKey::inf1(), nullptr, nullptr);
+    // earlier sentinels are freed (same discipline as TreeCore's constructor).
+    Node* left = new Node(BKey::inf1(), nullptr, nullptr);
     Node* right = nullptr;
     try {
-      right = make_direct(BKey::inf2(), nullptr, nullptr);
-      root_ = make_direct(BKey::inf2(), left, right);
+      right = new Node(BKey::inf2(), nullptr, nullptr);
+      root_ = new Node(BKey::inf2(), left, right);
     } catch (...) {
-      dispose_direct(right);
-      dispose_direct(left);
+      delete right;
+      delete left;
       throw;
     }
   }
@@ -91,7 +89,7 @@ class NaiveCasBst {
         stack.push_back(n->left.load(std::memory_order_relaxed));
         stack.push_back(n->right.load(std::memory_order_relaxed));
       }
-      dispose_direct(n);
+      delete n;
     }
   }
 
@@ -226,38 +224,15 @@ class NaiveCasBst {
     return Window{gp, p, l};
   }
 
-  /// All allocation goes through the structure's allocator via the
-  /// thread_local lease cache (the strawman has no per-operation allocation
-  /// context worth plumbing — it leaks by design, so nothing recycles).
-  template <typename... Args>
-  Node* make_direct(Args&&... args) {
-    if constexpr (Alloc::kPooled) {
-      return alloc_.template create<Node>(*alloc_.local_cache(),
-                                          std::forward<Args>(args)...);
-    } else {
-      return new Node(std::forward<Args>(args)...);
-    }
-  }
-
-  void dispose_direct(Node* n) noexcept {
-    if (n == nullptr) return;
-    if constexpr (Alloc::kPooled) {
-      alloc_.template destroy<Node>(*alloc_.local_cache(), n);
-    } else {
-      delete n;
-    }
-  }
-
   Ticket plan_insert(const Key& k) {
     const Window w = descend(k);
     Ticket t;
     if (cmp_.equals(k, w.l->key)) return t;  // duplicate
-    auto* new_leaf = make_direct(BKey::real(k), nullptr, nullptr);
-    auto* new_sibling = make_direct(w.l->key, nullptr, nullptr);
-    Node* new_internal =
-        cmp_.less(k, w.l->key)
-            ? make_direct(w.l->key, new_leaf, new_sibling)
-            : make_direct(BKey::real(k), new_sibling, new_leaf);
+    auto* new_leaf = new Node(BKey::real(k), nullptr, nullptr);
+    auto* new_sibling = new Node(w.l->key, nullptr, nullptr);
+    Node* new_internal = cmp_.less(k, w.l->key)
+                             ? new Node(w.l->key, new_leaf, new_sibling)
+                             : new Node(BKey::real(k), new_sibling, new_leaf);
     t.target = (w.p->left.load(std::memory_order_acquire) == w.l) ? &w.p->left
                                                                   : &w.p->right;
     t.expected = w.l;
@@ -313,8 +288,6 @@ class NaiveCasBst {
     }
   }
 
-  // Pool before everything that allocates from it (construction order).
-  [[no_unique_address]] mutable Alloc alloc_;
   BoundedCompare<Key, Compare> cmp_;
   mutable Reclaimer reclaimer_;
   Node* root_;

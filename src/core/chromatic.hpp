@@ -54,7 +54,7 @@
 //
 // Reclamation, stats, hooks and fault injection all arrive through the same
 // OpContext the EFRB core uses: retired nodes and drained ScxRecords go
-// through ctx.retire (Epoch/Hazard/HP-domain reclaimers, retire-to-pool),
+// through ctx.retire (Epoch/Hazard/HP-domain reclaimers),
 // descent depths feed TreeStats::depth_*, committed transformations bump
 // TreeStats::rotations, and every freeze/child CAS is gated and emitted via
 // core/debug_hooks.hpp (CasStep::kFreeze / kScxChild).
@@ -72,7 +72,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/alloc.hpp"
 #include "core/bounded_key.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/llx_scx.hpp"
@@ -187,7 +186,7 @@ struct ChromaticLayout {
   static_assert(kPlainNewAligned<Node, Rec>,
                 "over-aligned node or SCX record: every heap `new` would "
                 "take aligned operator new (glibc memalign, no tcache) on "
-                "the update path; leave line alignment to the pool");
+                "the update path");
 
   // Navigation seam of the ordered walks (ordered.hpp). A leaf's children
   // are both null for its whole lifetime and an internal's are never null,
@@ -218,7 +217,6 @@ class ChromaticCore {
   using Rec = typename Layout::Rec;
   using Word = typename Layout::Word;
   using BKey = typename Layout::BKey;
-  using AllocT = typename Ctx::AllocT;
   using Llx = LlxScx<Node, Traits, Ctx>;
   using ValidationResult = ChromaticValidation;
   static constexpr const char* kName = "chromatic-tree";
@@ -228,17 +226,16 @@ class ChromaticCore {
   /// cap is far above any height a bounded key space can produce.
   static constexpr int kMaxCleanupRounds = 256;
 
-  explicit ChromaticCore(Compare cmp, AllocT* alloc)
-      : cmp_(std::move(cmp)), alloc_(alloc) {
+  explicit ChromaticCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Fig. 6 shape, chromatic weights: every sentinel has weight 1.
-    Node* left = make_direct<Node>(BKey::inf1(), Value{}, 1, nullptr, nullptr);
+    Node* left = new Node(BKey::inf1(), Value{}, 1, nullptr, nullptr);
     Node* right = nullptr;
     try {
-      right = make_direct<Node>(BKey::inf2(), Value{}, 1, nullptr, nullptr);
-      root_ = make_direct<Node>(BKey::inf2(), Value{}, 1, left, right);
+      right = new Node(BKey::inf2(), Value{}, 1, nullptr, nullptr);
+      root_ = new Node(BKey::inf2(), Value{}, 1, left, right);
     } catch (...) {
-      dispose_direct(right);
-      dispose_direct(left);
+      delete right;
+      delete left;
       throw;
     }
   }
@@ -264,11 +261,11 @@ class ChromaticCore {
         stack.push_back(l);
         stack.push_back(n->right.load(std::memory_order_relaxed));
       }
-      dispose_direct(n);
+      delete n;
     }
     std::sort(recs.begin(), recs.end());
     recs.erase(std::unique(recs.begin(), recs.end()), recs.end());
-    for (Rec* r : recs) dispose_direct(r);
+    for (Rec* r : recs) delete r;
   }
 
   const BoundedCompare<Key, Compare>& cmp() const noexcept { return cmp_; }
@@ -323,9 +320,8 @@ class ChromaticCore {
           scx_retry(ctx);
           continue;
         }
-        Node* nl = ctx.template make<Node>(l->key, v, l->weight, nullptr,
-                                           nullptr);
-        Rec* rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
+        Node* nl = new Node(l->key, v, l->weight, nullptr, nullptr);
+        Rec* rec = make_rec({p, l}, {rp.info, rl.info},
                             /*finalize_mask=*/0b10, field, l, nl);
         ctx.count_insert_attempt();
         if (Llx::scx(ctx, rec)) {
@@ -333,7 +329,7 @@ class ChromaticCore {
           ctx.end_op();
           return InsertOutcome::kAssigned;
         }
-        ctx.template dispose<Node>(nl);
+        delete nl;
         ctx.count_insert_retry();
         scx_retry(ctx);
         continue;
@@ -357,8 +353,7 @@ class ChromaticCore {
         wi = l->weight - 1;
         wl = 1;
       }
-      Node* nk =
-          ctx.template make<Node>(BKey::real(k), v, wl, nullptr, nullptr);
+      Node* nk = new Node(BKey::real(k), v, wl, nullptr, nullptr);
       // Leaf-oriented split: the larger key routes (left < key <= right).
       const bool k_left = cmp_.less(k, l->key);
       Node* ni;
@@ -375,26 +370,23 @@ class ChromaticCore {
         // can never return to l and a stalled helper's child CAS (expecting
         // l) can never fire a second time — see the child-swing note in
         // llx_scx.hpp and the matching erase() note below.
-        ni = ctx.template make<Node>(k_left ? l->key : BKey::real(k),
-                                     Value{}, wi, k_left ? nk : l,
-                                     k_left ? l : nk);
-        rec = make_rec(ctx, {p}, {rp.info}, /*finalize_mask=*/0b0, field, l,
-                       ni);
+        ni = new Node(k_left ? l->key : BKey::real(k), Value{}, wi,
+                      k_left ? nk : l, k_left ? l : nk);
+        rec = make_rec({p}, {rp.info}, /*finalize_mask=*/0b0, field, l, ni);
       } else {
         // The leaf's weight changes (w >= 2 collapsing to 1): copy it, and
         // the copy's window must freeze and finalize the original.
         const LlxResult<Node> rl = Llx::llx(ctx, l);
         if (!rl.ok) {
-          ctx.template dispose<Node>(nk);
+          delete nk;
           ctx.count_insert_retry();
           scx_retry(ctx);
           continue;
         }
-        nold = ctx.template make<Node>(l->key, l->value, wl, nullptr, nullptr);
-        ni = ctx.template make<Node>(k_left ? l->key : BKey::real(k),
-                                     Value{}, wi, k_left ? nk : nold,
-                                     k_left ? nold : nk);
-        rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
+        nold = new Node(l->key, l->value, wl, nullptr, nullptr);
+        ni = new Node(k_left ? l->key : BKey::real(k), Value{}, wi,
+                      k_left ? nk : nold, k_left ? nold : nk);
+        rec = make_rec({p, l}, {rp.info, rl.info},
                        /*finalize_mask=*/0b10, field, l, ni);
       }
       ctx.count_insert_attempt();
@@ -413,9 +405,9 @@ class ChromaticCore {
         ctx.end_op();
         return InsertOutcome::kInserted;
       }
-      ctx.template dispose<Node>(ni);
-      if (nold != nullptr) ctx.template dispose<Node>(nold);
-      ctx.template dispose<Node>(nk);
+      delete ni;
+      delete nold;
+      delete nk;
       ctx.count_insert_retry();
       scx_retry(ctx);
     }
@@ -444,9 +436,8 @@ class ChromaticCore {
         scx_retry(ctx);
         continue;
       }
-      Node* nl = ctx.template make<Node>(l->key, desired, l->weight, nullptr,
-                                         nullptr);
-      Rec* rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
+      Node* nl = new Node(l->key, desired, l->weight, nullptr, nullptr);
+      Rec* rec = make_rec({p, l}, {rp.info, rl.info},
                           /*finalize_mask=*/0b10, field, l, nl);
       ctx.count_insert_attempt();
       if (Llx::scx(ctx, rec)) {
@@ -454,7 +445,7 @@ class ChromaticCore {
         ctx.end_op();
         return true;
       }
-      ctx.template dispose<Node>(nl);
+      delete nl;
       ctx.count_insert_retry();
       scx_retry(ctx);
     }
@@ -516,10 +507,8 @@ class ChromaticCore {
       // re-link the retired internal (resurrecting the erased key, then
       // use-after-free once the reclaimer frees it). Covered by
       // ChromaticFaultTest.StalledInsertHelperCannotResurrectErasedSubtree.
-      Node* ns =
-          ctx.template make<Node>(s->key, s->value, nw, rs.left, rs.right);
-      Rec* rec = make_rec(ctx, {gp, p, l, s},
-                          {rgp.info, rp.info, rl.info, rs.info},
+      Node* ns = new Node(s->key, s->value, nw, rs.left, rs.right);
+      Rec* rec = make_rec({gp, p, l, s}, {rgp.info, rp.info, rl.info, rs.info},
                           /*finalize_mask=*/0b1110, field, p, ns);
       ctx.count_delete_attempt();
       if (Llx::scx(ctx, rec)) {
@@ -533,7 +522,7 @@ class ChromaticCore {
         ctx.end_op();
         return true;
       }
-      ctx.template dispose<Node>(ns);
+      delete ns;
       ctx.count_delete_retry();
       scx_retry(ctx);
     }
@@ -746,15 +735,15 @@ class ChromaticCore {
   }
 
   /// Copy `n` with a new weight and the given (snapshot) children.
-  Node* clone(Ctx& ctx, const Node* n, std::int32_t w, Node* l, Node* r) {
-    return ctx.template make<Node>(n->key, n->value, w, l, r);
+  Node* clone(const Node* n, std::int32_t w, Node* l, Node* r) {
+    return new Node(n->key, n->value, w, l, r);
   }
 
-  Rec* make_rec(Ctx& ctx, std::initializer_list<Node*> v,
+  Rec* make_rec(std::initializer_list<Node*> v,
                 std::initializer_list<Rec*> infos, std::uint8_t finalize_mask,
                 std::atomic<Node*>* field, Node* old_child, Node* new_child) {
     EFRB_DCHECK(v.size() == infos.size() && v.size() <= Rec::kMaxNodes);
-    Rec* rec = ctx.template make<Rec>();
+    Rec* rec = new Rec();
     std::uint8_t i = 0;
     for (Node* n : v) rec->nodes[i++] = n;
     rec->num_nodes = i;
@@ -810,33 +799,31 @@ class ChromaticCore {
       Node* np1;
       Node* ns;
       if (u_left) {
-        np1 = clone(ctx, p1, 0, u, rs.left);
-        ns = clone(ctx, s, p1->weight, np1, rs.right);
+        np1 = clone(p1, 0, u, rs.left);
+        ns = clone(s, p1->weight, np1, rs.right);
       } else {
-        np1 = clone(ctx, p1, 0, rs.right, u);
-        ns = clone(ctx, s, p1->weight, rs.left, np1);
+        np1 = clone(p1, 0, rs.right, u);
+        ns = clone(s, p1->weight, rs.left, np1);
       }
-      Rec* rec = make_rec(ctx, {p2, p1, s}, {r2.info, r1.info, rs.info},
+      Rec* rec = make_rec({p2, p1, s}, {r2.info, r1.info, rs.info},
                           /*finalize_mask=*/0b110, field, p1, ns);
       if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(ns);
-      ctx.template dispose<Node>(np1);
+      delete ns;
+      delete np1;
       return false;
     }
 
     // PUSH: (w(u)-1) + (w(p1)+1) and (w(s)-1) + (w(p1)+1) preserve both
     // path sums exactly.
-    Node* nu = clone(ctx, u, u->weight - 1, ru.left, ru.right);
-    Node* ns = clone(ctx, s, s->weight - 1, rs.left, rs.right);
-    Node* np1 = clone(ctx, p1, p1->weight + 1, u_left ? nu : ns,
-                      u_left ? ns : nu);
-    Rec* rec = make_rec(ctx, {p2, p1, u, s},
-                        {r2.info, r1.info, ru.info, rs.info},
+    Node* nu = clone(u, u->weight - 1, ru.left, ru.right);
+    Node* ns = clone(s, s->weight - 1, rs.left, rs.right);
+    Node* np1 = clone(p1, p1->weight + 1, u_left ? nu : ns, u_left ? ns : nu);
+    Rec* rec = make_rec({p2, p1, u, s}, {r2.info, r1.info, ru.info, rs.info},
                         /*finalize_mask=*/0b1110, field, p1, np1);
     if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(np1);
-    ctx.template dispose<Node>(ns);
-    ctx.template dispose<Node>(nu);
+    delete np1;
+    delete ns;
+    delete nu;
     return false;
   }
 
@@ -885,31 +872,30 @@ class ChromaticCore {
       // BLK: p2'(w-1)[ p1'(1), uncle'(1) ] — pure recoloring.
       const LlxResult<Node> rn = Llx::llx(ctx, uncle);
       if (!rn.ok) return false;
-      Node* np1 = clone(ctx, p1, 1, r1.left, r1.right);
-      Node* nun = clone(ctx, uncle, 1, rn.left, rn.right);
-      Node* np2 = clone(ctx, p2, p2->weight - 1, p1_left ? np1 : nun,
+      Node* np1 = clone(p1, 1, r1.left, r1.right);
+      Node* nun = clone(uncle, 1, rn.left, rn.right);
+      Node* np2 = clone(p2, p2->weight - 1, p1_left ? np1 : nun,
                         p1_left ? nun : np1);
-      Rec* rec = make_rec(ctx, {p3, p2, p1, uncle},
+      Rec* rec = make_rec({p3, p2, p1, uncle},
                           {r3.info, r2.info, r1.info, rn.info},
                           /*finalize_mask=*/0b1110, field, p2, np2);
       if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(np2);
-      ctx.template dispose<Node>(nun);
-      ctx.template dispose<Node>(np1);
+      delete np2;
+      delete nun;
+      delete np1;
       return false;
     }
 
     if (u_left == p1_left) {
       // RB1 (outer red): rotate p1 above p2.
       //   p1'(w(p2)) [ u, p2'(0)[c, uncle] ]   (and the mirror image)
-      Node* np2 = clone(ctx, p2, 0, p1_left ? c : uncle, p1_left ? uncle : c);
-      Node* np1 = clone(ctx, p1, p2->weight, p1_left ? u : np2,
-                        p1_left ? np2 : u);
-      Rec* rec = make_rec(ctx, {p3, p2, p1}, {r3.info, r2.info, r1.info},
+      Node* np2 = clone(p2, 0, p1_left ? c : uncle, p1_left ? uncle : c);
+      Node* np1 = clone(p1, p2->weight, p1_left ? u : np2, p1_left ? np2 : u);
+      Rec* rec = make_rec({p3, p2, p1}, {r3.info, r2.info, r1.info},
                           /*finalize_mask=*/0b110, field, p2, np1);
       if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(np1);
-      ctx.template dispose<Node>(np2);
+      delete np1;
+      delete np2;
       return false;
     }
 
@@ -923,22 +909,21 @@ class ChromaticCore {
     Node* nu;
     if (p1_left) {
       // u = p1.right: u'(w(p2)) [ p1'(0)[c, u.left], p2'(0)[u.right, uncle] ]
-      np1 = clone(ctx, p1, 0, c, ru.left);
-      np2 = clone(ctx, p2, 0, ru.right, uncle);
-      nu = clone(ctx, u, p2->weight, np1, np2);
+      np1 = clone(p1, 0, c, ru.left);
+      np2 = clone(p2, 0, ru.right, uncle);
+      nu = clone(u, p2->weight, np1, np2);
     } else {
       // u = p1.left: u'(w(p2)) [ p2'(0)[uncle, u.left], p1'(0)[u.right, c] ]
-      np2 = clone(ctx, p2, 0, uncle, ru.left);
-      np1 = clone(ctx, p1, 0, ru.right, c);
-      nu = clone(ctx, u, p2->weight, np2, np1);
+      np2 = clone(p2, 0, uncle, ru.left);
+      np1 = clone(p1, 0, ru.right, c);
+      nu = clone(u, p2->weight, np2, np1);
     }
-    Rec* rec = make_rec(ctx, {p3, p2, p1, u},
-                        {r3.info, r2.info, r1.info, ru.info},
+    Rec* rec = make_rec({p3, p2, p1, u}, {r3.info, r2.info, r1.info, ru.info},
                         /*finalize_mask=*/0b1110, field, p2, nu);
     if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(nu);
-    ctx.template dispose<Node>(np2);
-    ctx.template dispose<Node>(np1);
+    delete nu;
+    delete np2;
+    delete np1;
     return false;
   }
 
@@ -951,39 +936,15 @@ class ChromaticCore {
     if (field == nullptr) return false;
     const LlxResult<Node> ru = Llx::llx(ctx, u);
     if (!ru.ok) return false;
-    Node* nu = clone(ctx, u, 1, ru.left, ru.right);
-    Rec* rec = make_rec(ctx, {parent, u}, {rp.info, ru.info},
+    Node* nu = clone(u, 1, ru.left, ru.right);
+    Rec* rec = make_rec({parent, u}, {rp.info, ru.info},
                         /*finalize_mask=*/0b10, field, u, nu);
     if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(nu);
+    delete nu;
     return false;
   }
 
-  // Constructor/destructor-time allocation without an OpContext (quiescent;
-  // same policy, structure-level cache) — mirrors TreeCore.
-  template <typename T, typename... Args>
-  T* make_direct(Args&&... args) {
-    if constexpr (AllocT::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr);
-      return alloc_->template create<T>(*alloc_->local_cache(),
-                                        std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
-  }
-
-  template <typename T>
-  void dispose_direct(T* p) noexcept {
-    if (p == nullptr) return;
-    if constexpr (AllocT::kPooled) {
-      alloc_->template destroy<T>(*alloc_->local_cache(), p);
-    } else {
-      delete p;
-    }
-  }
-
   BoundedCompare<Key, Compare> cmp_;
-  AllocT* alloc_;
   Node* root_ = nullptr;
   ParkedViolation<Key> parked_;
 };
@@ -993,13 +954,12 @@ template <typename Key, typename Value, typename Compare>
 struct ChromaticSpec {
   using Layout = ChromaticLayout<Key, Value>;
   using compare_type = Compare;
-  using Pool = ObjectPool<typename Layout::Node, typename Layout::Rec>;
   template <typename Traits, typename Ctx>
   using Core = ChromaticCore<Key, Value, Compare, Traits, Ctx>;
 };
 
 /// The chromatic tree behind the same ConcurrentMap surface, Handle fast
-/// path, reclaimer/allocator policies and stats plumbing as EfrbTreeMap: both
+/// path, reclaimer policy and stats plumbing as EfrbTreeMap: both
 /// are the shared TreeMap over a different core (a class, not an alias, for
 /// the same reason as EfrbTreeMap).
 template <typename Key, typename Value = detail::Unit,

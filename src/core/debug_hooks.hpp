@@ -127,7 +127,7 @@ enum class Phase : std::uint8_t {
   kHelping,           // completing another operation's pending Info/ScxRecord
   kRebalanceCleanup,  // chromatic violation cleanup (fixing SCXs)
   kReclamation,       // retiring nodes/records into the reclaimer
-  kPoolAlloc,         // allocating nodes/records (pool or heap)
+  kPoolAlloc,         // node/record allocation (operator new)
 };
 
 /// Number of Phase values; sizes the per-phase accumulator arrays in
@@ -295,26 +295,7 @@ inline bool allow_cas(CasStep s, const void* node, unsigned tid) {
   }
 }
 
-}  // namespace hooks
-
-// ---------------------------------------------------------------------------
-// Optional Traits flags, detected by the facade (absence = default):
-//
-//   kPooledAlloc (default false) — allocate nodes and Info records from a
-//     per-structure ObjectPool (core/alloc.hpp) instead of the heap, with
-//     retired blocks recycled through the reclaimer's PoolHook.
-// ---------------------------------------------------------------------------
-
-namespace hooks {
-
-template <typename Traits>
-inline constexpr bool pooled_alloc_v = [] {
-  if constexpr (requires { Traits::kPooledAlloc; }) {
-    return static_cast<bool>(Traits::kPooledAlloc);
-  } else {
-    return false;
-  }
-}();
+// Optional Traits flags, detected by the facade (absence = default).
 
 /// kTrackKeys (default false) — stamp each operation's key into its
 /// OpContext so every Event carries it (key-space attribution for the
@@ -354,13 +335,6 @@ inline constexpr bool causal_trace_v = [] {
 struct NoopTraits {
   static constexpr bool kCountStats = false;
   static constexpr bool kSearchHelpsMarked = false;
-};
-
-/// Pooled-allocation traits: nodes and Info records come from the
-/// structure's ObjectPool and recycle through the reclaimers (the tentpole
-/// configuration of the allocation ablation; see core/alloc.hpp).
-struct PooledTraits : NoopTraits {
-  static constexpr bool kPooledAlloc = true;
 };
 
 /// §6 variant: searches splice out marked nodes they encounter.

@@ -29,7 +29,6 @@
 
 #include <functional>
 
-#include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/protocol.hpp"
 #include "core/tree_map.hpp"
@@ -42,8 +41,6 @@ template <typename Key, typename Value, typename Compare>
 struct EfrbSpec {
   using Layout = TreeLayout<Key, Value>;
   using compare_type = Compare;
-  using Pool = ObjectPool<typename Layout::Leaf, typename Layout::Internal,
-                          typename Layout::IInfo, typename Layout::DInfo>;
   template <typename Traits, typename Ctx>
   using Core = TreeCore<Key, Value, Compare, Traits, Ctx>;
 };

@@ -102,8 +102,7 @@ struct TreeLayout {
   // kPlainNewAligned assert below): a cache-line alignas would keep hot
   // Internals and Info records off each other's lines, but it sends every
   // heap `new` on the update path through memalign, which measured costlier
-  // than the false sharing it prevents (EXPERIMENTS.md, E1c). Line-private
-  // nodes come from the pooled allocator, whose blocks are whole lines.
+  // than the false sharing it prevents (EXPERIMENTS.md, E1c).
   struct Internal final : Node {
     AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     std::atomic<Node*> left;
@@ -151,7 +150,7 @@ struct TreeLayout {
   static_assert(kPlainNewAligned<Leaf, Internal, IInfo, DInfo>,
                 "over-aligned node or Info record: every heap `new` would "
                 "take aligned operator new (glibc memalign, no tcache) on "
-                "the update path; leave line alignment to the pool");
+                "the update path");
 
   /// Postcondition bundle of the Search routine (paper lines 24-26).
   struct SearchResult {

@@ -36,8 +36,8 @@
 // nodes, and retires those nodes. The count is raised *before* each freeze
 // attempt and rolled back on failure, so it never undercounts the published
 // references; whoever observes it at zero claims the record (single claim
-// bit) and retires it through the operation's OpContext, so Epoch/Hazard/
-// HP-domain reclaimers and retire-to-pool all work unchanged. Stale helpers
+// bit) and retires it through the operation's OpContext, so the Epoch,
+// Hazard and HP-domain reclaimers all work unchanged. Stale helpers
 // may touch a drained record after it is retired — they were pinned before
 // the displacement that drained it, so every reclaimer defers the free past
 // them.
@@ -285,7 +285,7 @@ struct LlxScx {
   }
 
   /// Store-conditional-extended: run the transaction described by `rec`
-  /// (allocated through ctx.make<Rec>() and fully filled in by the caller).
+  /// (freshly allocated with `new Rec` and fully filled in by the caller).
   /// The caller must not touch `rec` after this returns — ownership passes to
   /// the refcount drain either way (a record whose first freeze lost drains
   /// to zero through its own rollback and is claimed right there).

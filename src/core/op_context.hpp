@@ -30,9 +30,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
-#include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 #include "util/errors.hpp"
@@ -306,12 +304,6 @@ inline std::uint64_t next_handle_seed() noexcept {
 /// events by key range. When off, set_op_key is a no-op and op_key() folds to
 /// the kNoKey constant — the uninstrumented path carries no key state.
 ///
-/// Alloc (default HeapAllocator) is the NodeAllocatorPolicy the operation
-/// allocates through: make<T>/dispose<T> replace bare new/delete in the
-/// structure layers. With the heap default both fold to new/delete and the
-/// context carries no allocator state at all (the pointers below stay null
-/// and are never read); a pooled context routes through the allocator's
-/// thread-affine Cache.
 /// kCausal (default off) additionally maintains the handle's ProgressSlot
 /// across the operation (seq window, key, retries, last CAS step, help
 /// depth) and exposes owner() — the packed {tid, op_seq} stamp the protocol
@@ -320,12 +312,10 @@ inline std::uint64_t next_handle_seed() noexcept {
 /// the context carries no slot pointer, keeping the uninstrumented
 /// instantiation byte-identical to the pre-causality code.
 template <typename Reclaimer, bool kCount, bool kTrackKeys = false,
-          typename Alloc = HeapAllocator, bool kCausal = false>
+          bool kCausal = false>
 class OpContext {
  public:
   using Attachment = typename Reclaimer::Attachment;
-  using AllocT = Alloc;
-  using AllocCache = typename Alloc::Cache;
 
   /// Whether this context counts statistics — lets the structure layers skip
   /// preparing inputs (e.g. the descent-depth out-counter) that count_*()
@@ -335,16 +325,11 @@ class OpContext {
   /// Context for structure-level convenience methods: retires through the
   /// reclaimer's thread_local lease, counts into the shared block, no
   /// backoff (matching the pre-handle behaviour exactly). No per-thread
-  /// identity: hooks see kNoTid. Allocator defaults to null — required
-  /// (and supplied by the facade) only when Alloc::kPooled.
-  static OpContext tree_level(Reclaimer& r, StatCounters* counters,
-                              Alloc* alloc = nullptr,
-                              AllocCache* cache = nullptr) noexcept {
+  /// identity: hooks see kNoTid.
+  static OpContext tree_level(Reclaimer& r, StatCounters* counters) noexcept {
     OpContext ctx;
     ctx.rec_ = &r;
     ctx.counters_ = counters;
-    ctx.alloc_ = alloc;
-    ctx.cache_ = cache;
     return ctx;
   }
 
@@ -354,13 +339,10 @@ class OpContext {
   /// identity the fault-injection layer keys on). `retried_out`, when
   /// non-null, is set to true by the first retry_pause() — the seam behind
   /// Handle::last_op_retried() that lets latency sampling split clean ops
-  /// from contended ones without touching the stats machinery. Allocation
-  /// goes through the handle's own Cache when Alloc::kPooled.
+  /// from contended ones without touching the stats machinery.
   static OpContext attached(Attachment& a, StatCounters* counters,
                             Backoff* backoff, unsigned tid = kNoTid,
                             bool* retried_out = nullptr,
-                            Alloc* alloc = nullptr,
-                            AllocCache* cache = nullptr,
                             ProgressSlot* progress = nullptr) noexcept {
     OpContext ctx;
     ctx.att_ = &a;
@@ -368,8 +350,6 @@ class OpContext {
     ctx.backoff_ = backoff;
     ctx.tid_ = tid;
     ctx.retried_out_ = retried_out;
-    ctx.alloc_ = alloc;
-    ctx.cache_ = cache;
     if constexpr (kCausal) ctx.progress_ = progress;
     return ctx;
   }
@@ -380,32 +360,6 @@ class OpContext {
       att_->retire(p);
     } else {
       rec_->retire(p);
-    }
-  }
-
-  /// Allocate-and-construct through the context's allocator. Heap mode folds
-  /// to `new T` — no allocator pointer is ever dereferenced.
-  template <typename T, typename... Args>
-  T* make(Args&&... args) {
-    if constexpr (Alloc::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
-      return alloc_->template create<T>(*cache_, std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
-  }
-
-  /// Destroy-and-free an object that was never published (the loser side of
-  /// a CAS race). Published objects go through retire() instead. Null-safe,
-  /// like delete.
-  template <typename T>
-  void dispose(T* p) noexcept {
-    if (p == nullptr) return;
-    if constexpr (Alloc::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
-      alloc_->template destroy<T>(*cache_, p);
-    } else {
-      delete p;
     }
   }
 
@@ -587,9 +541,6 @@ class OpContext {
   unsigned tid_ = kNoTid;
   bool* retried_out_ = nullptr;
   [[maybe_unused]] std::uint64_t op_key_ = kNoKey;
-  // Null (and never read) in heap mode; see make()/dispose().
-  Alloc* alloc_ = nullptr;
-  AllocCache* cache_ = nullptr;
   [[no_unique_address]] std::conditional_t<kCausal, ProgressSlot*, NoProgress>
       progress_{};
 };

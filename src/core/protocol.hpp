@@ -84,29 +84,24 @@ class TreeCore {
   using IInfo = typename Layout::IInfo;
   using DInfo = typename Layout::DInfo;
   using SearchResult = typename Layout::SearchResult;
-  using AllocT = typename Ctx::AllocT;
   using ValidationResult = efrb::ValidationResult;
   static constexpr const char* kName = "efrb-tree";
 
-  /// `alloc` must outlive the core and is required when AllocT::kPooled (the
-  /// facade passes its own pool); in heap mode it may stay null — every
-  /// allocation folds to new/delete.
-  explicit TreeCore(Compare cmp, AllocT* alloc = nullptr)
-      : cmp_(std::move(cmp)), alloc_(alloc) {
+  explicit TreeCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Initialization per Figure 7 (lines 19-22) / Figure 6(a): the permanent
     // root has key ∞₂ and leaf children ∞₁, ∞₂. Root is never replaced.
     //
     // Exception-safe: if a later allocation (or a Value{} constructor)
     // throws, the earlier sentinels are rolled back — a throwing constructor
     // no longer leaks the left leaf (or both leaves).
-    Leaf* left = make_direct<Leaf>(BKey::inf1(), Value{});
+    Leaf* left = new Leaf(BKey::inf1(), Value{});
     Leaf* right = nullptr;
     try {
-      right = make_direct<Leaf>(BKey::inf2(), Value{});
-      root_ = make_direct<Internal>(BKey::inf2(), left, right);
+      right = new Leaf(BKey::inf2(), Value{});
+      root_ = new Internal(BKey::inf2(), left, right);
     } catch (...) {
-      dispose_direct(right);
-      dispose_direct(left);
+      delete right;
+      delete left;
       throw;
     }
   }
@@ -132,10 +127,10 @@ class TreeCore {
         // quiescence no in-tree word can be flagged or marked.
         const Update u = in->update.load(std::memory_order_relaxed);
         EFRB_DCHECK(u.state() == UpdateState::kClean);
-        if (u.state() == UpdateState::kClean) dispose_direct(u.info());
-        dispose_direct(in);
+        if (u.state() == UpdateState::kClean) delete u.info();
+        delete in;
       } else {
-        dispose_direct(static_cast<Leaf*>(n));
+        delete static_cast<Leaf*>(n);
       }
     }
   }
@@ -259,7 +254,7 @@ class TreeCore {
     Leaf* new_leaf;
     {
       hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-      new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(v));  // line 45
+      new_leaf = new Leaf(BKey::real(k), std::move(v));  // line 45
     }
     ctx.begin_op();
     for (;;) {
@@ -267,7 +262,7 @@ class TreeCore {
       hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (cmp_.equals(k, s.l->key)) {  // line 50: duplicate key
         if (!assign_if_present) {
-          ctx.dispose(new_leaf);  // never published
+          delete new_leaf;  // never published
           ctx.end_op();
           return InsertOutcome::kDuplicate;
         }
@@ -301,11 +296,11 @@ class TreeCore {
       Internal* new_internal;
       {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        new_sibling = ctx.template make<Leaf>(s.l->key, s.l->value);
+        new_sibling = new Leaf(s.l->key, s.l->value);
         if (cmp_.less(k, s.l->key)) {
-          new_internal = ctx.template make<Internal>(s.l->key, new_leaf, new_sibling);
+          new_internal = new Internal(s.l->key, new_leaf, new_sibling);
         } else {
-          new_internal = ctx.template make<Internal>(BKey::real(k), new_sibling, new_leaf);
+          new_internal = new Internal(BKey::real(k), new_sibling, new_leaf);
         }
       }
       if (try_install(s, new_internal, ctx)) {
@@ -315,8 +310,8 @@ class TreeCore {
       {
         // iflag failed: dismantle the unpublished subtree (new_leaf is reused).
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        ctx.dispose(new_sibling);
-        ctx.dispose(new_internal);
+        delete new_sibling;
+        delete new_internal;
       }
       ctx.retry_pause();
     }
@@ -339,7 +334,7 @@ class TreeCore {
       const SearchResult s = search(k, ctx);
       hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
       if (!cmp_.equals(k, s.l->key) || !(s.l->value == expected)) {
-        ctx.dispose(new_leaf);  // never published (may still be null)
+        delete new_leaf;  // never published (may still be null)
         ctx.end_op();
         return false;
       }
@@ -352,7 +347,7 @@ class TreeCore {
       }
       if (new_leaf == nullptr) {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(desired));
+        new_leaf = new Leaf(BKey::real(k), std::move(desired));
       }
       if (try_install(s, new_leaf, ctx)) {
         ctx.end_op();
@@ -395,7 +390,7 @@ class TreeCore {
       DInfo* op;
       {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        op = ctx.template make<DInfo>(s.gp, s.p, s.l, s.pupdate);
+        op = new DInfo(s.gp, s.p, s.l, s.pupdate);
       }
       if constexpr (hooks::causal_trace_v<Traits>) {
         // Causal owner stamp: plain store, ordered before helpers by the
@@ -429,7 +424,7 @@ class TreeCore {
         hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
         ctx.retry_pause();
       } else {
-        ctx.dispose(op);      // never published; safe to free immediately
+        delete op;            // never published; safe to free immediately
         help(expected, ctx);  // line 85: help whoever owns gp now
         ctx.count_delete_retry();
         hooks::emit<Traits>(ctx, HookPoint::kDeleteRetry);
@@ -455,7 +450,7 @@ class TreeCore {
     IInfo* op;
     {
       hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-      op = ctx.template make<IInfo>(s.p, s.l, new_node);  // line 55
+      op = new IInfo(s.p, s.l, new_node);  // line 55
     }
     if constexpr (hooks::causal_trace_v<Traits>) {
       // Causal owner stamp: plain store, ordered before helpers by the iflag
@@ -482,7 +477,7 @@ class TreeCore {
       help_insert(op, ctx);  // line 58
       return true;           // line 59
     }
-    ctx.dispose(op);      // never published
+    delete op;            // never published
     help(expected, ctx);  // line 61: the witnessed value blocked us
     ctx.count_insert_retry();
     hooks::emit<Traits>(ctx, HookPoint::kInsertRetry);
@@ -668,34 +663,7 @@ class TreeCore {
     ctx.count_cas(step, ok);
   }
 
-  // ---------------- Allocation outside an operation ----------------
-  // The constructor/destructor run without an OpContext (there is no
-  // reclaimer involvement at quiescence); they allocate through the same
-  // policy via the structure-level allocator pointer and its thread cache.
-  template <typename T, typename... Args>
-  T* make_direct(Args&&... args) {
-    if constexpr (AllocT::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr);
-      return alloc_->template create<T>(*alloc_->local_cache(),
-                                        std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
-  }
-
-  template <typename T>
-  void dispose_direct(T* p) noexcept {
-    if (p == nullptr) return;
-    if constexpr (AllocT::kPooled) {
-      alloc_->template destroy<T>(*alloc_->local_cache(), p);
-    } else {
-      delete p;
-    }
-  }
-
   BoundedCompare<Key, Compare> cmp_;
-  // Null in heap mode (never dereferenced); the facade's pool otherwise.
-  AllocT* alloc_ = nullptr;
   Internal* root_;  // line 19: the Root pointer is never changed
 };
 

@@ -1,6 +1,6 @@
 // The public facade shared by every tree in core/. TreeMap<Spec, Reclaimer,
-// Traits> owns what a tree needs around its core — the allocator, the
-// reclaimer, the stat shards and the progress table — and exposes the
+// Traits> owns what a tree needs around its core — the reclaimer, the stat
+// shards and the progress table — and exposes the
 // dictionary (Find/Insert/Delete plus the map extensions), the ordered
 // queries (ordered.hpp) and the per-thread Handle. EfrbTreeMap
 // (efrb_tree.hpp) and ChromaticTreeMap (chromatic.hpp) are thin classes
@@ -8,27 +8,24 @@
 // the structure underneath differs.
 //
 // A Spec names the core plus what the facade needs before the core can be
-// instantiated (the core's type depends on the OpContext, and the context's
-// on the allocator):
+// instantiated (the core's type depends on the OpContext):
 //
 //   Layout             node types: key_type, mapped_type, and the
 //                      is_leaf/left/right/value navigation seam of
 //                      ordered.hpp
 //   compare_type       the user's Compare
-//   Pool               the ObjectPool over the core's pooled node types
 //   Core<Traits, Ctx>  the core: contains/get/insert/replace/erase over a
 //                      Ctx, root(), cmp(), validate() and its
-//                      ValidationResult, kName, and a (Compare, AllocT*)
-//                      constructor
+//                      ValidationResult, kName, and a Compare constructor
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
-#include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/op_context.hpp"
 #include "core/ordered.hpp"
@@ -39,6 +36,15 @@
 
 namespace efrb {
 
+/// Named by the perfbench report's `alloc.*` rows; nothing fills it, since
+/// every node and record is a plain new/delete.
+struct PoolStats {
+  std::uint64_t slabs = 0;
+  std::uint64_t slab_bytes = 0;
+  std::uint64_t recycled = 0;
+  std::uint64_t cache_refills = 0;
+};
+
 template <typename Spec, typename Reclaimer, typename Traits>
 class TreeMap {
   using Layout = typename Spec::Layout;
@@ -48,20 +54,13 @@ class TreeMap {
   // Key attribution is opt-in per Traits (obs::ObsTraits sets kTrackKeys);
   // absent the member, contexts carry no key state and op_key() folds away.
   static constexpr bool kTrackKeys = hooks::track_keys_v<Traits>;
-  // Allocation policy (Traits::kPooledAlloc, default off): a per-structure
-  // ObjectPool over the core's node/record types — one uniform cache-line
-  // block class, recycled through the reclaimer's PoolHook — or the plain
-  // heap (see core/alloc.hpp).
-  using Alloc = std::conditional_t<hooks::pooled_alloc_v<Traits>,
-                                   typename Spec::Pool, HeapAllocator>;
   // Causal help-chain attribution is likewise opt-in (Traits::kCausalTrace):
   // handles acquire a ProgressSlot for the liveness watchdog, contexts stamp
   // Info records with their owner, and ops maintain the progress words.
   static constexpr bool kCausal = hooks::causal_trace_v<Traits>;
   // One OpContext instantiation serves both the tree-level path and the
   // Handle fast path: they drive the SAME instantiation of the core.
-  using Ctx =
-      OpContext<Reclaimer, Traits::kCountStats, kTrackKeys, Alloc, kCausal>;
+  using Ctx = OpContext<Reclaimer, Traits::kCountStats, kTrackKeys, kCausal>;
   using Core = typename Spec::template Core<Traits, Ctx>;
   using Shards =
       std::conditional_t<Traits::kCountStats, ShardPool, EmptyShardPool>;
@@ -75,16 +74,7 @@ class TreeMap {
   static constexpr const char* kName = Core::kName;
 
   explicit TreeMap(Compare cmp = Compare{}, Reclaimer reclaimer = Reclaimer{})
-      : reclaimer_(std::move(reclaimer)), core_(std::move(cmp), &alloc_) {
-    // Route retired nodes back into the pool instead of `delete` (installed
-    // before the tree is shared — the PoolHook write is unsynchronized by
-    // contract). The hook carries a keepalive share of the pool state, so
-    // registry stragglers (attachments, orphans) can return blocks even after
-    // this object is gone.
-    if constexpr (Alloc::kPooled) {
-      reclaimer_.set_pool_return(alloc_.pool_hook());
-    }
-  }
+      : reclaimer_(std::move(reclaimer)), core_(std::move(cmp)) {}
 
   TreeMap(const TreeMap&) = delete;
   TreeMap& operator=(const TreeMap&) = delete;
@@ -110,7 +100,6 @@ class TreeMap {
     Handle(Handle&& other) noexcept
         : tree_(std::exchange(other.tree_, nullptr)),
           att_(std::move(other.att_)),
-          cache_(std::move(other.cache_)),
           shard_(std::exchange(other.shard_, nullptr)),
           shard_base_(other.shard_base_),
           progress_(std::exchange(other.progress_, nullptr)),
@@ -124,7 +113,6 @@ class TreeMap {
         detach();
         tree_ = std::exchange(other.tree_, nullptr);
         att_ = std::move(other.att_);
-        cache_ = std::move(other.cache_);
         shard_ = std::exchange(other.shard_, nullptr);
         shard_base_ = other.shard_base_;
         progress_ = std::exchange(other.progress_, nullptr);
@@ -151,9 +139,6 @@ class TreeMap {
       if (tree_ != nullptr) Progress::release(progress_);
       progress_ = nullptr;
       att_.detach();
-      // Flush the private block chain back to the pool's global free list
-      // (no-op in heap mode — the Cache is stateless there).
-      cache_ = typename Alloc::Cache{};
       tree_ = nullptr;
     }
 
@@ -273,7 +258,6 @@ class TreeMap {
     explicit Handle(TreeMap* t)
         : tree_(t),
           att_(t->reclaimer_.attach()),
-          cache_(t->alloc_.make_cache()),
           shard_(t->shards_.acquire()),
           rng_(next_handle_seed()),
           tid_(t->next_tid_.fetch_add(1, std::memory_order_relaxed)) {
@@ -293,15 +277,14 @@ class TreeMap {
     }
 
     /// Pin through the attachment, build this handle's context (attachment
-    /// retire sink, stat shard, private backoff, private allocator cache),
-    /// run `fn`.
+    /// retire sink, stat shard, private backoff), run `fn`.
     template <typename Fn>
     decltype(auto) with_ctx(Fn&& fn) const {
       [[maybe_unused]] auto guard = pin();
       last_retried_ = false;
       auto ctx = Ctx::attached(
           att_, shard_ != nullptr ? &shard_->counters : nullptr, &backoff_,
-          tid_, &last_retried_, &tree_->alloc_, &cache_, progress_);
+          tid_, &last_retried_, progress_);
       return fn(ctx);
     }
 
@@ -312,10 +295,6 @@ class TreeMap {
 
     TreeMap* tree_ = nullptr;
     mutable typename Reclaimer::Attachment att_;
-    // Private allocator cache: blocks recycled by this handle's operations
-    // are reused without touching the pool's global free list (empty in heap
-    // mode). Declared after att_ to match the ctor's init order.
-    mutable typename Alloc::Cache cache_;
     StatShard* shard_ = nullptr;
     TreeStats shard_base_;  // recycled shard's totals at acquisition
     ProgressSlot* progress_ = nullptr;  // null unless Traits::kCausalTrace
@@ -471,11 +450,6 @@ class TreeMap {
 
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
 
-  /// The node allocator (ObjectPool under PooledTraits, stateless
-  /// HeapAllocator otherwise); exposes PoolStats gauges to tests and the
-  /// observability layer.
-  Alloc& allocator() noexcept { return alloc_; }
-
   /// The per-handle progress table the liveness watchdog samples
   /// (obs/watchdog.hpp). Meaningful only when Traits::kCausalTrace; the
   /// uninstrumented table is an empty stand-in.
@@ -487,11 +461,7 @@ class TreeMap {
   template <typename Fn>
   decltype(auto) with_ctx(Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.pin();
-    // Allocation via the pool's thread_local cache lease (the analogue of
-    // the reclaimer lease this path already uses); nulls in heap mode are
-    // never read.
-    auto ctx = Ctx::tree_level(reclaimer_, &counters_, &alloc_,
-                               Alloc::kPooled ? alloc_.local_cache() : nullptr);
+    auto ctx = Ctx::tree_level(reclaimer_, &counters_);
     return fn(ctx);
   }
 
@@ -507,12 +477,6 @@ class TreeMap {
                                             strict);
   }
 
-  // Declaration order is load-bearing: the pool must be constructed before
-  // the core (whose constructor allocates the sentinels through it) and
-  // destroyed last — ~Core returns every node to the pool, and ~Reclaimer's
-  // registry may still run pooled disposers (their safety net is the
-  // PoolHook keepalive, but the common path never needs it).
-  [[no_unique_address]] mutable Alloc alloc_;
   mutable Reclaimer reclaimer_;
   Core core_;
   mutable StatCounters counters_;  // tree-level (non-handle) counter block

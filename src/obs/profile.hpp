@@ -2,8 +2,9 @@
 //
 // A PhaseProfiler partitions each operation's measured time across the
 // efrb::Phase buckets (descent, cas_protocol, helping, rebalance_cleanup,
-// reclamation, pool_alloc) by driving a tiny per-thread state machine off the
-// event stream (core/debug_hooks.hpp), which on_event() routes to:
+// reclamation, and pool_alloc: node/record allocation (operator new)) by
+// driving a tiny per-thread state machine off the event stream
+// (core/debug_hooks.hpp), which on_event() routes to:
 //
 //   op_begin/op_end   — called by the workload runner around every operation;
 //                       they open/close the attribution window.

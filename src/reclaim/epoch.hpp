@@ -8,7 +8,7 @@
 // following a chain of pointers (the safety condition in §4.1 of the paper).
 //
 // This file holds only that rule. Slots, leases, attachments, the orphan
-// store, gauges and pool return are the shared registry
+// store and gauges are the shared registry
 // (reclaim/registry.hpp). Only the epoch announcement word is shared per
 // slot, so pin/unpin cost one store + one fence.
 #pragma once
@@ -76,10 +76,8 @@ struct EpochRule {
 
   /// Safe once two advances have completed past the retire epoch.
   template <typename Reg>
-  static std::uint64_t sweep(Reg& reg, std::uint64_t e,
-                             RetireList& list) noexcept {
-    return list.free_if([e](const Retired& r) { return r.stamp + 2 <= e; },
-                        reg.pool_hook);
+  static std::uint64_t sweep(Reg&, std::uint64_t e, RetireList& list) noexcept {
+    return list.free_if([e](const Retired& r) { return r.stamp + 2 <= e; });
   }
 
   template <typename Reg>

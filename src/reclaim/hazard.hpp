@@ -1,7 +1,7 @@
 // Hazard-style reclamation: two safety rules on the shared registry
 // (reclaim/registry.hpp). This file holds only the rules and their public
-// classes; slots, leases, attachments, the orphan store, gauges and pool
-// return are the registry's.
+// classes; slots, leases, attachments, the orphan store and gauges are the
+// registry's.
 //
 // HazardPointerDomain — hazard pointers (Michael, IEEE TPDS 2004), the
 // reclamation scheme the paper's §6 singles out as applicable to (a slightly
@@ -155,13 +155,11 @@ struct HazardRule {
   }
 
   template <typename Reg>
-  static std::uint64_t sweep(Reg& reg, const std::vector<void*>& hazards,
+  static std::uint64_t sweep(Reg&, const std::vector<void*>& hazards,
                              RetireList& list) noexcept {
-    return list.free_if(
-        [&hazards](const Retired& r) {
-          return !std::binary_search(hazards.begin(), hazards.end(), r.ptr);
-        },
-        reg.pool_hook);
+    return list.free_if([&hazards](const Retired& r) {
+      return !std::binary_search(hazards.begin(), hazards.end(), r.ptr);
+    });
   }
 
   template <typename Reg>
@@ -199,8 +197,8 @@ struct GraceRoundRule {
     bool empty() const noexcept { return retired.empty() && pending.empty(); }
     void push_back(const Retired& r) { retired.push_back(r); }
 
-    std::uint64_t free_all(const PoolHook& hook) noexcept {
-      return retired.free_all(hook) + pending.free_all(hook);
+    std::uint64_t free_all() noexcept {
+      return retired.free_all() + pending.free_all();
     }
 
     /// Adopted entries restart their grace round here: strictly
@@ -270,7 +268,7 @@ struct GraceRoundRule {
     }
     b.readers.resize(kept);
     std::uint64_t freed = 0;
-    if (b.readers.empty()) freed = b.pending.free_all(reg.pool_hook);
+    if (b.readers.empty()) freed = b.pending.free_all();
     if (b.pending.empty() && !b.retired.empty()) {
       std::swap(b.pending, b.retired);
       for (const auto& padded : reg.slots) {

@@ -19,57 +19,15 @@
 
 #include <concepts>
 #include <cstdint>
-#include <memory>
-#include <utility>
 
 namespace efrb {
 
-// ---------------------------------------------------------------------------
-// Retire-to-pool hook (see core/alloc.hpp and docs/RECLAMATION.md).
-//
-// When a structure allocates its nodes from a pool, a retired object must
-// return to that pool instead of being handed to `delete`. Every reclaimer's
-// registry carries one PoolHook; retire() stores a type-erased disposer
-// (dispose_retired<T>) with each entry, and the disposer consults the hook at
-// free time: destructor + pool return when a hook is installed, plain delete
-// otherwise.
-//
-// The `keepalive` shared_ptr is the lifetime contract: retired entries can
-// outlive the owning structure (a reclaimer copy or an Attachment keeps the
-// registry alive past structure destruction), so the registry must keep the
-// pool's backing storage alive until its own destructor has run the last
-// disposer. Installing the hook hands the registry a share of the pool state.
-//
-// set_pool_return must be called before any retire() that should recycle —
-// in practice, once at structure construction, before the structure is
-// shared between threads. The hook is written without synchronization.
-// ---------------------------------------------------------------------------
-struct PoolHook {
-  /// Returns a fully destroyed block to the pool. Must be thread-safe: sweeps
-  /// run on whichever thread trips a retire threshold, and the registry
-  /// destructor may run on yet another.
-  using ReturnFn = void (*)(void* pool, void* block) noexcept;
-
-  ReturnFn fn = nullptr;
-  void* pool = nullptr;
-  std::shared_ptr<void> keepalive;
-
-  explicit operator bool() const noexcept { return fn != nullptr; }
-};
-
-/// The type-erased disposer stored with every retired entry: destroy the
-/// object, then return the block to the pool (hook installed) or free it on
-/// the heap (no hook). One instantiation per retired type, so the destructor
-/// call is exact — including virtual dispatch through base pointers.
+/// The type-erased disposer stored with every retired entry. One
+/// instantiation per retired type, so the destructor call is exact —
+/// including virtual dispatch through base pointers.
 template <typename T>
-inline void dispose_retired(void* q, const PoolHook& hook) noexcept {
-  T* p = static_cast<T*>(q);
-  if (hook) {
-    p->~T();
-    hook.fn(hook.pool, p);
-  } else {
-    delete p;
-  }
+inline void dispose_retired(void* p) noexcept {
+  delete static_cast<T*>(p);
 }
 
 /// Point-in-time snapshot of a reclaimer's internal state, for the
@@ -95,11 +53,10 @@ struct ReclaimGauges {
 
 // clang-format off
 template <typename R>
-concept ReclaimerPolicy = requires(R r, PoolHook h) {
+concept ReclaimerPolicy = requires(R r) {
   { r.pin() };                       // returns a movable RAII guard
   { r.template retire<int>(static_cast<int*>(nullptr)) };
   { r.flush() };                     // drain the calling thread's backlog
-  { r.set_pool_return(h) };          // install the retire-to-pool hook
 };
 
 // Extension of ReclaimerPolicy for policies with explicit per-thread
@@ -160,15 +117,8 @@ class LeakyReclaimer {
 
   template <typename T>
   void retire(T* /*p*/) noexcept {
-    // Intentionally leaked; freed only when the process exits — or, when the
-    // structure allocates from a pool, when the pool's slabs are torn down
-    // (the leak is then bounded by the pool's lifetime, not the process's).
+    // Intentionally leaked; freed only when the process exits.
   }
-
-  /// Accepted and dropped: this policy never frees, so it never has a block
-  /// to hand back. A pooled structure over LeakyReclaimer still reclaims its
-  /// memory wholesale when the pool's slabs are destroyed.
-  void set_pool_return(PoolHook /*hook*/) noexcept {}
 
   void flush() noexcept {}
 

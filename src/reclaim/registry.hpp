@@ -5,8 +5,8 @@
 // once: the type-erased Retired entry, the cache-padded slot table with its
 // bounded-retry acquire_slot(), the orphan store that adopts a released
 // slot's backlog, the thread_local lease and the movable Attachment that own
-// slots, the per-slot gauge counters, the PoolHook return path, and the
-// destructor that frees whatever is left. A policy ("rule") plugs in as a
+// slots, the per-slot gauge counters, and the destructor that frees whatever
+// is left. A policy ("rule") plugs in as a
 // template parameter — no virtual calls — and supplies only:
 //
 //   SlotState                  per-slot announcement (shared) + owner state
@@ -48,11 +48,10 @@
 namespace efrb::detail {
 
 /// A retired object awaiting its rule's safety condition. The disposer is
-/// dispose_retired<T>, which consults the registry's PoolHook at free time:
-/// pool return when installed, delete otherwise.
+/// dispose_retired<T> (reclaim/reclaimer.hpp).
 struct Retired {
   void* ptr;
-  void (*deleter)(void*, const PoolHook&);
+  void (*deleter)(void*);
   std::uint64_t stamp;  // rule-defined: the retire epoch for EBR, else 0
 };
 
@@ -68,11 +67,11 @@ class RetireList {
   /// Frees every entry `is_safe` accepts and compacts the rest in place;
   /// returns the number freed.
   template <typename Pred>
-  std::uint64_t free_if(Pred is_safe, const PoolHook& hook) noexcept {
+  std::uint64_t free_if(Pred is_safe) noexcept {
     std::size_t kept = 0;
     for (const Retired& r : entries_) {
       if (is_safe(r)) {
-        r.deleter(r.ptr, hook);
+        r.deleter(r.ptr);
       } else {
         entries_[kept++] = r;
       }
@@ -82,8 +81,8 @@ class RetireList {
     return freed;
   }
 
-  std::uint64_t free_all(const PoolHook& hook) noexcept {
-    return free_if([](const Retired&) { return true; }, hook);
+  std::uint64_t free_all() noexcept {
+    return free_if([](const Retired&) { return true; });
   }
 
   /// Moves every entry of `from` to the back of this list. Capacity is
@@ -247,10 +246,9 @@ class ReclaimRegistry : public Rule {
 
   ~ReclaimRegistry() {
     // Last reference dropped: nothing is pinned or published; free all
-    // leftovers. pool_hook's keepalive guarantees the pool state is still
-    // alive here even if the owning structure (and its pool) died first.
-    for (auto& padded : slots) padded->backlog.free_all(pool_hook);
-    orphans.free_all(pool_hook);
+    // leftovers.
+    for (auto& padded : slots) padded->backlog.free_all();
+    orphans.free_all();
   }
 
   /// Bounded retry (a concurrent release may be mid-flight), then throws
@@ -380,10 +378,6 @@ class ReclaimRegistry : public Rule {
   // orphans.size() mirrored for lock-free gauge snapshots; stored under
   // orphan_mu by every mutator of `orphans`.
   std::atomic<std::uint64_t> orphan_count{0};
-  // Retire-to-pool hook (see reclaim/reclaimer.hpp). Written once by
-  // set_pool_return() before the structure is shared; read by every
-  // disposer call. Unsynchronized by contract.
-  PoolHook pool_hook;
 
  private:
   template <typename Pass>
@@ -447,14 +441,6 @@ class RegistryReclaimer {
   /// Gauge snapshot for the observability layer; see ReclaimRegistry::gauges.
   ReclaimGauges gauges() const noexcept { return reg_->gauges(); }
 
-  /// Installs the retire-to-pool hook (see reclaim/reclaimer.hpp). Must be
-  /// called before this reclaimer is shared between threads — typically once
-  /// in the owning structure's constructor. Entries already queued are also
-  /// re-routed (the hook is consulted at free time, not retire time).
-  void set_pool_return(PoolHook hook) noexcept {
-    reg_->pool_hook = std::move(hook);
-  }
-
  protected:
   RegistryReclaimer(std::size_t max_threads, std::size_t retire_batch)
       : reg_(std::make_shared<Registry>(max_threads)),
@@ -465,9 +451,9 @@ class RegistryReclaimer {
  private:
   // Thread → slot binding. A lease entry holds its registry weakly, so a
   // thread that once made a tree-level call does not keep a dead
-  // structure's registry (and, through the PoolHook keepalive, its pool
-  // slabs) alive until it exits: the registry dies with its last reclaimer
-  // or Attachment, and its destructor frees every slot's leftovers. Thread
+  // structure's registry (and its retire backlog) alive until it exits: the
+  // registry dies with its last reclaimer or Attachment, and its destructor
+  // frees every slot's leftovers. Thread
   // exit locks the entry and, if the registry still lives, releases the
   // slot through ReclaimRegistry::release, so the departing thread's backlog
   // is flushed and orphaned, not stranded. Expired entries are pruned on the

@@ -4,23 +4,22 @@
 // Single-structure scalability tops out when every core funnels through one
 // root and one reclaimer domain. ShardedMap partitions the key space across
 // N inner trees (EFRB or chromatic — anything exposing the facade surface of
-// efrb_tree.hpp / chromatic.hpp), each with its **own** reclaimer instance,
-// allocator pool and stat shards, so shards share no mutable cache lines at
-// all: an epoch advance, orphan sweep or pool refill on one shard never
-// stalls another. Key placement is a pluggable router (shard_router.hpp) —
-// hash for uniformity, range for locality — chosen independently of the
-// inner tree type.
+// efrb_tree.hpp / chromatic.hpp), each with its **own** reclaimer instance
+// and stat shards, so shards share no mutable cache lines at all: an epoch
+// advance or orphan sweep on one shard never stalls another. Key placement
+// is a pluggable router (shard_router.hpp) — hash for uniformity, range for
+// locality — chosen independently of the inner tree type.
 //
 //   ShardedMap<Inner, Router>
 //     ├── router:  key -> shard index (deterministic, copyable value)
-//     ├── shards:  unique_ptr<Inner>[N]   (per-shard reclaimer/alloc/stats)
+//     ├── shards:  unique_ptr<Inner>[N]   (per-shard reclaimer/stats)
 //     └── Handle:  one lazily-attached Inner::Handle per shard
 //
 // Handle affinity: a sharded Handle materializes an inner handle (reclaimer
-// slot + stat shard + alloc cache) only for shards the thread actually
-// touches — a thread pinned to one range-shard consumes exactly one slot,
-// not N, which keeps handle capacity (kMaxHandles, reclaimer max_threads)
-// a per-shard budget rather than a divided one.
+// slot + stat shard) only for shards the thread actually touches — a thread
+// pinned to one range-shard consumes exactly one slot, not N, which keeps
+// handle capacity (kMaxHandles, reclaimer max_threads) a per-shard budget
+// rather than a divided one.
 //
 // Batch APIs (multi_get / multi_insert) group keys by shard and run each
 // group back-to-back through that shard's handle, answering in input order.
@@ -148,8 +147,8 @@ class ShardedMap {
 
     bool valid() const noexcept { return map_ != nullptr; }
 
-    /// Release every attached inner handle (reclaimer slots, stat shards,
-    /// alloc caches) without waiting for destruction.
+    /// Release every attached inner handle (reclaimer slots, stat shards)
+    /// without waiting for destruction.
     void detach() noexcept {
       for (auto& h : handles_) h.reset();
       map_ = nullptr;

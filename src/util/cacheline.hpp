@@ -43,8 +43,7 @@ static_assert(alignof(CachePadded<char>) == kCacheLineSize);
 /// aligned past __STDCPP_DEFAULT_NEW_ALIGNMENT__ (16 on x86-64) goes through
 /// the aligned overload instead — glibc's memalign path, which bypasses the
 /// thread cache and splits a chunk on every call. Per-operation heap types
-/// (tree nodes, Info/SCX records) assert this; cache-line placement is the
-/// pooled allocator's job (core/alloc.hpp), not the type's.
+/// (tree nodes, Info/SCX records) assert this.
 template <typename... Ts>
 inline constexpr bool kPlainNewAligned =
     ((alignof(Ts) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) && ...);

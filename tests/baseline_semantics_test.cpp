@@ -268,6 +268,21 @@ TEST(HarrisListTest, HazardReclamationFreesUnderChurn) {
       << "hazard-pointer scans never freed anything";
 }
 
+TEST(HarrisListTest, HandleFlushFreesRetiredNodes) {
+  // The handle path retires through its own hazard slot; a flush at a
+  // quiescent point hands the unlinked nodes back to the heap.
+  HarrisList<int> l;
+  {
+    auto h = l.handle();
+    for (int i = 0; i < 256; ++i) EXPECT_TRUE(h.insert(i));
+    for (int i = 0; i < 256; ++i) EXPECT_TRUE(h.erase(i));
+    h.flush();
+  }
+  for (int i = 0; i < 256; ++i) EXPECT_FALSE(l.contains(i));
+  EXPECT_EQ(l.size(), 0u);
+  EXPECT_GE(l.reclaimer().freed_count(), 256u);
+}
+
 TEST(SkipListTest, TowersCoverLargeKeyRanges) {
   LockFreeSkipList<int> s;
   for (int k = 0; k < 5000; ++k) ASSERT_TRUE(s.insert(k));

@@ -27,13 +27,9 @@ namespace {
 
 // scripts/check.sh rebuilds this suite with non-default traits (same knobs
 // as core_concurrent_test.cpp): -DEFRB_TEST_FORCE_STATS races the chromatic
-// tree's stat shards (including the new depth/rotation counters) under TSan;
-// -DEFRB_TEST_POOLED runs every schedule through the ObjectPool, which for
-// the chromatic tree also covers pooled ScxRecord recycling.
+// tree's stat shards (including the new depth/rotation counters) under TSan.
 #if defined(EFRB_TEST_FORCE_STATS)
 using TestTraits = StatsTraits;
-#elif defined(EFRB_TEST_POOLED)
-using TestTraits = PooledTraits;
 #else
 using TestTraits = NoopTraits;
 #endif

@@ -12,6 +12,7 @@
 
 #include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
+#include "reclaim/hazard.hpp"
 #include "util/rng.hpp"
 
 namespace efrb {
@@ -227,22 +228,27 @@ TEST(ChromaticStatsTest, DepthAndRotationCountersPopulate) {
   EXPECT_GT(e.depth_max, 10 * s.depth_max);
 }
 
-// --------------------------- pooled allocation -----------------------------
+// ------------------------ hazard-pointer reclamation -----------------------
 
-TEST(ChromaticAllocTest, PooledVariantFullCycle) {
-  using Pooled =
-      ChromaticTreeSet<int, std::less<int>, EpochReclaimer, PooledTraits>;
-  Pooled t;
+TEST(ChromaticReclaimTest, HazardHandleFullCycle) {
+  // Inserts and erases through a handle under hazard-pointer reclamation:
+  // every rebalancing step retires the nodes it replaces while the handle's
+  // hazards guard the LLX snapshots. The flush frees them; the tree is still
+  // balanced and holds exactly the odd keys.
+  using HazardSet = ChromaticTreeSet<int, std::less<int>, HazardReclaimer>;
+  HazardSet t;
   {
     auto h = t.handle();
     for (int k = 0; k < 2000; ++k) EXPECT_TRUE(h.insert(k));
     for (int k = 0; k < 2000; k += 2) EXPECT_TRUE(h.erase(k));
     h.flush();
   }
-  EXPECT_TRUE(t.validate().ok);
+  EXPECT_TRUE(t.validate().ok) << t.validate().error;
   EXPECT_EQ(t.size(), 1000u);
   EXPECT_FALSE(t.contains(0));
   EXPECT_TRUE(t.contains(1));
+  // Each of the 1000 erases replaces at least the leaf and its parent.
+  EXPECT_GE(t.reclaimer().freed_count(), 2000u);
 }
 
 }  // namespace

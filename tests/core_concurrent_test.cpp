@@ -43,11 +43,6 @@ struct ForcedHookTraits : NoopTraits {
 using TestTraits = ForcedHookTraits;
 #elif defined(EFRB_TEST_FORCE_STATS)
 using TestTraits = StatsTraits;
-#elif defined(EFRB_TEST_POOLED)
-// -DEFRB_TEST_POOLED — PooledTraits, so every schedule also races the
-// ObjectPool's cache/free-list machinery (alloc, recycle-through-reclaimer,
-// cross-thread block adoption) under the sanitizers.
-using TestTraits = PooledTraits;
 #else
 using TestTraits = NoopTraits;
 #endif

@@ -4,6 +4,10 @@
 // implementation rather than to the harness or the oracle.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "reclaim/hazard.hpp"
 #include "shard/sharded_map.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace efrb {
 namespace {
@@ -80,9 +85,6 @@ TEST_P(DifferentialSweep, AllImplementationsAgreeStepByStep) {
        run_script<EfrbTreeSet<int, std::less<int>, EpochReclaimer,
                               HelpingSearchTraits>>(script)},
       {"chromatic", run_script<ChromaticTreeSet<int>>(script)},
-      {"chromatic-pooled",
-       run_script<ChromaticTreeSet<int, std::less<int>, EpochReclaimer,
-                                   PooledTraits>>(script)},
       {"coarse", run_script<CoarseLockBst<int>>(script)},
       {"finelock", run_script<FineLockBst<int>>(script)},
       {"stdmap", run_script<LockedStdSet<int>>(script)},
@@ -225,6 +227,151 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_range" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Read path vs a std::map oracle, on random and adversarial key streams and
+// under concurrent churn.
+// ---------------------------------------------------------------------------
+
+/// Drives the lean find_path read descent through a random op stream and
+/// checks every get/contains against a std::map oracle.
+void lean_vs_oracle(const std::vector<int>& keys) {
+  EfrbTreeMap<int, int> tree;
+  std::map<int, int> oracle;
+  Xoshiro256 rng(0x1ea2f1adu);
+  auto h = tree.handle();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const int k = keys[i];
+    switch (rng.next() % 5) {
+      case 0:
+        EXPECT_EQ(h.erase(k), oracle.erase(k) != 0);
+        break;
+      case 1:
+      case 2: {
+        const int v = static_cast<int>(i);
+        EXPECT_EQ(h.insert(k, v), oracle.emplace(k, v).second);
+        break;
+      }
+      default: {
+        const auto it = oracle.find(k);
+        const std::optional<int> want =
+            it == oracle.end() ? std::nullopt : std::optional<int>(it->second);
+        EXPECT_EQ(h.get(k), want) << "get(" << k << ")";
+        EXPECT_EQ(h.contains(k), want.has_value());
+        break;
+      }
+    }
+  }
+}
+
+TEST(LeanFindDifferential, RandomKeyStream) {
+  std::vector<int> keys;
+  Xoshiro256 rng(0xbeefu);
+  keys.reserve(20000);
+  for (int i = 0; i < 20000; ++i) {
+    keys.push_back(static_cast<int>(rng.next() % 1024));
+  }
+  lean_vs_oracle(keys);
+}
+
+TEST(LeanFindDifferential, AdversarialKeyStreams) {
+  // Ascending then descending runs (degenerate linear tree shapes), repeated
+  // boundary keys, and the extremes next to the sentinel ordering.
+  std::vector<int> keys;
+  for (int i = 0; i < 1000; ++i) keys.push_back(i);
+  for (int i = 999; i >= 0; --i) keys.push_back(i);
+  for (int i = 0; i < 500; ++i) keys.push_back(0);
+  for (int i = 0; i < 500; ++i) keys.push_back(999);
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back(std::numeric_limits<int>::max());
+    keys.push_back(std::numeric_limits<int>::min());
+  }
+  lean_vs_oracle(keys);
+}
+
+TEST(LeanFindDifferential, LeanReadsUnderConcurrentChurn) {
+  // The lean descent never writes; run it against live updaters and check it
+  // only ever reports keys from the permanently-present set or the churn set.
+  EfrbTreeMap<int, int> t;
+  constexpr int kStable = 128;   // keys 0..127 always present
+  constexpr int kChurnLo = 256;  // keys 256..383 flicker
+  for (int i = 0; i < kStable; ++i) t.insert(i, i);
+  std::atomic<bool> stop{false};
+  run_threads(4, [&](std::size_t tid) {
+    auto h = t.handle();
+    if (tid == 0) {
+      for (int round = 0; round < 200; ++round) {
+        for (int i = kChurnLo; i < kChurnLo + 128; ++i) h.insert(i, i);
+        for (int i = kChurnLo; i < kChurnLo + 128; ++i) h.erase(i);
+      }
+      stop.store(true);
+    } else {
+      Xoshiro256 rng(tid);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int k = static_cast<int>(rng.next() % 512);
+        const bool hit = h.contains(k);
+        if (k < kStable) {
+          EXPECT_TRUE(hit) << "stable key " << k << " vanished";
+        } else if (k < kChurnLo || k >= kChurnLo + 128) {
+          EXPECT_FALSE(hit) << "phantom key " << k;
+        }
+      }
+    }
+  });
+  EXPECT_TRUE(t.validate().ok);
+}
+
+// ---------------------------------------------------------------------------
+// Handle path vs tree-level calls: one op stream drives a tree through a
+// Handle (its own reclaimer Attachment) and a twin through tree-level calls
+// (the calling thread's lease); both must answer like a std::map at every
+// step and end structurally valid.
+// ---------------------------------------------------------------------------
+
+template <typename Map>
+void handle_vs_tree_calls(std::uint64_t seed) {
+  Map via_handle;
+  Map via_tree;
+  std::map<int, int> oracle;
+  Xoshiro256 rng(seed);
+  auto h = via_handle.handle();
+  for (int op = 0; op < 20000; ++op) {
+    const int k = static_cast<int>(rng.next() % 512);
+    switch (rng.next() % 4) {
+      case 0: {
+        const int v = static_cast<int>(rng.next() % 100);
+        const bool inserted = oracle.emplace(k, v).second;
+        ASSERT_EQ(h.insert(k, v), inserted) << "step " << op;
+        ASSERT_EQ(via_tree.insert(k, v), inserted) << "step " << op;
+        break;
+      }
+      case 1: {
+        const bool erased = oracle.erase(k) != 0;
+        ASSERT_EQ(h.erase(k), erased) << "step " << op;
+        ASSERT_EQ(via_tree.erase(k), erased) << "step " << op;
+        break;
+      }
+      default: {
+        const auto it = oracle.find(k);
+        const std::optional<int> want =
+            it == oracle.end() ? std::nullopt : std::optional<int>(it->second);
+        ASSERT_EQ(h.get(k), want) << "step " << op;
+        ASSERT_EQ(via_tree.get(k), want) << "step " << op;
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(via_handle.validate().ok) << via_handle.validate().error;
+  EXPECT_TRUE(via_tree.validate().ok) << via_tree.validate().error;
+}
+
+TEST(HandleDifferential, EfrbHandleMatchesTreeCalls) {
+  handle_vs_tree_calls<EfrbTreeMap<int, int>>(0xa110cu);
+}
+
+TEST(HandleDifferential, ChromaticHandleMatchesTreeCalls) {
+  handle_vs_tree_calls<ChromaticTreeMap<int, int>>(0xa110cu);
+}
 
 }  // namespace
 }  // namespace efrb

@@ -1,10 +1,10 @@
 // Ordered navigation on both trees — min_key / max_key, find_ge / find_gt /
 // find_le / find_lt, range(), count_range() and for_each() — checked against
 // a std::map oracle through the tree and through a Handle, on EfrbTreeMap
-// and ChromaticTreeMap, heap and pooled. Both trees share one facade
-// (core/tree_map.hpp) and one set of walks (core/ordered.hpp), so every test
-// here runs on all four instantiations; weak-consistency smoke under
-// concurrency closes the file.
+// and ChromaticTreeMap, each under epoch and hazard-pointer reclamation.
+// Both trees share one facade (core/tree_map.hpp) and one set of walks
+// (core/ordered.hpp), so every test here runs on all four instantiations;
+// weak-consistency smoke under concurrency closes the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +19,7 @@
 
 #include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
+#include "reclaim/hazard.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -102,15 +103,16 @@ class OrderedQueryTest : public ::testing::Test {};
 
 using Trees = ::testing::Types<
     EfrbTreeMap<int, int>,
-    EfrbTreeMap<int, int, std::less<int>, EpochReclaimer, PooledTraits>,
+    EfrbTreeMap<int, int, std::less<int>, HazardReclaimer>,
     ChromaticTreeMap<int, int>,
-    ChromaticTreeMap<int, int, std::less<int>, EpochReclaimer, PooledTraits>>;
+    ChromaticTreeMap<int, int, std::less<int>, HazardReclaimer>>;
 
 struct TreeNames {
   template <typename T>
   static std::string GetName(int i) {
-    static const char* const kNames[] = {"EfrbHeap", "EfrbPooled",
-                                         "ChromaticHeap", "ChromaticPooled"};
+    // "Heap" is the epoch-reclaimed default configuration.
+    static const char* const kNames[] = {"EfrbHeap", "EfrbHazard",
+                                         "ChromaticHeap", "ChromaticHazard"};
     return kNames[i];
   }
 };

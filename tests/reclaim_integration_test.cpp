@@ -1,15 +1,37 @@
 // Integration of the tree with its reclamation policy: object-lifecycle
 // accounting across the retirement protocol (nodes at unflag, Info records at
 // the next overwriting CAS), destructor behaviour with un-overwritten Clean
-// words, and reclaimer sharing across many trees and thread generations.
+// words, reclaimer sharing across many trees and thread generations, thread
+// leases that do not outlive destroyed trees, and — since every node and
+// record is a plain new/delete — the reclaimer as the only path by which
+// erased nodes go back to the heap: on both trees under both safe policies,
+// under steady churn, under concurrent handles, and around a deleter
+// stalled mid-protocol.
 // ASan runs of this binary are the authoritative double-free/leak check.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// Exported by the ASan and TSan runtimes; declared here because not every
+// toolchain installs <sanitizer/allocator_interface.h>.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
+#include "core/chromatic.hpp"
+#include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
+#include "inject/fault_plan.hpp"
+#include "inject/fault_scheduler.hpp"
+#include "reclaim/hazard.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -157,6 +179,222 @@ TEST(ReclaimIntegrationTest, HelpingDoesNotDoubleRetire) {
     }
   });
   EXPECT_TRUE(t.validate().ok);
+}
+
+// Bytes allocated and not yet freed. A sanitizer runtime replaces malloc
+// (its mallinfo2 reports zeros), so ask its allocator; otherwise glibc's
+// in-use total: arena chunks plus mmapped ones.
+std::size_t heap_in_use() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#endif
+}
+
+template <typename Reclaimer>
+class LeaseLifetimeTest : public ::testing::Test {};
+
+using LeaseReclaimers = ::testing::Types<EpochReclaimer, HazardReclaimer>;
+TYPED_TEST_SUITE(LeaseLifetimeTest, LeaseReclaimers);
+
+TYPED_TEST(LeaseLifetimeTest, DestroyedTreesAreNotPinnedByThreadLeases) {
+  // Tree-level calls go through the calling thread's reclaimer lease. The
+  // lease holds the registry weakly, so it must not keep a destroyed tree's
+  // registry, and the retire backlog in its slot, alive until the thread
+  // exits: after five build/destroy cycles on one thread, at most one live
+  // tree's worth may still be in use. The retire batch exceeds the number of
+  // erases, so no sweep runs and every retired object stays in the lease
+  // slot's backlog until the registry dies. Runs on a fresh thread so the
+  // measurement ends before its leases are torn down.
+  constexpr std::size_t kNoSweepBatch = std::size_t{1} << 20;
+  std::vector<int> keys(20000);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937(7));  // keep it shallow
+  std::size_t one_tree = 0;
+  std::size_t after = 0;
+  std::size_t before = 0;
+  std::thread([&] {
+    before = heap_in_use();
+    for (int round = 0; round < 5; ++round) {
+      EfrbTreeMap<int, int, std::less<int>, TypeParam> t(
+          std::less<int>{}, TypeParam(/*max_threads=*/8, kNoSweepBatch));
+      for (int k : keys) t.insert(k, k);
+      // Retire half through the lease slot, so its backlog holds nodes.
+      for (std::size_t i = 0; i < keys.size(); i += 2) t.erase(keys[i]);
+      if (round == 0) one_tree = heap_in_use() - before;
+    }
+    after = heap_in_use();
+  }).join();
+  const std::size_t pinned = after > before ? after - before : 0;
+  EXPECT_LE(pinned, one_tree)
+      << "one live tree: " << one_tree << " B; still in use after five "
+      << "destroyed trees: " << pinned << " B";
+}
+
+// ---------------------------------------------------------------------------
+// Erased nodes go back to the heap through the reclaimer alone
+// ---------------------------------------------------------------------------
+
+template <typename Set>
+class HeapReclaimTest : public ::testing::Test {};
+
+using HeapSets =
+    ::testing::Types<EfrbTreeSet<int, std::less<int>, EpochReclaimer>,
+                     EfrbTreeSet<int, std::less<int>, HazardReclaimer>,
+                     ChromaticTreeSet<int, std::less<int>, EpochReclaimer>,
+                     ChromaticTreeSet<int, std::less<int>, HazardReclaimer>>;
+
+struct HeapSetNames {
+  template <typename T>
+  static std::string GetName(int i) {
+    static const char* const kNames[] = {"EfrbEpoch", "EfrbHazard",
+                                         "ChromaticEpoch", "ChromaticHazard"};
+    return kNames[i];
+  }
+};
+
+TYPED_TEST_SUITE(HeapReclaimTest, HeapSets, HeapSetNames);
+
+TYPED_TEST(HeapReclaimTest, ErasedNodesAreFreedThroughTheReclaimer) {
+  constexpr std::uint64_t kKeys = 512;
+  TypeParam t;
+  {
+    auto h = t.handle();
+    for (std::uint64_t i = 0; i < kKeys; ++i) h.insert(static_cast<int>(i));
+    for (std::uint64_t i = 0; i < kKeys; ++i) h.erase(static_cast<int>(i));
+    h.flush();
+  }  // detaching releases the handle's slot and drains what it still held
+  t.reclaimer().flush();
+  EXPECT_TRUE(t.empty());
+  // Every erase unlinks at least the deleted leaf and the internal node
+  // above it; once no thread is inside an operation, all of them are freed.
+  EXPECT_GE(t.reclaimer().freed_count(), 2 * kKeys);
+}
+
+TYPED_TEST(HeapReclaimTest, SteadyChurnDoesNotGrowTheHeap) {
+  // Churn over a small key set, flushing each round: after warmup every
+  // round frees what it allocates, so the bytes in use stay put. A leak of
+  // one erased leaf per erase would add 64 × 50 × ≥32 B = 100 KiB.
+  constexpr std::size_t kNoise = 16 * 1024;
+  TypeParam t;
+  auto h = t.handle();
+  const auto churn = [&] {
+    for (int round = 0; round < 50; ++round) {
+      for (int i = 0; i < 64; ++i) h.insert(i);
+      for (int i = 0; i < 64; ++i) h.erase(i);
+      h.flush();
+    }
+  };
+  churn();
+  const std::size_t warm = heap_in_use();
+  churn();
+  const std::size_t now = heap_in_use();
+  const std::size_t grown = now > warm ? now - warm : 0;
+  EXPECT_LE(grown, kNoise) << "warm: " << warm << " B; after: " << now << " B";
+  EXPECT_TRUE(t.empty());
+}
+
+TYPED_TEST(HeapReclaimTest, HandlesKeepParityWhileTheReclaimerFrees) {
+  // The parity oracle on the handle path: presence of key k after
+  // quiescence == successful flips of k mod 2. A node freed while another
+  // thread can still reach it breaks this (and trips the sanitizer reruns).
+  TypeParam t;
+  constexpr int kKeys = 128;
+  constexpr int kOpsPerThread = 20000;
+  std::vector<std::atomic<std::uint64_t>> flips(kKeys);
+  run_threads(4, [&](std::size_t tid) {
+    auto h = t.handle();
+    Xoshiro256 rng(tid * 77 + 1);
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      const int k = static_cast<int>(rng.next() % kKeys);
+      if (rng.next() % 2 == 0) {
+        if (h.insert(k)) flips[k].fetch_add(1, std::memory_order_relaxed);
+      } else {
+        if (h.erase(k)) flips[k].fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(t.contains(k), flips[k].load() % 2 == 1) << "key " << k;
+  }
+  EXPECT_TRUE(t.validate().ok) << t.validate().error;
+  t.reclaimer().flush();
+  EXPECT_GT(t.reclaimer().freed_count(), 0u);
+}
+
+TYPED_TEST(HeapReclaimTest, GaugesBalanceOnceThreadsGoQuiet) {
+  // Every retired object is freed exactly once: once the threads have
+  // detached and flushed, the backlog is empty and the two totals meet.
+  TypeParam t;
+  run_threads(4, [&](std::size_t tid) {
+    auto h = t.handle();
+    Xoshiro256 rng(tid + 31);
+    for (int i = 0; i < 5000; ++i) {
+      const int k = static_cast<int>(rng.next() % 256);
+      if (rng.next() % 2 == 0) h.insert(k);
+      else h.erase(k);
+    }
+    h.flush();
+  });
+  t.reclaimer().flush();
+  const ReclaimGauges g = t.reclaimer().gauges();
+  EXPECT_GT(g.retired_total, 0u);
+  EXPECT_EQ(g.freed_total, g.retired_total)
+      << "backlog " << g.backlog() << ", orphans " << g.orphan_depth;
+}
+
+template <typename Reclaimer>
+class StalledDeleterTest : public ::testing::Test {};
+TYPED_TEST_SUITE(StalledDeleterTest, LeaseReclaimers);
+
+TYPED_TEST(StalledDeleterTest, ChurnAroundItFreesNothingReachable) {
+  // Thread 0 deletes key 10 and is parked right before its dunflag CAS:
+  // the leaf and its parent are spliced out and retired, and the parked
+  // thread still holds them. Thread 1 churns and flushes the whole time, so
+  // the heap hands its freed blocks straight back out; nothing the parked
+  // thread can still reach may be among them (ASan reruns make a
+  // use-after-free fatal). Released at the end; the oracle and a structural
+  // validation close the case.
+  inject::FaultPlan plan;
+  inject::FaultAction stall;
+  stall.kind = inject::FaultKind::kStall;
+  stall.tid = 0;
+  stall.point = static_cast<int>(HookPoint::kBeforeDUnflag);
+  stall.occurrence = 1;
+  plan.actions.push_back(stall);
+
+  EfrbTreeSet<int, std::less<int>, TypeParam, inject::InjectTraits> t;
+  for (int i = 0; i < 64; ++i) t.insert(i);
+
+  inject::FaultScheduler sched(plan);
+  std::atomic<bool> deleter_done{false};
+  run_threads(2, [&](std::size_t tid) {
+    typename inject::FaultScheduler::ThreadScope scope(
+        sched, static_cast<unsigned>(tid));
+    auto h = t.handle();
+    if (tid == 0) {
+      EXPECT_TRUE(h.erase(10));  // parks at kBeforeDUnflag
+      deleter_done.store(true);
+    } else {
+      EXPECT_TRUE(sched.wait_until_stalled(0));
+      for (int round = 0; round < 100; ++round) {
+        for (int i = 100; i < 164; ++i) h.insert(i);
+        for (int i = 100; i < 164; ++i) h.erase(i);
+        h.flush();
+      }
+      EXPECT_FALSE(deleter_done.load());
+      sched.release_all();
+    }
+  });
+  EXPECT_FALSE(t.contains(10));
+  for (int i = 0; i < 64; ++i) {
+    if (i != 10) {
+      EXPECT_TRUE(t.contains(i)) << "key " << i;
+    }
+  }
+  EXPECT_TRUE(t.validate().ok) << t.validate().error;
 }
 
 }  // namespace
