@@ -26,7 +26,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/prom.hpp"
-#include "shard/shard_metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/report.hpp"
@@ -122,49 +121,6 @@ class MetricsSink {
       ok = ok && wrote;
     }
     return ok;
-  }
-
-  /// A cell with a `sharding` section: the common config/result/stats/gauges
-  /// payload plus the shard balance report and one gauges block per shard
-  /// (metrics v2), and the efrb_shard_* series (Prometheus). This is the
-  /// export path of the sharded front end — see shard/shard_metrics.hpp.
-  void add_cell_sharded(std::string_view name, const WorkloadConfig& cfg,
-                        const WorkloadResult& res, const TreeStats* stats,
-                        const ReclaimGauges* gauges, const char* router_name,
-                        const shard::ShardBalanceReport& rep,
-                        const std::vector<ReclaimGauges>& per_shard) {
-    if (doc_) {
-      obs::JsonWriter& w = doc_->begin_cell(name);
-      w.key("config");
-      obs::append_config(w, cfg);
-      w.key("result");
-      obs::append_result(w, res);
-      if (stats != nullptr) {
-        w.key("tree_stats");
-        obs::append_tree_stats(w, *stats);
-      }
-      if (gauges != nullptr) {
-        w.key("gauges");
-        obs::append_gauges(w, *gauges);
-      }
-      w.key("sharding");
-      shard::append_sharding(w, router_name, rep, per_shard);
-      doc_->end_cell();
-    }
-    if (prom_) {
-      obs::PromWriter::Labels labels{
-          {"tool", tool_},
-          {"cell", std::string(name)},
-          {"threads", std::to_string(cfg.threads)},
-          {"mix", std::string(mix_name(cfg.mix))},
-          {"dist", cfg.zipf ? "zipf" : "uniform"},
-          {"router", router_name},
-      };
-      obs::append_result_prom(*prom_, labels, res);
-      if (stats != nullptr) obs::append_tree_stats_prom(*prom_, labels, *stats);
-      if (gauges != nullptr) obs::append_gauges_prom(*prom_, labels, *gauges);
-      shard::append_sharding_prom(*prom_, labels, rep, per_shard);
-    }
   }
 
  private:

@@ -13,7 +13,6 @@
 #include "baselines/locked_map.hpp"
 #include "bench_common.hpp"
 #include "core/efrb_tree.hpp"
-#include "shard/sharded_map.hpp"
 #include "util/rng.hpp"
 #include "workload/report.hpp"
 
@@ -102,37 +101,6 @@ int main(int argc, char** argv) {
                    Table::fmt(ms, 0), Table::fmt(mu, 0)});
   }
   table.print();
-
-  // Cross-shard ordered queries (shard/sharded_map.hpp): the same scan-vs-
-  // churn shape over the sharded front end. Hash sharding pays the k-way
-  // merge (count_range still only sums per-shard counts, so the overhead
-  // here is N descents instead of one); range sharding routes each window
-  // to the one or two shards it intersects.
-  std::printf("\n-- cross-shard ordered queries: sharded front end, 1 scanner "
-              "+ 3 updaters --\n");
-  Table sharded_table({"scan width", "single scans/s", "hash x4 scans/s",
-                       "hash x4 updates/s", "range x4 scans/s",
-                       "range x4 updates/s"});
-  for (const std::uint64_t width : {64ULL, 1024ULL, 16384ULL}) {
-    efrb::EfrbTreeSet<Key> single;
-    efrb::prefill(single, kRange, 0.5, 42);
-    const auto [ss, su] = scan_vs_churn(single, width, 3);
-
-    efrb::shard::ShardedSet<efrb::EfrbTreeSet<Key>, efrb::shard::HashRouter>
-        hashed{efrb::shard::HashRouter(4)};
-    efrb::prefill(hashed, kRange, 0.5, 42);
-    const auto [hs, hu] = scan_vs_churn(hashed, width, 3);
-
-    efrb::shard::ShardedSet<efrb::EfrbTreeSet<Key>, efrb::shard::RangeRouter>
-        ranged{efrb::shard::RangeRouter(4, kRange)};
-    efrb::prefill(ranged, kRange, 0.5, 42);
-    const auto [rs, ru] = scan_vs_churn(ranged, width, 3);
-
-    sharded_table.add_row({std::to_string(width), Table::fmt(ss, 0),
-                           Table::fmt(hs, 0), Table::fmt(hu, 0),
-                           Table::fmt(rs, 0), Table::fmt(ru, 0)});
-  }
-  sharded_table.print();
 
   std::printf("\n-- linearizable extreme polling (min_key) under churn --\n");
   efrb::EfrbTreeSet<Key> tree;

@@ -15,10 +15,6 @@
 #include "bench_common.hpp"
 #include "core/chromatic.hpp"
 #include "core/efrb_tree.hpp"
-#include "obs/heatmap.hpp"
-#include "obs/instruments.hpp"
-#include "shard/shard_metrics.hpp"
-#include "shard/sharded_map.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/op_mix.hpp"
 #include "workload/report.hpp"
@@ -193,96 +189,6 @@ void run_balance_grid(const std::vector<std::size_t>& threads) {
   std::printf("\n");
 }
 
-// E1e — shard-count ablation over the sharded tree-of-trees front end
-// (src/shard/sharded_map.hpp): the uniform fixed-op cell against N-way
-// hash-sharded EFRB trees, 16 threads. On a multi-core host the payoff is
-// near-linear until routers saturate; on this single-CPU host the cells
-// measure the sharding overhead floor (routing + per-shard handle lazy
-// attach) plus whatever contention relief oversubscribed threads get from
-// splitting the root and the reclaimer domains.
-void run_shard_grid() {
-  using Inner = efrb::EfrbTreeSet<Key>;
-  using Sharded = efrb::shard::ShardedSet<Inner, efrb::shard::HashRouter>;
-  constexpr std::uint64_t kOps = 200'000;
-  constexpr std::uint64_t kRange = std::uint64_t{1} << 16;
-  constexpr std::size_t kThreads = 16;
-  const std::uint64_t seed = efrb::bench::bench_seed(42);
-
-  auto record = [&](const char* name, const efrb::WorkloadResult& res) {
-    if (efrb::bench::metrics().enabled()) {
-      WorkloadConfig cfg;
-      cfg.threads = kThreads;
-      cfg.key_range = kRange;
-      cfg.mix = efrb::kBalanced;
-      cfg.seed = seed;
-      efrb::bench::metrics().add_cell(name, cfg, res);
-    }
-    return res.mops();
-  };
-
-  std::printf("-- shard ablation: fixed %llu-op uniform mix, %zu threads --\n",
-              static_cast<unsigned long long>(kOps), kThreads);
-  Table table({"shards", "Mops/s"});
-  {
-    Inner single;
-    efrb::prefill(single, kRange, 0.5, seed);
-    const auto res =
-        efrb::bench::run_fixed_ops(single, kOps, kThreads, kRange, seed);
-    table.add_row({"1 (unsharded)", Table::fmt(record("shard:single", res))});
-  }
-  for (const std::size_t s : {2u, 4u, 8u, 16u}) {
-    Sharded sharded{efrb::shard::HashRouter(s)};
-    efrb::prefill(sharded, kRange, 0.5, seed);
-    const auto res =
-        efrb::bench::run_fixed_ops(sharded, kOps, kThreads, kRange, seed);
-    const std::string name = "shard:uniform s=" + std::to_string(s);
-    table.add_row({std::to_string(s), Table::fmt(record(name.c_str(), res))});
-  }
-  table.print();
-  std::printf("\n");
-
-  // The PR 5 loop closed: a heatmap-instrumented sharded run scored through
-  // score_shard_map — windowed key-space load attributed to shards by the
-  // router — exported as the metrics-v2 `sharding` cell and the Prometheus
-  // efrb_shard_* series (shard/shard_metrics.hpp).
-  using HeatInner = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                      efrb::obs::ObsTraits>;
-  using HeatSharded =
-      efrb::shard::ShardedSet<HeatInner, efrb::shard::HashRouter>;
-  efrb::obs::KeyHeatmap heatmap(kRange);
-  const efrb::obs::Instruments instruments{.heatmap = &heatmap};
-  efrb::obs::ObsTraits::attach(&instruments);
-  HeatSharded sharded{efrb::shard::HashRouter(8)};
-  efrb::prefill(sharded, kRange, 0.5, seed);
-  const std::vector<efrb::obs::HeatBucket> before = heatmap.snapshot();
-  const auto res =
-      efrb::bench::run_fixed_ops(sharded, kOps, kThreads, kRange, seed);
-  efrb::obs::ObsTraits::detach();
-  const efrb::shard::ShardBalanceReport rep = efrb::shard::score_shard_map(
-      sharded.router(), heatmap, before, heatmap.snapshot());
-  std::printf("shard balance (hash x8, windowed heatmap): imbalance %.2fx, "
-              "hottest shard %zu (%.0f%% of attempts)%s\n\n",
-              rep.imbalance(), rep.hottest(), 100.0 * rep.share(rep.hottest()),
-              rep.balanced() ? "" : "  ** imbalanced **");
-  if (efrb::bench::metrics().enabled()) {
-    WorkloadConfig cfg;
-    cfg.threads = kThreads;
-    cfg.key_range = kRange;
-    cfg.mix = efrb::kBalanced;
-    cfg.seed = seed;
-    const efrb::TreeStats stats = sharded.stats_snapshot();
-    const efrb::ReclaimGauges gauges = sharded.gauges();
-    std::vector<efrb::ReclaimGauges> per_shard;
-    for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
-      per_shard.push_back(sharded.shard_gauges(i));
-    }
-    efrb::bench::metrics().add_cell_sharded("shard:balance-report", cfg, res,
-                                            &stats, &gauges,
-                                            efrb::shard::HashRouter::kName,
-                                            rep, per_shard);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,6 +210,5 @@ int main(int argc, char** argv) {
   }
   run_handle_ablation(threads);
   run_balance_grid(threads);
-  run_shard_grid();
   return efrb::bench::metrics().finish() ? 0 : 1;
 }

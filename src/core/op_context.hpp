@@ -117,26 +117,6 @@ inline void accumulate(TreeStats& s, const StatCounters& c) noexcept {
   }
 }
 
-/// Merge one plain snapshot into another (sums; depth_max by maximum). The
-/// sharded facade folds per-shard stats_snapshot() results through this.
-inline void accumulate(TreeStats& s, const TreeStats& o) noexcept {
-  s.insert_attempts += o.insert_attempts;
-  s.insert_retries += o.insert_retries;
-  s.delete_attempts += o.delete_attempts;
-  s.delete_retries += o.delete_retries;
-  s.helps += o.helps;
-  s.backtracks += o.backtracks;
-  s.depth_total += o.depth_total;
-  s.depth_samples += o.depth_samples;
-  if (o.depth_max > s.depth_max) s.depth_max = o.depth_max;
-  s.rotations += o.rotations;
-  s.cleanup_abandoned += o.cleanup_abandoned;
-  for (std::size_t i = 0; i < kNumCasSteps; ++i) {
-    s.cas_attempts[i] += o.cas_attempts[i];
-    s.cas_failures[i] += o.cas_failures[i];
-  }
-}
-
 /// s -= base, fieldwise. Used to report a handle's own share out of a
 /// recycled shard whose counts are lifetime totals.
 inline void subtract(TreeStats& s, const TreeStats& base) noexcept {

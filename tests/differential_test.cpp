@@ -22,19 +22,11 @@
 #include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
 #include "reclaim/hazard.hpp"
-#include "shard/sharded_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace efrb {
 namespace {
-
-/// Range router sized to the scripts' key universe so the differential
-/// actually exercises cross-shard routing (the stock default of 2^16 would
-/// park every scripted key in shard 0).
-struct SmallRangeRouter : shard::RangeRouter {
-  SmallRangeRouter() noexcept : RangeRouter(/*shards=*/4, /*key_range=*/4096) {}
-};
 
 struct Step {
   int op;  // 0 = insert, 1 = erase, 2 = contains
@@ -91,11 +83,6 @@ TEST_P(DifferentialSweep, AllImplementationsAgreeStepByStep) {
       {"harris", run_script<HarrisList<int>>(script)},
       {"skiplist", run_script<LockFreeSkipList<int>>(script)},
       {"cow", run_script<CowBst<int>>(script)},
-      {"sharded-hash-efrb",
-       run_script<shard::ShardedSet<EfrbTreeSet<int>>>(script)},
-      {"sharded-range-chromatic",
-       run_script<shard::ShardedSet<ChromaticTreeSet<int>, SmallRangeRouter>>(
-           script)},
   };
 
   for (const auto& other : others) {
@@ -194,19 +181,6 @@ TEST_P(MapDifferentialSweep, AllMapsAgreeStepByStep) {
       {"chromatic-map-stats",
        run_map_script<ChromaticTreeMap<int, int, std::less<int>,
                                        EpochReclaimer, StatsTraits>>(script)},
-      {"sharded-hash-efrb",
-       run_map_script<shard::ShardedMap<EfrbTreeMap<int, int>>>(script)},
-      {"sharded-hash-chromatic-hazard",
-       run_map_script<shard::ShardedMap<
-           ChromaticTreeMap<int, int, std::less<int>, HazardReclaimer>>>(
-           script)},
-      {"sharded-range-efrb-hazard",
-       run_map_script<shard::ShardedMap<
-           EfrbTreeMap<int, int, std::less<int>, HazardReclaimer>,
-           SmallRangeRouter>>(script)},
-      {"sharded-range-chromatic",
-       run_map_script<shard::ShardedMap<ChromaticTreeMap<int, int>,
-                                        SmallRangeRouter>>(script)},
   };
 
   for (const auto& other : others) {

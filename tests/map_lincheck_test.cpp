@@ -13,7 +13,6 @@
 #include "lincheck/checker.hpp"
 #include "lincheck/map_spec.hpp"
 #include "reclaim/hazard.hpp"
-#include "shard/sharded_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -212,8 +211,22 @@ TEST(EfrbMapLinearizabilityTest, RecordedBurstsAreLinearizable) {
   run_recorded_bursts<EfrbTreeMap<int, int>>();
 }
 
+// The hazard-side reclaimer frees in grace rounds that wait only on the
+// readers pinned when each round began, not on a global epoch. A round that
+// ended too early would hand a reader a node that was freed and reused; the
+// recorded histories would then show values no linearization explains.
+
+TEST(EfrbMapLinearizabilityTest, RecordedBurstsUnderHazard) {
+  run_recorded_bursts<EfrbTreeMap<int, int, std::less<int>, HazardReclaimer>>();
+}
+
 TEST(EfrbMapLinearizabilityTest, SingleKeyAssignFight) {
   run_single_key_assign_fight<EfrbTreeMap<int, int>>();
+}
+
+TEST(EfrbMapLinearizabilityTest, SingleKeyAssignFightUnderHazard) {
+  run_single_key_assign_fight<
+      EfrbTreeMap<int, int, std::less<int>, HazardReclaimer>>();
 }
 
 // The chromatic tree's value operations ride the same recorded-history
@@ -224,46 +237,18 @@ TEST(ChromaticMapLinearizabilityTest, RecordedBurstsAreLinearizable) {
   run_recorded_bursts<ChromaticTreeMap<int, int>>();
 }
 
+TEST(ChromaticMapLinearizabilityTest, RecordedBurstsUnderHazard) {
+  run_recorded_bursts<
+      ChromaticTreeMap<int, int, std::less<int>, HazardReclaimer>>();
+}
+
 TEST(ChromaticMapLinearizabilityTest, SingleKeyAssignFight) {
   run_single_key_assign_fight<ChromaticTreeMap<int, int>>();
 }
 
-// The sharded facade routes each key to one inner tree, so per-key
-// linearizability must be inherited verbatim from the inners — these recorded
-// histories (keys in [0, 4)) cross shard boundaries on every burst and would
-// catch any routing bug that sends the same key to two shards.
-
-/// Routes the checker's tiny key universe across two shards.
-struct TwoShardRangeRouter : shard::RangeRouter {
-  TwoShardRangeRouter() noexcept : RangeRouter(/*shards=*/2, /*key_range=*/4) {}
-};
-
-TEST(ShardedMapLinearizabilityTest, RecordedBurstsHashEfrb) {
-  run_recorded_bursts<shard::ShardedMap<EfrbTreeMap<int, int>>>();
-}
-
-TEST(ShardedMapLinearizabilityTest, RecordedBurstsHashChromaticHazard) {
-  run_recorded_bursts<shard::ShardedMap<
-      ChromaticTreeMap<int, int, std::less<int>, HazardReclaimer>>>();
-}
-
-TEST(ShardedMapLinearizabilityTest, RecordedBurstsRangeEfrb) {
-  run_recorded_bursts<
-      shard::ShardedMap<EfrbTreeMap<int, int>, TwoShardRangeRouter>>();
-}
-
-TEST(ShardedMapLinearizabilityTest, RecordedBurstsRangeChromatic) {
-  run_recorded_bursts<
-      shard::ShardedMap<ChromaticTreeMap<int, int>, TwoShardRangeRouter>>();
-}
-
-TEST(ShardedMapLinearizabilityTest, SingleKeyAssignFightHashEfrb) {
-  run_single_key_assign_fight<shard::ShardedMap<EfrbTreeMap<int, int>>>();
-}
-
-TEST(ShardedMapLinearizabilityTest, SingleKeyAssignFightRangeChromatic) {
+TEST(ChromaticMapLinearizabilityTest, SingleKeyAssignFightUnderHazard) {
   run_single_key_assign_fight<
-      shard::ShardedMap<ChromaticTreeMap<int, int>, TwoShardRangeRouter>>();
+      ChromaticTreeMap<int, int, std::less<int>, HazardReclaimer>>();
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // leases that do not outlive destroyed trees, and — since every node and
 // record is a plain new/delete — the reclaimer as the only path by which
 // erased nodes go back to the heap: on both trees under both safe policies,
-// under steady churn, under concurrent handles, and around a deleter
-// stalled mid-protocol.
+// under steady churn, under concurrent handles, with each thread holding
+// handles on several trees at once, and around a deleter stalled
+// mid-protocol.
 // ASan runs of this binary are the authoritative double-free/leak check.
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -343,6 +344,112 @@ TYPED_TEST(HeapReclaimTest, GaugesBalanceOnceThreadsGoQuiet) {
   EXPECT_GT(g.retired_total, 0u);
   EXPECT_EQ(g.freed_total, g.retired_total)
       << "backlog " << g.backlog() << ", orphans " << g.orphan_depth;
+}
+
+// ---------------------------------------------------------------------------
+// Several live trees per thread, each with its own reclaimer domain
+// ---------------------------------------------------------------------------
+
+template <typename Set>
+class MultiTreeReclaimTest : public ::testing::Test {};
+TYPED_TEST_SUITE(MultiTreeReclaimTest, HeapSets, HeapSetNames);
+
+TYPED_TEST(MultiTreeReclaimTest, HandlesOnEveryTreeKeepEachTreeSound) {
+  // Each thread holds one live handle on every tree at once, so one thread
+  // is attached to four reclaimer domains and interleaves retirements across
+  // them. A node retired into the wrong domain, or freed while another
+  // domain's pin still covers it, shows up here (and under ASan/TSan).
+  constexpr std::size_t kTrees = 4;
+  constexpr int kThreads = 6;
+  constexpr int kOps = 3000;
+  constexpr std::uint64_t kRange = 1024;
+  std::vector<TypeParam> trees(kTrees);
+  std::vector<std::atomic<std::uint64_t>> inserted(kTrees), erased(kTrees);
+  run_threads(kThreads, [&](std::size_t tid) {
+    Xoshiro256 rng(tid * 977 + 11);
+    std::vector<decltype(trees[0].handle())> handles;
+    handles.reserve(kTrees);
+    for (TypeParam& t : trees) handles.push_back(t.handle());
+    for (int i = 0; i < kOps; ++i) {
+      const std::size_t which = rng.next_below(kTrees);
+      auto& h = handles[which];
+      const int k = static_cast<int>(rng.next_below(kRange));
+      switch (rng.next_below(3)) {
+        case 0:
+          if (h.insert(k)) inserted[which].fetch_add(1);
+          break;
+        case 1:
+          if (h.erase(k)) erased[which].fetch_add(1);
+          break;
+        default:
+          h.contains(k);
+      }
+    }
+    for (auto& h : handles) h.flush();
+  });
+  for (std::size_t i = 0; i < kTrees; ++i) {
+    TypeParam& t = trees[i];
+    const auto v = t.validate();
+    EXPECT_TRUE(v.ok) << "tree " << i << ": " << v.error;
+    EXPECT_EQ(t.size(), inserted[i].load() - erased[i].load()) << "tree " << i;
+    t.reclaimer().flush();
+    const ReclaimGauges g = t.reclaimer().gauges();
+    EXPECT_GT(g.retired_total, 0u) << "tree " << i;
+    EXPECT_EQ(g.freed_total, g.retired_total)
+        << "tree " << i << ": backlog " << g.backlog() << ", orphans "
+        << g.orphan_depth;
+  }
+}
+
+TYPED_TEST(MultiTreeReclaimTest, APinInOneTreeHoldsBackOnlyThatTree) {
+  // Each tree owns its reclaimer domain. A reader pinned in `held` must
+  // keep every node `held` retires after the pin, and must not delay a
+  // single free in `other`, which one thread churns right alongside.
+  TypeParam held, other;
+  std::atomic<bool> pinned{false}, release{false};
+  std::thread reader([&] {
+    auto guard = held.reclaimer().pin();
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+
+  {
+    auto ho = other.handle();
+    auto hh = held.handle();
+    for (int round = 0; round < 4; ++round) {
+      for (int k = 0; k < 200; ++k) {
+        ho.insert(k);
+        hh.insert(k);
+      }
+      for (int k = 0; k < 200; ++k) {
+        ho.erase(k);
+        hh.erase(k);
+      }
+    }
+    ho.flush();
+    hh.flush();
+  }
+  other.reclaimer().flush();
+  held.reclaimer().flush();
+  const ReclaimGauges go = other.reclaimer().gauges();
+  EXPECT_GT(go.retired_total, 0u);
+  EXPECT_EQ(go.freed_total, go.retired_total)
+      << "the pin in the other tree held back this one: backlog "
+      << go.backlog() << ", orphans " << go.orphan_depth;
+  const ReclaimGauges gh = held.reclaimer().gauges();
+  EXPECT_GT(gh.retired_total, 0u);
+  EXPECT_EQ(gh.freed_total, 0u) << "freed under a reader pinned before the "
+                                   "retirement";
+
+  release.store(true);
+  reader.join();
+  held.reclaimer().flush();
+  const ReclaimGauges after = held.reclaimer().gauges();
+  EXPECT_EQ(after.freed_total, after.retired_total)
+      << "backlog " << after.backlog() << ", orphans " << after.orphan_depth;
+  EXPECT_TRUE(held.validate().ok);
+  EXPECT_TRUE(other.validate().ok);
 }
 
 template <typename Reclaimer>

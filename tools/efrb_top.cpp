@@ -18,7 +18,7 @@
 //
 // The dashboard also carries the liveness surface (PR 9): a causal help
 // summary (who is helping whom, from obs/causal.hpp) and the watchdog's
-// stalled-operation rows (obs/watchdog.hpp) for the single-tree mode.
+// stalled-operation rows (obs/watchdog.hpp).
 //
 // PR 10 adds two rows: `latency` (per-op p50/p99 plus the histogram
 // saturated counts — workers merge samples at join, so live frames show a
@@ -47,8 +47,6 @@
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/watchdog.hpp"
-#include "shard/shard_metrics.hpp"
-#include "shard/sharded_map.hpp"
 #include "workload/report.hpp"
 #include "workload/runner.hpp"
 
@@ -61,10 +59,6 @@ using Key = std::uint64_t;
 /// also gives every handle a progress slot, the watchdog's sampling surface.
 using TopTree = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
                                   efrb::obs::ObsTraits>;
-// --shards N: the same workload over the sharded front end; the dashboard
-// grows a per-shard row (load share from the balance report, per-shard
-// reclaimer backlog/orphans).
-using TopSharded = efrb::shard::ShardedSet<TopTree, efrb::shard::HashRouter>;
 
 struct Options {
   long ms = 2000;
@@ -75,7 +69,6 @@ struct Options {
   const char* mix_label = "update";
   bool zipf = true;
   bool once = false;
-  std::size_t shards = 0;  // 0 = single tree
 };
 
 Options parse(int argc, char** argv) {
@@ -115,13 +108,11 @@ Options parse(int argc, char** argv) {
       opt.zipf = false;
     } else if (std::strcmp(argv[i], "--once") == 0) {
       opt.once = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opt.shards = static_cast<std::size_t>(std::atol(next()));
     } else {
       std::fprintf(stderr,
                    "usage: efrb_top [--ms N] [--interval N] [--threads N] "
                    "[--range N] [--mix read|mostly|balanced|update] "
-                   "[--uniform] [--once] [--shards N]\n");
+                   "[--uniform] [--once]\n");
       std::exit(2);
     }
   }
@@ -164,54 +155,49 @@ void leave_live_screen() {
 
 /// Causal + watchdog rows under the common frame: who is helping whom and
 /// which in-flight ops the watchdog currently flags as stalled.
-void render_liveness(const efrb::obs::CausalRegistry* causal,
-                     const efrb::obs::LivenessWatchdog* watchdog) {
-  if (causal != nullptr) {
-    // The busiest helper->owner pair, as a one-line summary.
-    unsigned best_h = 0;
-    unsigned best_o = 0;
-    std::uint64_t best_n = 0;
-    for (unsigned h = 0; h < causal->max_tids(); ++h) {
-      if (causal->helps_given(h) == 0) continue;
-      for (unsigned o = 0; o < causal->max_tids(); ++o) {
-        const std::uint64_t n = causal->helped_by(h, o);
-        if (n > best_n) {
-          best_n = n;
-          best_h = h;
-          best_o = o;
-        }
+void render_liveness(const efrb::obs::CausalRegistry& causal,
+                     const efrb::obs::LivenessWatchdog& watchdog) {
+  // The busiest helper->owner pair, as a one-line summary.
+  unsigned best_h = 0;
+  unsigned best_o = 0;
+  std::uint64_t best_n = 0;
+  for (unsigned h = 0; h < causal.max_tids(); ++h) {
+    if (causal.helps_given(h) == 0) continue;
+    for (unsigned o = 0; o < causal.max_tids(); ++o) {
+      const std::uint64_t n = causal.helped_by(h, o);
+      if (n > best_n) {
+        best_n = n;
+        best_h = h;
+        best_o = o;
       }
     }
-    std::printf("causal   %llu helps attributed (%llu unattributed)",
-                static_cast<unsigned long long>(causal->total_helps()),
-                static_cast<unsigned long long>(
-                    causal->dropped_unattributed()));
-    if (best_n > 0) {
-      std::printf("  top: tid %u helped tid %u x%llu", best_h, best_o,
-                  static_cast<unsigned long long>(best_n));
-    }
-    std::printf("\n");
   }
-  if (watchdog != nullptr) {
-    const efrb::obs::StallReport rep = watchdog->report();
-    std::printf("stalls   %zu flagged now, %llu events total "
-                "(budget: %llu retries / %.0f ms)\n",
-                rep.stalled.size(),
-                static_cast<unsigned long long>(rep.stall_events_total),
-                static_cast<unsigned long long>(watchdog->budget().retries),
-                static_cast<double>(watchdog->budget().wall_ns) / 1e6);
-    for (const efrb::obs::StallEntry& e : rep.stalled) {
-      std::printf("         tid %-3u key=%llu age=%.1f ms retries=%llu "
-                  "step=%s depth=%u\n",
-                  e.tid, static_cast<unsigned long long>(e.op_key),
-                  static_cast<double>(e.age_ns) / 1e6,
-                  static_cast<unsigned long long>(e.retries),
-                  e.last_step == efrb::kNoStep
-                      ? "(none)"
-                      : efrb::to_string(
-                            static_cast<efrb::CasStep>(e.last_step)),
-                  e.help_depth);
-    }
+  std::printf("causal   %llu helps attributed (%llu unattributed)",
+              static_cast<unsigned long long>(causal.total_helps()),
+              static_cast<unsigned long long>(causal.dropped_unattributed()));
+  if (best_n > 0) {
+    std::printf("  top: tid %u helped tid %u x%llu", best_h, best_o,
+                static_cast<unsigned long long>(best_n));
+  }
+  std::printf("\n");
+
+  const efrb::obs::StallReport rep = watchdog.report();
+  std::printf("stalls   %zu flagged now, %llu events total "
+              "(budget: %llu retries / %.0f ms)\n",
+              rep.stalled.size(),
+              static_cast<unsigned long long>(rep.stall_events_total),
+              static_cast<unsigned long long>(watchdog.budget().retries),
+              static_cast<double>(watchdog.budget().wall_ns) / 1e6);
+  for (const efrb::obs::StallEntry& e : rep.stalled) {
+    std::printf("         tid %-3u key=%llu age=%.1f ms retries=%llu "
+                "step=%s depth=%u\n",
+                e.tid, static_cast<unsigned long long>(e.op_key),
+                static_cast<double>(e.age_ns) / 1e6,
+                static_cast<unsigned long long>(e.retries),
+                e.last_step == efrb::kNoStep
+                    ? "(none)"
+                    : efrb::to_string(static_cast<efrb::CasStep>(e.last_step)),
+                e.help_depth);
   }
 }
 
@@ -324,36 +310,11 @@ void render_frame(const Options& opt, const efrb::obs::MetricsPoller& poller,
   std::fflush(stdout);
 }
 
-/// The --shards extra: load share per shard (whole-run heatmap deltas pushed
-/// through the router, shard/shard_metrics.hpp) next to each shard's own
-/// reclaimer gauges — the per-domain backlog visibility that is the
-/// operational point of sharding.
-void render_shard_rows(const TopSharded& tree,
-                       const efrb::obs::KeyHeatmap& heatmap) {
-  const efrb::shard::ShardBalanceReport rep = efrb::shard::score_shard_map(
-      tree.router(), heatmap, {}, heatmap.snapshot());
-  std::printf("\nshards   %s  imbalance %.2fx  hottest %zu%s\n",
-              tree.describe().c_str(), rep.imbalance(), rep.hottest(),
-              rep.balanced() ? "" : "  ** imbalanced **");
-  efrb::Table t({"shard", "load %", "attempts", "contended", "backlog",
-                 "orphans"});
-  for (std::size_t i = 0; i < tree.shard_count(); ++i) {
-    const efrb::ReclaimGauges g = tree.shard_gauges(i);
-    t.add_row({std::to_string(i), efrb::Table::fmt(100.0 * rep.share(i), 1),
-               std::to_string(rep.per_shard[i].attempts),
-               std::to_string(rep.per_shard[i].contended),
-               std::to_string(g.backlog()), std::to_string(g.orphan_depth)});
-  }
-  t.print();
-}
-
 /// One dashboard run over `tree`: background workload, live redraw loop,
-/// final frame + protocol summary. `gauges` snapshots the reclaim gauges and
-/// `extra` renders any structure-specific rows under the common frame.
-template <typename SetT, typename GaugesFn, typename ExtraFn>
-int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
-            efrb::obs::CausalRegistry* causal = nullptr,
-            efrb::obs::LivenessWatchdog* watchdog = nullptr) {
+/// final frame + protocol summary.
+int run_top(const Options& opt, TopTree& tree,
+            efrb::obs::CausalRegistry& causal,
+            efrb::obs::LivenessWatchdog& watchdog) {
   efrb::WorkloadConfig cfg;
   cfg.threads = opt.threads;
   cfg.key_range = opt.range;
@@ -367,7 +328,7 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
   efrb::obs::MetricsPoller poller(
       std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
   efrb::obs::Instruments instruments{.heatmap = &heatmap,
-                                     .causal = causal,
+                                     .causal = &causal,
                                      .latency = &latency,
                                      .poller = &poller};
   efrb::obs::ObsTraits::attach(&instruments);
@@ -381,10 +342,10 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
   poller.set_sources({
       {},  // ops source is wired by run_workload
       [&tree] { return tree.stats(); },
-      [&gauges] { return gauges(); },
+      [&tree] { return tree.reclaimer().gauges(); },
   });
 
-  if (watchdog != nullptr) watchdog->start();
+  watchdog.start();
 
   std::atomic<bool> done{false};
   efrb::WorkloadResult result;
@@ -398,26 +359,24 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
     while (!done.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
-      render_frame(opt, poller, heatmap, gauges(), true);
+      render_frame(opt, poller, heatmap, tree.reclaimer().gauges(), true);
       render_latency(latency, /*collecting=*/true);
       render_profile(profiler, /*live=*/true);
       render_liveness(causal, watchdog);
-      extra(heatmap);
     }
     leave_live_screen();
   }
   worker.join();
-  if (watchdog != nullptr) watchdog->stop();
+  watchdog.stop();
   efrb::obs::ObsTraits::detach();
 
   // Final (or only, with --once) frame from the completed run, plus the
   // protocol-step summary — on the normal screen, so it survives in
   // scrollback after a live session.
-  render_frame(opt, poller, heatmap, gauges(), false);
+  render_frame(opt, poller, heatmap, tree.reclaimer().gauges(), false);
   render_latency(latency, /*collecting=*/false);
   render_profile(profiler, /*live=*/false);
   render_liveness(causal, watchdog);
-  extra(heatmap);
   std::printf("\n%llu ops in %.2f s (%.2f Mops/s), %llu poller samples\n\n",
               static_cast<unsigned long long>(result.total_ops()),
               result.seconds, result.mops(),
@@ -430,18 +389,10 @@ int run_top(const Options& opt, SetT& tree, GaugesFn&& gauges, ExtraFn&& extra,
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (opt.shards > 0) {
-    TopSharded tree{efrb::shard::HashRouter(opt.shards)};
-    return run_top(
-        opt, tree, [&tree] { return tree.gauges(); },
-        [&tree](const efrb::obs::KeyHeatmap& h) { render_shard_rows(tree, h); });
-  }
   TopTree tree;
   efrb::obs::CausalRegistry causal;
   efrb::obs::LivenessWatchdog watchdog(
       tree.progress_table(), efrb::obs::WatchdogBudget{},
       std::chrono::milliseconds(std::max(1L, opt.interval_ms)));
-  return run_top(
-      opt, tree, [&tree] { return tree.reclaimer().gauges(); },
-      [](const efrb::obs::KeyHeatmap&) {}, &causal, &watchdog);
+  return run_top(opt, tree, causal, watchdog);
 }
