@@ -7,9 +7,7 @@
 // given, cells measured through run_cell()/add_cell() are accumulated into a
 // schema-versioned metrics document (obs/metrics.hpp) written by finish() —
 // the machinery behind the repo-root BENCH_*.json trajectory files (see
-// scripts/bench_json.sh). `--prom <path>` is the sibling flag for the
-// Prometheus text exposition (obs/prom.hpp): the same cells, rendered as
-// labeled scrape samples. Both flags may be given together.
+// scripts/bench_json.sh).
 //
 // EFRB_BENCH_SEED pins every cell's workload seed (run_cell applies it over
 // the config's default), so two bench invocations sample identical op/key
@@ -25,7 +23,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/prom.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/report.hpp"
@@ -48,87 +45,44 @@ inline std::uint64_t bench_seed(std::uint64_t fallback) {
   return fallback;
 }
 
-/// Process-wide metrics accumulator behind the shared --json / --prom flags.
-/// Inactive (all no-ops) until init() sees a flag; thereafter add_cell()
-/// appends to the active exports and finish() writes the file(s).
+/// Process-wide metrics accumulator behind the shared --json flag.
+/// Inactive (all no-ops) until init() sees the flag; thereafter add_cell()
+/// appends to the document and finish() writes the file.
 /// Single-threaded use from bench main() flows only.
 class MetricsSink {
  public:
-  /// Parse `--json <path>` and `--prom <path>` out of argv (these are the
-  /// only arguments recognized here; everything else is left to the caller).
+  /// Parse `--json <path>` out of argv (the only argument recognized here;
+  /// everything else is left to the caller).
   void init(const char* tool, int argc, char** argv) {
-    tool_ = tool;
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::strcmp(argv[i], "--json") == 0) path_ = argv[i + 1];
-      if (std::strcmp(argv[i], "--prom") == 0) prom_path_ = argv[i + 1];
     }
-    if (!path_.empty()) doc_.emplace(tool_);
-    if (!prom_path_.empty()) prom_.emplace();
+    if (!path_.empty()) doc_.emplace(tool);
   }
 
-  bool enabled() const noexcept { return doc_.has_value() || prom_.has_value(); }
+  bool enabled() const noexcept { return doc_.has_value(); }
 
   void add_cell(std::string_view name, const WorkloadConfig& cfg,
                 const WorkloadResult& res, const TreeStats* stats = nullptr,
                 const ReclaimGauges* gauges = nullptr,
                 const LatencySamples* latency = nullptr) {
     if (doc_) doc_->add_cell(name, cfg, res, stats, gauges, latency);
-    if (prom_) {
-      // Cell identity as labels: the Prometheus analogue of the JSON cell's
-      // name+config pair, at the granularity a scraper can aggregate over.
-      obs::PromWriter::Labels labels{
-          {"tool", tool_},
-          {"cell", std::string(name)},
-          {"threads", std::to_string(cfg.threads)},
-          {"mix", std::string(mix_name(cfg.mix))},
-          {"dist", cfg.zipf ? "zipf" : "uniform"},
-      };
-      obs::append_result_prom(*prom_, labels, res);
-      if (stats != nullptr) obs::append_tree_stats_prom(*prom_, labels, *stats);
-      if (gauges != nullptr) obs::append_gauges_prom(*prom_, labels, *gauges);
-      if (latency != nullptr) {
-        const std::pair<const char*, const obs::LatencyHistogram*> hists[] = {
-            {"find", &latency->find},
-            {"insert", &latency->insert},
-            {"erase", &latency->erase},
-            {"retried", &latency->retried},
-        };
-        for (const auto& [op, h] : hists) {
-          obs::PromWriter::Labels l = labels;
-          l.emplace_back("op", op);
-          obs::append_histogram_prom(*prom_, l, *h);
-        }
-      }
-    }
   }
 
-  /// Write the active export(s). Call once, at the end of main(); returns
-  /// false on any I/O failure (also reported on stderr).
+  /// Write the document. Call once, at the end of main(); returns false on
+  /// an I/O failure (also reported on stderr).
   bool finish() {
-    bool ok = true;
-    if (doc_) {
-      const bool wrote = doc_->write(path_);
-      std::fprintf(wrote ? stdout : stderr, "metrics: %s %s\n",
-                   wrote ? "wrote" : "FAILED to write", path_.c_str());
-      doc_.reset();
-      ok = ok && wrote;
-    }
-    if (prom_) {
-      const bool wrote = prom_->write(prom_path_);
-      std::fprintf(wrote ? stdout : stderr, "metrics: %s %s\n",
-                   wrote ? "wrote" : "FAILED to write", prom_path_.c_str());
-      prom_.reset();
-      ok = ok && wrote;
-    }
-    return ok;
+    if (!doc_) return true;
+    const bool wrote = doc_->write(path_);
+    std::fprintf(wrote ? stdout : stderr, "metrics: %s %s\n",
+                 wrote ? "wrote" : "FAILED to write", path_.c_str());
+    doc_.reset();
+    return wrote;
   }
 
  private:
-  std::string tool_;
   std::string path_;
-  std::string prom_path_;
   std::optional<obs::MetricsDocument> doc_;
-  std::optional<obs::PromWriter> prom_;
 };
 
 inline MetricsSink& metrics() {

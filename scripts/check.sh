@@ -12,7 +12,7 @@ FAST=0
 
 run() { echo "+ $*"; "$@"; }
 
-echo "=== one event seam, one tree facade, one allocator, one tree per map: no legacy hooks, Handles, knobs, pool or shards ==="
+echo "=== one event seam, one tree facade, one allocator, one tree per map, one export: no legacy hooks, Handles, knobs, pool, shards or Prometheus ==="
 # Protocol events reach Traits only through hooks::emit -> on_event(const
 # Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
 # on_cas hook, a multi-argument at(HookPoint ...) hook, or the old emit_*
@@ -43,6 +43,12 @@ fi
 if grep -rnE 'ShardedMap|ShardedSet|HashRouter|RangeRouter|ShardBalanceReport|score_shard_map|add_cell_sharded|efrb_shard_|shard/' \
     src tests bench tools examples; then
   echo "sharded front-end name found (each map is one tree)"; exit 1
+fi
+# One export: the efrb-metrics JSON document (obs/metrics.hpp) is the only
+# machine-readable metrics format. The Prometheus exposition stays deleted.
+if grep -rnE 'PromWriter|_prom\(|--prom|obs/prom\.hpp' \
+    src tests bench tools examples; then
+  echo "Prometheus exposition name found (export the metrics JSON instead)"; exit 1
 fi
 
 echo "=== plain build + tests ==="
@@ -77,8 +83,7 @@ echo "=== observability: metrics + trace export round-trip ==="
 # readable artifacts; both must parse as JSON and carry the schema the docs
 # promise (docs/OBSERVABILITY.md).
 run ./build/tools/obs_probe --metrics build/obs_metrics.json \
-    --trace build/obs_trace.json --prom build/obs_probe.prom \
-    --duration 60 --interval 10 > /dev/null
+    --trace build/obs_trace.json --duration 60 --interval 10 > /dev/null
 run python3 -m json.tool build/obs_metrics.json /dev/null
 run python3 -m json.tool build/obs_trace.json /dev/null
 python3 - <<'EOF'
@@ -90,7 +95,7 @@ assert m['schema'] == 'efrb-metrics' and m['schema_version'] == 4, m['schema']
 assert m['cells'], 'metrics document has no cells'
 cell = m['cells'][0]
 for k in ('name', 'config', 'result', 'tree_stats', 'gauges', 'latency',
-          'timeseries', 'heatmap', 'causality'):
+          'timeseries', 'heatmap', 'causality', 'watchdog'):
     assert k in cell, f'cell missing {k}'
 for op in ('find', 'insert', 'erase', 'retried',
            'self_completed', 'helper_completed'):
@@ -109,6 +114,11 @@ for k in ('total_helps', 'dropped_unattributed', 'helped_by',
     assert k in cz, f'causality missing {k}'
 assert sum(sum(row.values()) for row in cz['helped_by'].values()) \
     == cz['total_helps'], 'causality matrix does not sum to total_helps'
+wd = cell['watchdog']
+for k in ('stalled_ops', 'stall_events_total'):
+    assert k in wd, f'watchdog missing {k}'
+assert wd['stalled_ops'] <= wd['stall_events_total'], \
+    'watchdog reports more stalled ops than stall events'
 ts = cell['timeseries']
 assert ts['samples'], 'timeseries has no samples'
 assert len(ts['windows']) == len(ts['samples']) - 1, 'windows != samples-1'
@@ -137,7 +147,7 @@ EFRB_BENCH_MS=20 EFRB_BENCH_SEED=1234 run ./build/bench/bench_throughput \
     --json build/bench_throughput_smoke.json > /dev/null
 run python3 -m json.tool build/bench_throughput_smoke.json /dev/null
 
-echo "=== continuous telemetry: efrb_top headless + Prometheus exposition ==="
+echo "=== continuous telemetry: efrb_top headless ==="
 # efrb_top --once renders a single plain frame (no escape codes) after the
 # run — the headless CI path. The frame must carry the windowed-rate table,
 # the heatmap strip, and the reclaim gauge line.
@@ -153,52 +163,6 @@ done
 if grep -q $'\x1b' build/efrb_top_once.txt; then
   echo "efrb_top --once emitted ANSI escapes"; exit 1
 fi
-# The shared --prom flag writes Prometheus text exposition; lint it line by
-# line against the exposition-format grammar (docs/OBSERVABILITY.md).
-EFRB_BENCH_MS=20 run ./build/bench/bench_throughput \
-    --prom build/bench_throughput_smoke.prom > /dev/null
-python3 - <<'EOF'
-import re
-NAME = r'[a-zA-Z_:][a-zA-Z0-9_:]*'
-LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"'
-sample_re = re.compile(rf'^({NAME})(?:\{{{LABEL}(?:,{LABEL})*\}})? (\S+)$')
-help_re = re.compile(rf'^# HELP ({NAME}) \S.*$')
-type_re = re.compile(rf'^# TYPE ({NAME}) (counter|gauge)$')
-typed, samples, pending_help = set(), 0, None
-for ln, line in enumerate(open('build/bench_throughput_smoke.prom'), 1):
-    line = line.rstrip('\n')
-    if not line:
-        continue
-    if line.startswith('# HELP'):
-        m = help_re.match(line)
-        assert m, f'line {ln}: malformed HELP: {line}'
-        assert m.group(1) not in typed, f'line {ln}: duplicate HELP for {m.group(1)}'
-        pending_help = m.group(1)
-    elif line.startswith('# TYPE'):
-        m = type_re.match(line)
-        assert m, f'line {ln}: malformed TYPE: {line}'
-        assert m.group(1) == pending_help, f'line {ln}: TYPE without its HELP'
-        typed.add(m.group(1))
-    else:
-        m = sample_re.match(line)
-        assert m, f'line {ln}: malformed sample: {line}'
-        assert m.group(1) in typed, f'line {ln}: sample before # TYPE'
-        float(m.group(2))  # raises on a malformed value
-        samples += 1
-assert samples > 0, 'prom exposition has no samples'
-for want in ('efrb_ops_total', 'efrb_cas_attempts_total',
-             'efrb_reclaim_backlog', 'efrb_throughput_mops'):
-    assert want in typed, f'prom exposition missing {want}'
-print(f'prometheus OK: {samples} samples across {len(typed)} metrics')
-EOF
-# obs_probe's exposition additionally carries the causality + watchdog
-# families (the bench binaries do not wire a CausalRegistry).
-for needle in efrb_help_given_total efrb_help_received_total \
-    efrb_help_unattributed_total efrb_stalled_ops efrb_stall_events_total \
-    efrb_latency_count; do
-  grep -q "^# TYPE $needle " build/obs_probe.prom \
-    || { echo "obs_probe prom missing $needle"; exit 1; }
-done
 
 echo "=== profile: phase attribution + hardware-counter fallback ==="
 # obs_probe --profile attaches the phase profiler and per-thread perf
@@ -206,7 +170,7 @@ echo "=== profile: phase attribution + hardware-counter fallback ==="
 # with the phase-sum invariant, and the hw/sw/derived sections must follow
 # the absent-not-zero rule in whichever availability tier this host lands.
 run ./build/tools/obs_probe --profile --metrics build/obs_profile.json \
-    --prom build/obs_profile.prom --duration 60 --interval 10 > /dev/null
+    --duration 60 --interval 10 > /dev/null
 python3 - <<'EOF'
 import json
 m = json.load(open('build/obs_profile.json'))
@@ -238,13 +202,6 @@ print(f"profile OK: {p['ops']} ops, {p['cycles_per_op']:.0f} "
       f"{p['source']}/op, hw={'yes' if p['available'] else 'no'} "
       f"({p.get('unavailable_reason', '')})")
 EOF
-for needle in efrb_profile_available efrb_profile_ops_total \
-    efrb_profile_cycles_total efrb_profile_cycles_per_op \
-    efrb_profile_phase_cycles_total efrb_profile_phase_enters_total \
-    efrb_profile_phase_share; do
-  grep -q "^# TYPE $needle " build/obs_profile.prom \
-    || { echo "profile prom missing $needle"; exit 1; }
-done
 # The kill switch forces the cycle-stamp fallback on ANY host: the same
 # command must still succeed, with available=false, an explanation, and no
 # hw/sw/derived sections (absent, never zero-filled).

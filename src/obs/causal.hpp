@@ -28,8 +28,8 @@
 //     span to the stalled operation it completed.
 //
 // obs::ObsTraits (obs/instruments.hpp) turns kCausalTrace on and feeds an
-// attached CausalRegistry; when a TraceRegistry is attached alongside, the
-// trace also gets a kHelpOwner companion slot after each help entry for the
+// attached CausalRegistry; an attached TraceRegistry records the same owner
+// stamp as a kHelpOwner companion slot after each help entry, for the
 // postmortem decoder.
 #pragma once
 

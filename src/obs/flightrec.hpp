@@ -1,28 +1,27 @@
-// Flight recorder: an always-on, allocation-free ring of recent protocol
-// events per thread, dumped with async-signal-safe writes when the process
-// dies.
+// Flight recorder: the async-signal-safe crash dump of the trace rings.
 //
 // Traces and metrics answer "what happened during the run I instrumented";
 // the flight recorder answers "what was happening when the process aborted"
 // — an EFRB_ASSERT tripping, a SIGSEGV in a client, a watchdog-triggered
-// abort. Every slot is a single packed word (the TraceEvent packing from
-// obs/trace.hpp), every ring is fixed at construction, and the dump path
-// uses only operations the POSIX async-signal-safety list allows: relaxed
-// atomic loads, stack buffers, open(2)/write(2)/close(2).
+// abort. It owns no ring of its own: it is built over the TraceRegistry the
+// run already feeds (obs/trace.hpp), so every protocol event, help-owner
+// companion slot and op begin/end marker is recorded exactly once and the
+// dump carries all of them. The dump path uses only operations the POSIX
+// async-signal-safety list allows: relaxed atomic loads, stack buffers,
+// open(2)/write(2)/close(2).
 //
 // Pieces:
-//   * FlightRecorder — per-tid packed-word rings plus two bounded side
-//     tables: named gauges (pointers to live atomic counters, e.g. the
-//     reclaimer's ReclaimGauges words) and an optional ProgressTable pointer
-//     so the dump carries the in-flight-op stall table. dump_to_fd() is the
-//     signal-safe core; dump_to_path() is the convenience wrapper.
-//   * install_signal_handler() — sigaction for SIGABRT/SIGSEGV/SIGBUS that
+//   * FlightRecorder — two bounded side tables over the registry's rings:
+//     named gauges (pointers to live atomic counters, e.g. the reclaimer's
+//     ReclaimGauges words; the registry's dropped_no_tid counter is always
+//     registered first, as "trace_dropped_no_tid") and an optional
+//     ProgressTable pointer so the dump carries the in-flight-op stall
+//     table. dump_to_fd() is the signal-safe core; dump_to_path() is the
+//     convenience wrapper.
+//   * install_flight_handler() — sigaction for SIGABRT/SIGSEGV/SIGBUS that
 //     dumps to a configured path, restores the previous handler, and
 //     re-raises so the process still dies with the original disposition
 //     (core dumps, test death-assertions, and exit codes all keep working).
-//   * FlightRecorder::on_event — the event sink, fed by obs::ObsTraits when
-//     the recorder is attached through obs::Instruments; ObsTraits trees
-//     stamp owners, so help entries leave kHelpOwner companion slots.
 //   * FlightDump — the decoder-side parse of the binary format, shared by
 //     tools/efrb_postmortem and the tests so the format has exactly one
 //     reader and one writer.
@@ -40,7 +39,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -53,7 +51,6 @@
 #include "core/debug_hooks.hpp"
 #include "core/op_context.hpp"
 #include "obs/trace.hpp"
-#include "util/cacheline.hpp"
 
 namespace efrb::obs {
 
@@ -65,44 +62,12 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kMaxGauges = 32;
 
-  explicit FlightRecorder(std::size_t max_tids = 64,
-                          std::size_t ring_capacity = 1024)
-      : t0_(std::chrono::steady_clock::now()),
-        ring_cap_(ring_capacity == 0 ? 1 : std::bit_ceil(ring_capacity)) {
-    rings_.reserve(max_tids);
-    for (std::size_t i = 0; i < max_tids; ++i) rings_.emplace_back(ring_cap_);
+  /// Dumps `trace`'s rings; the registry must outlive the recorder.
+  explicit FlightRecorder(const TraceRegistry& trace) noexcept
+      : trace_(trace) {
+    add_gauge("trace_dropped_no_tid", &trace.dropped_no_tid_counter());
   }
-
-  std::size_t max_tids() const noexcept { return rings_.size(); }
-  std::size_t ring_capacity() const noexcept { return ring_cap_; }
-
-  std::uint64_t now_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-  }
-
-  void record(unsigned tid, TraceEventKind kind, std::uint8_t code,
-              bool ok) noexcept {
-    if (tid == kNoTid || tid >= rings_.size()) return;
-    push(tid, TraceEvent{now_ns(), kind, code, ok}.pack());
-  }
-
-  /// The event sink: CAS and point events, plus the owner companion slot
-  /// after each help entry.
-  void on_event(const Event& e) noexcept {
-    if (e.kind != EventKind::kCas && !e.at_point()) return;
-    record(e.tid, trace_kind(e), e.code, e.ok);
-    if (e.help_entry()) record_help_owner(e.tid, e.owner);
-  }
-
-  /// Companion slot after a help entry (same encoding as
-  /// TraceRegistry::record_help_owner).
-  void record_help_owner(unsigned tid, std::uint64_t owner) noexcept {
-    if (owner == kNoOwner || tid == kNoTid || tid >= rings_.size()) return;
-    push(tid, TraceEvent::help_owner(owner).pack());
-  }
+  FlightRecorder(const TraceRegistry&&) = delete;  // would dangle
 
   /// Registers a live gauge; `value` must outlive the recorder (the dump
   /// reads it at crash time). `name` is truncated to 23 bytes. Bounded at
@@ -135,8 +100,8 @@ class FlightRecorder {
         table != nullptr ? table->slots.size() : 0;
     buf.put(kFlightMagic);
     buf.put(kFlightVersion);
-    buf.put(rings_.size());
-    buf.put(ring_cap_);
+    buf.put(trace_.max_tids());
+    buf.put(trace_.ring_capacity());
     buf.put(gauge_count);
     buf.put(slot_count);
     for (std::uint64_t i = 0; i < gauge_count; ++i) {
@@ -157,12 +122,10 @@ class FlightRecorder {
         buf.put(s.help_depth.load(std::memory_order_relaxed));
       }
     }
-    for (const auto& padded : rings_) {
-      const Ring& r = padded.value;
-      buf.put(r.head.load(std::memory_order_relaxed));
-      for (const auto& slot : r.slots) {
-        buf.put(slot.load(std::memory_order_relaxed));
-      }
+    for (unsigned tid = 0; tid < trace_.max_tids(); ++tid) {
+      const TraceRing& r = trace_.ring(tid);
+      buf.put(r.raw_head());
+      for (std::size_t i = 0; i < r.capacity(); ++i) buf.put(r.raw_slot(i));
     }
     return buf.flush();
   }
@@ -179,16 +142,6 @@ class FlightRecorder {
   }
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t cap) : slots(cap) {}
-    Ring(Ring&& other) noexcept
-        : slots(std::move(other.slots)),
-          head(other.head.load(std::memory_order_relaxed)) {}
-    Ring& operator=(Ring&&) = delete;
-    std::vector<std::atomic<std::uint64_t>> slots;
-    std::atomic<std::uint64_t> head{0};
-  };
-
   struct Gauge {
     char name[kFlightGaugeNameWords * 8] = {};
     const std::atomic<std::uint64_t>* value = nullptr;
@@ -230,16 +183,7 @@ class FlightRecorder {
     bool ok_ = true;
   };
 
-  void push(unsigned tid, std::uint64_t word) noexcept {
-    Ring& r = rings_[tid].value;
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    r.slots[h & (r.slots.size() - 1)].store(word, std::memory_order_relaxed);
-    r.head.store(h + 1, std::memory_order_release);
-  }
-
-  std::chrono::steady_clock::time_point t0_;
-  std::size_t ring_cap_;
-  std::vector<CachePadded<Ring>> rings_;
+  const TraceRegistry& trace_;
   Gauge gauges_[kMaxGauges];
   std::atomic<std::uint64_t> gauge_count_{0};
   std::atomic<const ProgressTable*> progress_{nullptr};

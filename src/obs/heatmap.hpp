@@ -82,7 +82,7 @@ class KeyHeatmap {
   /// buckets may span none at all (range 100 over 64 buckets: width 2,
   /// buckets 0..49 cover 2 keys each, 50..63 cover zero). Rate comparisons
   /// across buckets must divide by this, not by the nominal width — see
-  /// strip() and the emitters in obs/metrics.hpp / obs/prom.hpp.
+  /// strip() and the emitter in obs/metrics.hpp.
   std::uint64_t bucket_width(std::size_t i) const noexcept {
     if (i >= cells_.size()) return 0;
     const std::uint64_t lo = i * width_;

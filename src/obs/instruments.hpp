@@ -19,7 +19,6 @@
 
 #include "core/debug_hooks.hpp"
 #include "obs/causal.hpp"
-#include "obs/flightrec.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -36,24 +35,16 @@ struct Instruments {
   TraceRegistry* trace = nullptr;
   KeyHeatmap* heatmap = nullptr;
   CausalRegistry* causal = nullptr;
-  FlightRecorder* flight = nullptr;
   PhaseProfiler* profiler = nullptr;
   LatencySamples* latency = nullptr;  // run_workload only
   MetricsPoller* poller = nullptr;    // run_workload only
 
-  /// Fans one event out to every attached sink. With both trace and causal
-  /// attached, a help entry also leaves its owner companion slot in the
-  /// trace (the postmortem decoder's help-graph source).
+  /// Fans one event out to every attached sink. A crash dump needs no sink
+  /// of its own: obs::FlightRecorder dumps `trace`'s rings.
   void on_event(const Event& e) const noexcept {
-    if (trace != nullptr) {
-      trace->on_event(e);
-      if (causal != nullptr && e.help_entry()) {
-        trace->record_help_owner(e.tid, e.owner);
-      }
-    }
+    if (trace != nullptr) trace->on_event(e);
     if (heatmap != nullptr) heatmap->on_event(e);
     if (causal != nullptr) causal->on_event(e);
-    if (flight != nullptr) flight->on_event(e);
     if (profiler != nullptr) profiler->on_event(e);
   }
 };

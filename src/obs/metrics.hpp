@@ -3,7 +3,7 @@
 // throughput result, protocol step counters, latency histograms, and
 // reclaimer gauges — so the BENCH_*.json perf-trajectory files (and any
 // external tooling) consume one self-describing format instead of scraping
-// text tables.
+// text tables. It is the repo's only machine-readable metrics export.
 //
 // Document shape (kMetricsSchemaVersion = 4):
 //   {
@@ -26,7 +26,8 @@
 //         },
 //         "heatmap": { ... },            // optional, when a heatmap fed
 //         "causality": { ... },          // optional, when causal-traced
-//         "profile": { ... }             // optional, when a profiler ran
+//         "profile": { ... },            // optional, when a profiler ran
+//         "watchdog": { ... }            // optional, when a watchdog ran
 //       }, ...
 //     ]
 //   }
@@ -54,6 +55,9 @@
 // "sw", "derived") are ABSENT — never zero-filled — when the backing
 // counters were unavailable, so consumers can distinguish "measured zero"
 // from "not measured".
+// v4, additive: cells gained the optional "watchdog" section
+// (stalled_ops, stall_events_total from obs/watchdog.hpp). A new optional
+// key is not a breaking change, so the version stays 4.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +72,7 @@
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/watchdog.hpp"
 #include "reclaim/reclaimer.hpp"
 #include "workload/runner.hpp"
 
@@ -191,6 +196,15 @@ inline void append_latency(JsonWriter& w, const LatencySamples& lat) {
 /// per-tid help totals from obs/causal.hpp.
 inline void append_causality(JsonWriter& w, const CausalRegistry& c) {
   c.append_json(w);
+}
+
+/// Watchdog section: stalled ops at the last poll and stalled-op
+/// observations across all polls.
+inline void append_watchdog(JsonWriter& w, const LivenessWatchdog& wd) {
+  w.begin_object();
+  w.key("stalled_ops").value(wd.stalled_now());
+  w.key("stall_events_total").value(wd.stall_events_total());
+  w.end_object();
 }
 
 /// Time-series section: the raw cumulative samples (so consumers can rebin
@@ -358,7 +372,7 @@ class MetricsDocument {
   void end_cell() { w_.end_object(); }
 
   /// The common whole cell: config + result, plus stats/gauges/latency/
-  /// timeseries/heatmap when provided.
+  /// timeseries/heatmap/causality/profile/watchdog when provided.
   void add_cell(std::string_view name, const WorkloadConfig& cfg,
                 const WorkloadResult& res, const TreeStats* stats = nullptr,
                 const ReclaimGauges* gauges = nullptr,
@@ -366,7 +380,8 @@ class MetricsDocument {
                 const std::vector<PollSample>* timeseries = nullptr,
                 const KeyHeatmap* heatmap = nullptr,
                 const CausalRegistry* causal = nullptr,
-                const ProfileSnapshot* profile = nullptr) {
+                const ProfileSnapshot* profile = nullptr,
+                const LivenessWatchdog* watchdog = nullptr) {
     begin_cell(name);
     w_.key("config");
     append_config(w_, cfg);
@@ -399,6 +414,10 @@ class MetricsDocument {
     if (profile != nullptr) {
       w_.key("profile");
       append_profile(w_, *profile);
+    }
+    if (watchdog != nullptr) {
+      w_.key("watchdog");
+      append_watchdog(w_, *watchdog);
     }
     end_cell();
   }

@@ -13,9 +13,12 @@
 //     dropped and counted, never recorded racily.
 //   * TraceRegistry::on_event — the sink: obs::ObsTraits hands it every
 //     event when the registry is attached through obs::Instruments
-//     (obs/instruments.hpp). NoopTraits builds are untouched — tracing
-//     compiles to zero overhead unless the tree is instantiated with an
-//     event sink.
+//     (obs/instruments.hpp), and each help entry of an owner-stamping tree
+//     leaves a kHelpOwner companion slot. NoopTraits builds are untouched —
+//     tracing compiles to zero overhead unless the tree is instantiated
+//     with an event sink.
+//   * The rings are also the flight recorder's (obs/flightrec.hpp): its
+//     crash dump reads them through TraceRing's raw accessors.
 //
 // Event vocabulary: every protocol CAS (step + outcome), every hook point,
 // help entry/exit (HookPoint::kBeforeHelp / kAfterHelp mapped to a Chrome
@@ -146,6 +149,14 @@ class TraceRing {
   }
 
   std::size_t capacity() const noexcept { return slots_.size(); }
+  /// Raw words for the flight recorder's async-signal-safe dump: relaxed
+  /// loads of the head and of slot `i` in index order, no allocation.
+  std::uint64_t raw_head() const noexcept {
+    return head_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t raw_slot(std::size_t i) const noexcept {
+    return slots_[i].load(std::memory_order_relaxed);
+  }
   /// Total events ever pushed (monotone; exceeds capacity after wraparound).
   std::uint64_t pushed() const noexcept {
     return head_.load(std::memory_order_acquire);
@@ -192,6 +203,14 @@ class TraceRegistry {
   }
 
   std::size_t max_tids() const noexcept { return rings_.size(); }
+  /// Capacity of every ring (all are built alike).
+  std::size_t ring_capacity() const noexcept {
+    return rings_.empty() ? 1 : rings_[0].value.capacity();
+  }
+  /// The ring of `tid`; requires tid < max_tids().
+  const TraceRing& ring(unsigned tid) const noexcept {
+    return rings_[tid].value;
+  }
 
   std::uint64_t now_ns() const noexcept {
     return static_cast<std::uint64_t>(
@@ -201,20 +220,18 @@ class TraceRegistry {
   }
 
   /// The event sink: CAS and point events; phase edges are the profiler's.
+  /// A help entry that carries its owner's stamp is followed by a
+  /// kHelpOwner companion slot (see TraceEvent::help_owner), skipped by the
+  /// Chrome export (flow arrows come from CausalRegistry, which keeps
+  /// full-width timestamps) and consumed by tools/efrb_postmortem.
   void on_event(const Event& e) noexcept {
     if (e.kind != EventKind::kCas && !e.at_point()) return;
     if (TraceRing* r = ring_for(e.tid)) {
       r->push({now_ns(), trace_kind(e), e.code, e.ok});
+      if (e.help_entry() && e.owner != kNoOwner) {
+        r->push(TraceEvent::help_owner(e.owner));
+      }
     }
-  }
-
-  /// Companion slot pushed right after a kHelpEnter when causal tracing
-  /// knows the helped operation's owner (see TraceEvent::help_owner).
-  /// Skipped by the Chrome export (flow arrows come from CausalRegistry,
-  /// which keeps full-width timestamps); consumed by tools/efrb_postmortem.
-  void record_help_owner(unsigned tid, std::uint64_t owner) noexcept {
-    if (owner == kNoOwner) return;
-    if (TraceRing* r = ring_for(tid)) r->push(TraceEvent::help_owner(owner));
   }
 
   void record_op_begin(unsigned tid, TraceOp op) noexcept {
@@ -237,8 +254,14 @@ class TraceRegistry {
                                : std::vector<TraceEvent>{};
   }
 
+  /// Events dropped for a kNoTid or out-of-range tid (handle tids are never
+  /// reused, so a tree's handles past max_tids land here).
   std::uint64_t dropped_no_tid() const noexcept {
     return dropped_no_tid_.load(std::memory_order_relaxed);
+  }
+  /// The live counter word, for the flight recorder's gauge table.
+  const std::atomic<std::uint64_t>& dropped_no_tid_counter() const noexcept {
+    return dropped_no_tid_;
   }
 
   /// Chrome trace-event JSON (the "JSON object format": {"traceEvents":

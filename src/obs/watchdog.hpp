@@ -19,10 +19,10 @@
 // The watchdog owns a MetricsPoller-style thread (interval + condvar wake,
 // start/stop idempotent, poll_once public for headless use) and surfaces
 // results three ways: report() returns the latest StallReport snapshot,
-// stall_events_total() is a monotone counter for Prometheus
-// (efrb_stall_events_total), and an optional callback fires from the
-// sampler thread whenever a poll finds at least one stalled op (the runner
-// and efrb_top hook this).
+// stall_events_total() is a monotone counter (exported with stalled_now() as
+// the metrics cell's "watchdog" section, obs/metrics.hpp), and an optional
+// callback fires from the sampler thread whenever a poll finds at least one
+// stalled op (the runner and efrb_top hook this).
 #pragma once
 
 #include <atomic>
@@ -141,7 +141,8 @@ class LivenessWatchdog {
     return stall_events_.load(std::memory_order_relaxed);
   }
 
-  /// Stalled-entry count of the latest poll (the efrb_stalled_ops gauge).
+  /// Stalled-entry count of the latest poll (watchdog.stalled_ops in the
+  /// metrics cell).
   std::uint64_t stalled_now() const {
     std::lock_guard<std::mutex> lock(report_mu_);
     return last_.stalled.size();

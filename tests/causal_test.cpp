@@ -21,6 +21,7 @@
 #include "inject/fault_plan.hpp"
 #include "inject/fault_scheduler.hpp"
 #include "obs/causal.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -155,12 +156,11 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
   obs::TraceRegistry trace;
   obs::CausalRegistry causal(trace.max_tids(), &trace);
   obs::KeyHeatmap heatmap(128);
-  obs::FlightRecorder flight;
+  const obs::FlightRecorder flight(trace);
   obs::PhaseProfiler profiler;
   const obs::Instruments instruments{.trace = &trace,
                                      .heatmap = &heatmap,
                                      .causal = &causal,
-                                     .flight = &flight,
                                      .profiler = &profiler};
   obs::ObsTraits::attach(&instruments);
 
@@ -253,8 +253,8 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
   obs::ObsTraits::detach();
 
   // Exactly once per sink: one help entry in the causal matrix, one help
-  // point plus one owner slot in each of the trace and flight rings, and one
-  // help charged to the heatmap.
+  // point plus one owner slot in the trace ring (and so in its flight dump),
+  // and one help charged to the heatmap.
   auto count = [](const std::vector<obs::TraceEvent>& events,
                   obs::TraceEventKind kind) {
     return std::count_if(events.begin(), events.end(),

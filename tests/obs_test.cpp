@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/efrb_tree.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
 #include "obs/instruments.hpp"
 #include "obs/json.hpp"
@@ -301,14 +302,14 @@ TEST(TraceTraitsTest, UninstalledRegistryIsIgnored) {
 }
 
 TEST(TraceTraitsTest, EverySinkSeesEachCasExactlyOnce) {
-  // A 2-thread ObsTraits run with trace and flight attached through one
-  // Instruments: each CAS is one event, so both rings hold exactly as many
-  // kCas records as the per-step stats counted. The rings are sized so
-  // nothing wraps.
+  // A 2-thread ObsTraits run with the trace attached through Instruments
+  // and a flight recorder over it: each CAS is one event in one ring, so
+  // the ring and its dump hold exactly as many kCas records as the
+  // per-step stats counted. The rings are sized so nothing wraps.
   constexpr std::size_t kRing = std::size_t{1} << 15;
   TraceRegistry reg(4, kRing);
-  obs::FlightRecorder flight(4, kRing);
-  const obs::Instruments instruments{.trace = &reg, .flight = &flight};
+  const obs::FlightRecorder flight(reg);
+  const obs::Instruments instruments{.trace = &reg};
   obs::ObsTraits::attach(&instruments);
   EfrbTreeSet<std::uint64_t, std::less<std::uint64_t>, EpochReclaimer,
               obs::ObsTraits>
@@ -344,7 +345,7 @@ TEST(TraceTraitsTest, EverySinkSeesEachCasExactlyOnce) {
       trace_cas += e.kind == TraceEventKind::kCas ? 1 : 0;
     }
     const std::vector<TraceEvent> flown = dump.events(tid);
-    ASSERT_LT(flown.size(), kRing) << "flight ring wrapped";
+    ASSERT_EQ(flown.size(), traced.size()) << "dump differs from ring";
     for (const TraceEvent& e : flown) {
       flight_cas += e.kind == TraceEventKind::kCas ? 1 : 0;
     }

@@ -3,7 +3,7 @@
 // sampling, the runner's poller attachment (live op counters must agree with
 // the final result), the key-space heatmap's bucket math, the Zipf-vs-uniform
 // concentration property the acceptance criteria pin down, and the
-// Prometheus text-exposition writer's grouping/escaping rules.
+// metrics document's timeseries and heatmap sections.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,7 +16,6 @@
 #include "obs/heatmap.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prom.hpp"
 #include "obs/timeseries.hpp"
 #include "workload/runner.hpp"
 
@@ -27,8 +26,6 @@ using obs::HeatBucket;
 using obs::KeyHeatmap;
 using obs::MetricsPoller;
 using obs::PollSample;
-using obs::PromType;
-using obs::PromWriter;
 using obs::TimeSeriesRing;
 using obs::WindowRates;
 
@@ -401,130 +398,6 @@ TEST(HeatmapWorkloadTest, ZipfContentionLandsInHotBucket) {
   EXPECT_GE(hot, elsewhere_max)
       << "hot bucket " << hot << " vs max elsewhere " << elsewhere_max
       << " of " << contended << " total";
-}
-
-// ------------------------------------------------------------- prometheus
-
-TEST(PromTest, GroupsSamplesUnderOneHelpTypeHeader) {
-  PromWriter w;
-  w.add("efrb_ops_total", PromType::kCounter, "Ops", {{"cell", "a"}},
-        std::uint64_t{1});
-  w.add("efrb_mops", PromType::kGauge, "Rate", {}, 2.5);
-  // Same metric again, later: must group under the existing header.
-  w.add("efrb_ops_total", PromType::kCounter, "Ops", {{"cell", "b"}},
-        std::uint64_t{2});
-  const std::string out = w.render();
-  EXPECT_EQ(out,
-            "# HELP efrb_ops_total Ops\n"
-            "# TYPE efrb_ops_total counter\n"
-            "efrb_ops_total{cell=\"a\"} 1\n"
-            "efrb_ops_total{cell=\"b\"} 2\n"
-            "# HELP efrb_mops Rate\n"
-            "# TYPE efrb_mops gauge\n"
-            "efrb_mops 2.5\n");
-}
-
-TEST(PromTest, EscapesLabelValues) {
-  PromWriter w;
-  w.add("efrb_x", PromType::kGauge, "h",
-        {{"name", "a\\b\"c\nd"}}, std::uint64_t{1});
-  EXPECT_NE(w.render().find("name=\"a\\\\b\\\"c\\nd\""), std::string::npos);
-}
-
-TEST(PromTest, EscapesEachSpecialCharacterIndividually) {
-  // The exposition rules name exactly three escapes inside a quoted label
-  // value; pin each one alone so a regression in one case cannot hide
-  // behind the combined string above.
-  EXPECT_EQ(obs::prom_escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(obs::prom_escape("new\nline"), "new\\nline");
-  EXPECT_EQ(obs::prom_escape("quo\"te"), "quo\\\"te");
-  // Everything else passes through untouched (incl. tabs and UTF-8 bytes).
-  EXPECT_EQ(obs::prom_escape("plain value\t\xc3\xa9"), "plain value\t\xc3\xa9");
-}
-
-using PromDeathTest = ::testing::Test;
-
-TEST(PromDeathTest, RejectsMalformedFamilyName) {
-  // The grammar assert is the linter golden: a family name outside
-  // [a-zA-Z_:][a-zA-Z0-9_:]* must die at add() time, never reach render().
-  EXPECT_DEATH(
-      {
-        PromWriter w;
-        w.add("efrb-ops-total", PromType::kCounter, "dashes are invalid", {},
-              std::uint64_t{1});
-      },
-      "invalid Prometheus metric name");
-  EXPECT_DEATH(
-      {
-        PromWriter w;
-        w.add("9starts_with_digit", PromType::kGauge, "digit head", {}, 1.0);
-      },
-      "invalid Prometheus metric name");
-}
-
-TEST(PromTest, ValidatesMetricNames) {
-  EXPECT_TRUE(obs::valid_prom_name("efrb_ops_total"));
-  EXPECT_TRUE(obs::valid_prom_name("_x:y"));
-  EXPECT_FALSE(obs::valid_prom_name(""));
-  EXPECT_FALSE(obs::valid_prom_name("9lead"));
-  EXPECT_FALSE(obs::valid_prom_name("has space"));
-  EXPECT_FALSE(obs::valid_prom_name("has-dash"));
-}
-
-TEST(PromTest, IntegerCountersRenderExactly) {
-  PromWriter w;
-  const std::uint64_t big = (std::uint64_t{1} << 60) + 7;
-  w.add("efrb_big_total", PromType::kCounter, "h", {}, big);
-  EXPECT_NE(w.render().find(std::to_string(big)), std::string::npos);
-}
-
-TEST(PromTest, EmissionHelpersPassTheShapeLinter) {
-  // Drive the shared helpers with plausible data and lint every line the
-  // way scripts/check.sh does: each is a comment or `name{labels} value`.
-  PromWriter w;
-  const PromWriter::Labels labels{{"cell", "efrb tree"}, {"threads", "4"}};
-  WorkloadResult res;
-  res.finds = 100;
-  res.seconds = 1.0;
-  obs::append_result_prom(w, labels, res);
-  TreeStats stats;
-  stats.cas_attempts[0] = 10;
-  obs::append_tree_stats_prom(w, labels, stats);
-  ReclaimGauges gauges;
-  gauges.retired_total = 5;
-  obs::append_gauges_prom(w, labels, gauges);
-  WindowRates rates;
-  rates.ops_per_s = 123.0;
-  obs::append_window_prom(w, labels, rates);
-  KeyHeatmap heat(64, 8);
-  heat.record_cas_failure(3);
-  obs::append_heatmap_prom(w, labels, heat);
-  obs::CausalRegistry causal(4);
-  causal.record_help(1, pack_owner(0, 7));
-  obs::append_causality_prom(w, labels, causal);
-  ProgressTable table;
-  obs::LivenessWatchdog wd(table);
-  obs::append_watchdog_prom(w, labels, wd);
-
-  const std::string out = w.render();
-  ASSERT_FALSE(out.empty());
-  std::size_t pos = 0;
-  while (pos < out.size()) {
-    std::size_t eol = out.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos) << "unterminated last line";
-    const std::string line = out.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
-      continue;
-    }
-    // Sample line: metric name, optional {labels}, space, value.
-    const std::size_t name_end = line.find_first_of("{ ");
-    ASSERT_NE(name_end, std::string::npos) << line;
-    EXPECT_TRUE(obs::valid_prom_name(line.substr(0, name_end))) << line;
-    const std::size_t sp = line.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << line;
-    EXPECT_GT(line.size(), sp + 1) << line;
-  }
 }
 
 // ------------------------------------------------------------- metrics v2

@@ -1,13 +1,16 @@
 // The liveness watchdog's false-positive contract (obs/watchdog.hpp):
 // an attached-but-idle handle is NEVER flagged no matter how tight the
 // budget, a deliberately frozen thread IS flagged with its key and CAS step,
-// completed ops racing the sampler are discarded by the seqlock re-read, and
-// the ProgressTable heals stale odd sequence words on slot recycle.
+// completed ops racing the sampler are discarded by the seqlock re-read, the
+// metrics cell exports the stall counters, and the ProgressTable heals stale
+// odd sequence words on slot recycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "inject/fault_plan.hpp"
 #include "inject/fault_scheduler.hpp"
 #include "obs/instruments.hpp"
+#include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
 #include "obs/watchdog.hpp"
 #include "reclaim/epoch.hpp"
 
@@ -173,6 +178,48 @@ TEST(WatchdogTest, SeqlockDiscardsOpsThatCompleteMidSample) {
   const obs::StallReport rep = wd.poll_once();
   EXPECT_EQ(rep.sampled_in_flight, 0u);
   EXPECT_TRUE(rep.stalled.empty());
+  ProgressTable::release(s);
+}
+
+// ------------------------------------------------------- metrics export
+
+TEST(WatchdogTest, MetricsCellCarriesStallCounters) {
+  // The metrics cell's optional "watchdog" section is the one export of
+  // stalled_now() and stall_events_total().
+  ProgressTable table;
+  ProgressSlot* s = table.acquire(7);
+  s->start_ns.store(0, std::memory_order_relaxed);  // infinitely old
+  s->op_seq.store(1, std::memory_order_release);    // open window
+  obs::LivenessWatchdog wd(table,
+                           obs::WatchdogBudget{.retries = 0, .wall_ns = 0});
+  wd.poll_once();
+  wd.poll_once();  // still open: one more observation, still one op
+
+  auto cell_of = [](const std::string& json) {
+    std::string err;
+    const std::optional<obs::JsonValue> doc = obs::parse_json(json, &err);
+    EXPECT_TRUE(doc.has_value()) << err;
+    if (!doc) return obs::JsonValue{};
+    EXPECT_EQ(doc->number_at("schema_version", 0), 4.0);
+    const obs::JsonValue* cells = doc->find("cells");
+    return cells != nullptr && cells->array.size() == 1 ? cells->array[0]
+                                                         : obs::JsonValue{};
+  };
+  obs::MetricsDocument with("watchdog_test");
+  with.add_cell("cell", WorkloadConfig{}, WorkloadResult{}, nullptr, nullptr,
+                nullptr, nullptr, nullptr, nullptr, nullptr, &wd);
+  const obs::JsonValue cell = cell_of(with.finish());
+  const obs::JsonValue* section = cell.find("watchdog");
+  ASSERT_NE(section, nullptr);
+  EXPECT_EQ(section->number_at("stalled_ops", -1), 1.0);
+  EXPECT_EQ(section->number_at("stall_events_total", -1), 2.0);
+
+  // Optional: a cell without a watchdog has no section at all.
+  obs::MetricsDocument without("watchdog_test");
+  without.add_cell("cell", WorkloadConfig{}, WorkloadResult{});
+  const obs::JsonValue bare = cell_of(without.finish());
+  EXPECT_NE(bare.find("result"), nullptr);
+  EXPECT_EQ(bare.find("watchdog"), nullptr);
   ProgressTable::release(s);
 }
 

@@ -2,18 +2,18 @@
 // instrumented EFRB tree (trace + heatmap + causal help attribution +
 // liveness watchdog + flight recorder) and writes every machine-readable
 // artifact the obs layer produces:
-//   * a schema-versioned metrics document (obs/metrics.hpp, v3 — includes
-//     the "causality" cell and the self/helper-completed latency split),
+//   * a schema-versioned metrics document (obs/metrics.hpp, v4 — includes
+//     the "causality" and "watchdog" sections and the self/helper-completed
+//     latency split),
 //   * a Chrome trace-event JSON with help-flow arrows (obs/causal.hpp),
-//   * a Prometheus text exposition via --prom (parity with the bench
-//     binaries' shared flag),
-//   * a flight-recorder dump via --flight (decodable with efrb_postmortem).
+//   * a flight-recorder dump of the trace rings via --flight (decodable
+//     with efrb_postmortem).
 // CI (scripts/check.sh) runs this and validates the files; --abort makes
 // the probe kill itself mid-flight after the workload so the check's
 // postmortem stage can assert the crash dump path works end to end.
 //
-// Usage: obs_probe [--metrics <path>] [--trace <path>] [--prom <path>]
-//                  [--flight <path>] [--abort]
+// Usage: obs_probe [--metrics <path>] [--trace <path>] [--flight <path>]
+//                  [--abort] [--profile]
 //                  [--ms N | --duration N] [--interval N] [--threads N]
 #include <cstdio>
 #include <cstdlib>
@@ -27,7 +27,6 @@
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/prom.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -45,7 +44,6 @@ using ProbedTree = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
 struct Options {
   std::string metrics_path = "obs_metrics.json";
   std::string trace_path = "obs_trace.json";
-  std::string prom_path;    // empty = no exposition output
   std::string flight_path;  // empty = no flight dump
   bool abort_after_run = false;
   bool profile = false;  // attach the phase profiler + perf counters
@@ -68,8 +66,6 @@ Options parse(int argc, char** argv) {
       opt.metrics_path = next();
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       opt.trace_path = next();
-    } else if (std::strcmp(argv[i], "--prom") == 0) {
-      opt.prom_path = next();
     } else if (std::strcmp(argv[i], "--flight") == 0) {
       opt.flight_path = next();
     } else if (std::strcmp(argv[i], "--abort") == 0) {
@@ -87,7 +83,7 @@ Options parse(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: obs_probe [--metrics <path>] [--trace <path>] "
-          "[--prom <path>] [--flight <path>] [--abort] [--profile] "
+          "[--flight <path>] [--abort] [--profile] "
           "[--ms N | --duration N] [--interval N] [--threads N]\n");
       std::exit(2);
     }
@@ -110,7 +106,7 @@ int main(int argc, char** argv) {
   efrb::obs::TraceRegistry registry;
   efrb::obs::KeyHeatmap heatmap(cfg.key_range);
   efrb::obs::CausalRegistry causal(registry.max_tids(), &registry);
-  efrb::obs::FlightRecorder flight;
+  efrb::obs::FlightRecorder flight(registry);
   efrb::obs::PhaseProfiler profiler;
   efrb::LatencySamples latency;
   efrb::obs::MetricsPoller poller(
@@ -118,7 +114,6 @@ int main(int argc, char** argv) {
   efrb::obs::Instruments instruments{.trace = &registry,
                                      .heatmap = &heatmap,
                                      .causal = &causal,
-                                     .flight = &flight,
                                      .latency = &latency,
                                      .poller = &poller};
   efrb::obs::ObsTraits::attach(&instruments);
@@ -202,7 +197,7 @@ int main(int argc, char** argv) {
   efrb::obs::MetricsDocument doc("obs_probe");
   doc.add_cell("efrb-tree/probed", cfg, result, &stats, &gauges, &latency,
                &samples, &heatmap, &causal,
-               opt.profile ? &profile : nullptr);
+               opt.profile ? &profile : nullptr, &watchdog);
   if (!doc.write(opt.metrics_path)) {
     std::fprintf(stderr, "obs_probe: FAILED to write %s\n",
                  opt.metrics_path.c_str());
@@ -215,46 +210,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "obs_probe: FAILED to write %s\n",
                  opt.trace_path.c_str());
     return 1;
-  }
-  if (!opt.prom_path.empty()) {
-    efrb::obs::PromWriter prom;
-    const efrb::obs::PromWriter::Labels labels{
-        {"tool", "obs_probe"},
-        {"cell", "efrb-tree/probed"},
-        {"threads", std::to_string(cfg.threads)},
-        {"mix", std::string(efrb::mix_name(cfg.mix))},
-        {"dist", cfg.zipf ? "zipf" : "uniform"},
-    };
-    efrb::obs::append_result_prom(prom, labels, result);
-    efrb::obs::append_tree_stats_prom(prom, labels, stats);
-    efrb::obs::append_gauges_prom(prom, labels, gauges);
-    const std::pair<const char*, const efrb::obs::LatencyHistogram*> hists[] =
-        {{"find", &latency.find},
-         {"insert", &latency.insert},
-         {"erase", &latency.erase},
-         {"retried", &latency.retried},
-         {"self_completed", &latency.self_completed},
-         {"helper_completed", &latency.helper_completed}};
-    for (const auto& [op, h] : hists) {
-      efrb::obs::PromWriter::Labels l = labels;
-      l.emplace_back("op", op);
-      efrb::obs::append_histogram_prom(prom, l, *h);
-    }
-    const std::vector<efrb::obs::WindowRates> rates =
-        efrb::obs::window_rates(samples);
-    if (!rates.empty()) {
-      efrb::obs::append_window_prom(prom, labels, rates.back());
-    }
-    efrb::obs::append_heatmap_prom(prom, labels, heatmap);
-    efrb::obs::append_causality_prom(prom, labels, causal);
-    efrb::obs::append_watchdog_prom(prom, labels, watchdog);
-    if (opt.profile) efrb::obs::append_profile_prom(prom, labels, profile);
-    if (!prom.write(opt.prom_path)) {
-      std::fprintf(stderr, "obs_probe: FAILED to write %s\n",
-                   opt.prom_path.c_str());
-      return 1;
-    }
-    std::printf("obs_probe: prom    -> %s\n", opt.prom_path.c_str());
   }
   if (!opt.flight_path.empty()) {
     if (!flight.dump_to_path(opt.flight_path.c_str())) {
