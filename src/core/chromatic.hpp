@@ -42,6 +42,16 @@
 //   W_ROT  overweight at u, red sibling: rotate the sibling above p1
 //   PUSH   overweight at u, black sibling: w(u)-1, w(s)-1, w(p1)+1
 //
+// Rebalancing is on demand. The walk that locates an update's window also
+// counts the violations on k's search path; after the SCX commits, the update
+// adds the violations its own window created and calls cleanup(k) only when
+// the total exceeds kLazyViolations (the relaxed trigger of Brown, Ellen &
+// Ruppert, "A General Technique for Non-blocking Trees"). An insert changes
+// only its own path (the displaced leaf's sibling path carries the same
+// count), so insert-only histories keep every path at <= kLazyViolations. An
+// erase swings in a copy of the sibling, whose subtree the walk never saw, so
+// erase histories bound only the erased key's path, not every path.
+//
 // cleanup(k) walks the search path for k from the root, fixes the topmost
 // violation it meets with one SCX, and restarts, up to a bounded number of
 // rounds. The cap makes the cost strictly bounded; when it is hit the pass
@@ -95,6 +105,8 @@ struct ChromaticValidation {
   std::size_t height = 0;         // max depth over all nodes (root = 1)
   std::size_t red_red = 0;        // weight-0 nodes with weight-0 parents
   std::size_t overweight = 0;     // nodes with weight >= 2
+  std::size_t max_path_violations = 0;  // most red-red + overweight nodes
+                                        // on one root-to-leaf path
 };
 
 /// One-deep stash for the search key of a cleanup pass that hit the round
@@ -225,6 +237,12 @@ class ChromaticCore {
   /// plus at most one SCX; red-red cascades climb two levels per fix, so the
   /// cap is far above any height a bounded key space can produce.
   static constexpr int kMaxCleanupRounds = 256;
+
+  /// Violations (red-red + overweight nodes) an update leaves on its own
+  /// search path before it pays for cleanup. Batching repairs this way cuts
+  /// rotations and retired nodes per update on sorted streams; eager
+  /// rebalancing is the special case 0.
+  static constexpr int kLazyViolations = 6;
 
   explicit ChromaticCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Fig. 6 shape, chromatic weights: every sentinel has weight 1.
@@ -391,13 +409,14 @@ class ChromaticCore {
       }
       ctx.count_insert_attempt();
       if (Llx::scx(ctx, rec)) {
-        // Only walk the cleanup path when this SCX actually created a
-        // violation: a red replacement internal is fine on its own (most
-        // inserts land under a black parent), it violates only paired with a
-        // red parent or red leaves; inheriting w(l)-1 >= 2 re-sites an
-        // existing overweight. p->weight is immutable, so reading it after
-        // the commit is safe even if p was already spliced out.
-        if (wi >= 2 || (wi == 0 && (wl == 0 || p->weight == 0))) {
+        // Repair only when k's path now carries more than kLazyViolations:
+        // the walk's count down to p, plus the new internal under p and the
+        // new leaf under it (a red internal violates only under a red parent
+        // or above red leaves; inheriting w(l)-1 >= 2 re-sites an existing
+        // overweight). p->weight is immutable, so reading it after the
+        // commit is safe even if p was already spliced out.
+        if (w.p_violations + violation(wi, p->weight) + violation(wl, wi) >
+            kLazyViolations) {
           cleanup(k, ctx);
         } else {
           resume_parked(ctx);  // clean commit still drains abandoned repairs
@@ -512,9 +531,12 @@ class ChromaticCore {
                           /*finalize_mask=*/0b1110, field, p, ns);
       ctx.count_delete_attempt();
       if (Llx::scx(ctx, rec)) {
-        // nw == 1 is violation-free; nw >= 2 is overweight; nw == 0 (both p
-        // and s were red) violates only when gp is red too.
-        if (nw >= 2 || (nw == 0 && gp->weight == 0)) {
+        // Repair only when k's path now carries more than kLazyViolations:
+        // the walk's count down to gp plus the sibling copy, which is
+        // overweight when nw >= 2 and red-red when nw == 0 (both p and s
+        // were red) under a red gp. Violations inside s's subtree are not
+        // counted: the walk never went there.
+        if (w.gp_violations + violation(nw, gp->weight) > kLazyViolations) {
           cleanup(k, ctx);
         } else {
           resume_parked(ctx);  // clean commit still drains abandoned repairs
@@ -531,9 +553,10 @@ class ChromaticCore {
   // ---------------- Cleanup (decoupled rebalancing) ----------------
 
   /// Drain any previously abandoned repair, then walk k's own path. Called
-  /// by every mutation that created a violation; mutations that commit clean
-  /// call resume_parked() directly, which is how a parked violation gets
-  /// revisited even when no later op ever re-triggers on its path.
+  /// by every mutation that left more than kLazyViolations on its path;
+  /// every other mutation calls resume_parked() directly, which is how a
+  /// parked violation gets revisited even when no later op ever re-triggers
+  /// on its path.
   void cleanup(const Key& k, Ctx& ctx) {
     resume_parked(ctx);
     cleanup_path(k, ctx);
@@ -611,13 +634,16 @@ class ChromaticCore {
       std::size_t depth;
       std::int64_t sum;           // weighted path sum including n
       std::int32_t parent_weight;
+      std::size_t violations;     // red-red + overweight nodes down to n
     };
     std::int64_t real_sum = -1;
-    std::vector<Frame> stack{{root_, nullptr, nullptr, 1, root_->weight, 1}};
+    std::vector<Frame> stack{{root_, nullptr, nullptr, 1, root_->weight, 1,
+                              0}};
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
       r.height = std::max(r.height, f.depth);
+      r.max_path_violations = std::max(r.max_path_violations, f.violations);
       if (f.lower != nullptr && cmp_(f.n->key, *f.lower)) {
         r.ok = false;
         r.error = "key below the lower bound inherited from an ancestor";
@@ -667,9 +693,13 @@ class ChromaticCore {
       }
       ++r.internals;
       stack.push_back(Frame{left, f.lower, &f.n->key, f.depth + 1,
-                            f.sum + left->weight, f.n->weight});
+                            f.sum + left->weight, f.n->weight,
+                            f.violations + violation(left->weight,
+                                                     f.n->weight)});
       stack.push_back(Frame{right, &f.n->key, f.upper, f.depth + 1,
-                            f.sum + right->weight, f.n->weight});
+                            f.sum + right->weight, f.n->weight,
+                            f.violations + violation(right->weight,
+                                                     f.n->weight)});
     }
     return r;
   }
@@ -679,28 +709,44 @@ class ChromaticCore {
     Node* gp;
     Node* p;
     Node* l;
+    int gp_violations;  // violations on the path from the root down to gp
+    int p_violations;   // ... down to p
   };
 
-  /// Root-to-leaf walk for k tracking (gp, p): the update window locator.
-  /// Plain acquire child loads — staleness is caught by the llx/field
-  /// verification that follows, exactly like EFRB's flag-check-then-CAS.
+  /// 1 when a node of weight w under a parent of weight parent_w is a
+  /// balance violation (overweight, or red under red), else 0.
+  static int violation(std::int32_t w, std::int32_t parent_w) noexcept {
+    return w >= 2 || (w == 0 && parent_w == 0) ? 1 : 0;
+  }
+
+  /// Root-to-leaf walk for k tracking (gp, p) and the violations above
+  /// them: the update window locator. Plain acquire child loads — staleness
+  /// is caught by the llx/field verification that follows, exactly like
+  /// EFRB's flag-check-then-CAS; a stale count only moves the cleanup
+  /// trigger, never correctness.
   DescentWindow walk(const Key& k, Ctx& ctx) const {
     Node* gp = nullptr;
     Node* p = nullptr;
     Node* l = root_;
+    int above_gp = 0;
+    int above_p = 0;
+    int above_l = 0;
     std::size_t depth = 0;
     for (;;) {
       Node* c = cmp_.less(k, l->key)
                     ? l->left.load(std::memory_order_acquire)
                     : l->right.load(std::memory_order_acquire);
       if (c == nullptr) break;
+      above_gp = above_p;
+      above_p = above_l;
+      above_l += violation(c->weight, l->weight);
       gp = p;
       p = l;
       l = c;
       ++depth;
     }
     if constexpr (Ctx::kCounts) ctx.count_depth(depth);
-    return DescentWindow{gp, p, l};
+    return DescentWindow{gp, p, l, above_gp, above_p};
   }
 
   /// Lean read-only descent (the Find fast path): no window tracking.

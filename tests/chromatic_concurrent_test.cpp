@@ -416,29 +416,45 @@ TEST(ChromaticFaultTest, ForcedFreezeFailureRetriesThenSucceeds) {
 // cleanup loop hits kMaxCleanupRounds and gives up with the violation still
 // in the tree. The fix under test: the abandonment is counted
 // (TreeStats::cleanup_abandoned) and the violation key is parked so the next
-// mutating op — even one that commits violation-free and would never trigger
-// cleanup itself — resumes the repair. On the old code the parked red-red
-// pair survived indefinitely, off every later search path.
+// mutating op — even one whose own path stays under the cleanup threshold —
+// resumes the repair. On the old code the parked red-red pair survived
+// indefinitely, off every later search path.
 // ---------------------------------------------------------------------------
 
 TEST(ChromaticFaultTest, AbandonedCleanupIsCountedAndResumedByNextMutation) {
-  InjectChromatic<EpochReclaimer> t;
+  // Ascending inserts stack one red-red pair per key on the right edge until
+  // that path carries more than kLazyViolations and an insert runs cleanup.
+  // An unscheduled twin finds that insert by its first rotation, so the
+  // setup does not depend on the threshold's value.
+  int trigger = -1;
+  {
+    InjectChromatic<EpochReclaimer> twin;
+    for (int k = 1; k < 1000 && trigger < 0; ++k) {
+      ASSERT_TRUE(twin.insert(k));
+      if (twin.stats().rotations > 0) trigger = k;
+    }
+  }
+  ASSERT_GT(trigger, 1) << "ascending inserts never triggered cleanup";
 
-  // Deterministic single-threaded setup: ascending inserts 1..4 each commit
-  // with one freeze (fast path V={p}); insert(4) lands a red leaf-internal
-  // under the red internal(3), which triggers cleanup. Vetoing every freeze
-  // from the 5th on lets all four inserts commit but fails every fix SCX,
-  // so cleanup burns its full round budget and abandons.
+  InjectChromatic<EpochReclaimer> t;
+  for (int k = 1; k < trigger; ++k) ASSERT_TRUE(t.insert(k));
+  ASSERT_EQ(t.stats().rotations, 0u);
+
+  // The triggering insert commits with its single freeze (fast path V={p});
+  // every freeze after it — each fix SCX's — is vetoed, so cleanup burns its
+  // full round budget and abandons.
   FaultScheduler sched(
-      FaultPlan{{fail_cas(0, CasStep::kFreeze, /*occurrence=*/5,
+      FaultPlan{{fail_cas(0, CasStep::kFreeze, /*occurrence=*/2,
                           /*count=*/100000)}});
   {
     FaultScheduler::ThreadScope scope(sched, 0);
     auto h = t.handle();
-    for (int k : {1, 2, 3, 4}) ASSERT_TRUE(h.insert(k));
+    ASSERT_TRUE(h.insert(trigger));
   }
+  EXPECT_GE(sched.point_hits(0, HookPoint::kBeforeRebalance), 1u);
+  EXPECT_EQ(t.stats().rotations, 0u);
 
-  // The abandonment is visible: counted, and the red-red pair is still in
+  // The abandonment is visible: counted, and the red-red pairs are still in
   // the tree (hard invariants hold; balance does not).
   EXPECT_GE(t.stats().cleanup_abandoned, 1u);
   const auto before = t.validate();
@@ -454,7 +470,8 @@ TEST(ChromaticFaultTest, AbandonedCleanupIsCountedAndResumedByNextMutation) {
   EXPECT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.red_red, 0u);
   EXPECT_EQ(after.overweight, 0u);
-  for (int k : {0, 1, 2, 3, 4}) EXPECT_TRUE(t.contains(k));
+  EXPECT_EQ(after.max_path_violations, 0u);
+  for (int k = 0; k <= trigger; ++k) EXPECT_TRUE(t.contains(k));
 }
 
 }  // namespace
