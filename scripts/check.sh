@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: plain build + tests, ASan/UBSan, TSan, quick bench
-# smoke, examples, and the soak/fuzz tools. Run from the repository root.
+# smoke, examples, the soak/fuzz tools and the perfbench self-tests. Run from
+# the repository root.
 #
 #   scripts/check.sh            # everything (slow: three full builds)
 #   scripts/check.sh --fast     # plain build + tests + smoke only
@@ -396,6 +397,15 @@ EOF
   run cmake --build build-tsan --target fault_injection_test
   ./build-tsan/tests/fault_injection_test --gtest_color=no 2>&1 | tee -a "$FAULT_LOG"
   echo "fault-injection output (incl. chaos seeds) saved to $FAULT_LOG"
+
+  echo "=== perfbench: oracle + per-workload output checks (Release) ==="
+  # The repository benchmark (perfbench/, a CMake package of its own) builds
+  # against these headers, so a layout or protocol change alters the trees it
+  # measures. Its ctest runs the oracle test and a short run of every
+  # BENCHMARK.json workload through the output checks (smoke_test.py).
+  run cmake -S perfbench -B build-perfbench -G Ninja -DCMAKE_BUILD_TYPE=Release
+  run cmake --build build-perfbench
+  run ctest --test-dir build-perfbench --output-on-failure
 fi
 
 echo "ALL CHECKS PASSED"

@@ -39,7 +39,7 @@ namespace efrb {
 /// TreeMap's view of the EFRB core (see core/tree_map.hpp).
 template <typename Key, typename Value, typename Compare>
 struct EfrbSpec {
-  using Layout = TreeLayout<Key, Value>;
+  using Layout = NodeLayout<Key, Value>;
   using compare_type = Compare;
   template <typename Traits, typename Ctx>
   using Core = TreeCore<Key, Value, Compare, Traits, Ctx>;

@@ -19,15 +19,22 @@
 // equality of two packed words is equality of (state, info) pairs, which is
 // what gives the algorithm its "values never repeat" property (each flagging
 // installs a pointer to a freshly allocated Info record).
+//
+// Sizes for <uint64_t, uint64_t>, untraced: Leaf 24 B, Internal 40 B, IInfo
+// 24 B, DInfo 32 B, so Leaf/IInfo share glibc's 32-byte chunk class and
+// Internal/DInfo the 48-byte one (DESIGN.md, "Node layout and size classes").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "core/bounded_key.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/llx_scx.hpp"
+#include "reclaim/reclaimer.hpp"
 #include "util/assert.hpp"
 #include "util/cacheline.hpp"
 
@@ -42,23 +49,31 @@ enum class UpdateState : std::uintptr_t {
   kMark = 3,   // node is being spliced out; child pointers frozen forever
 };
 
-/// Base class of IInfo/DInfo. The state tag of a word that points to an Info
-/// record tells helpers the concrete type while the operation is in flight
-/// (IFlag -> IInfo, DFlag/Mark -> DInfo), mirroring the paper's Help routine
-/// (lines 107-112). The virtual destructor exists for reclamation only: a
-/// record is retired when a *Clean* word referencing it is overwritten, and at
-/// that point the tag no longer identifies the concrete type.
-struct Info {
-  /// Causal owner stamp: pack_owner(tid, op_seq) of the creating operation,
-  /// written by the creator *before* the record's publishing CAS and read by
-  /// helpers only after an acquire load of the update word that published it
-  /// — so a plain (non-atomic) word is race-free. Stays kNoOwner unless the
-  /// instantiating Traits enable kCausalTrace (core/debug_hooks.hpp). The
-  /// word costs eight bytes in every record, traced or not (IInfo 40 B,
-  /// DInfo 48 B).
+/// Empty tag base of IInfo/DInfo. The state tag of a word that points to an
+/// Info record tells helpers the concrete type while the operation is in
+/// flight (IFlag -> IInfo, DFlag/Mark -> DInfo), mirroring the paper's Help
+/// routine (lines 107-112). No vptr: a record retired from a *Clean* word,
+/// whose tag no longer names the type, is freed as raw storage by
+/// dispose_retired<Info> below — never deleted through an Info*.
+struct Info {};
+
+template <>
+inline void dispose_retired<Info>(void* p) noexcept {
+  ::operator delete(p);  // trivially destructible records (TreeLayout asserts)
+}
+
+/// Causal owner stamp of an Info record: pack_owner(tid, op_seq) of the
+/// creating operation, written by the creator *before* the record's
+/// publishing CAS and read by helpers only after an acquire load of the
+/// update word that published it — so a plain (non-atomic) word is race-free.
+/// The word exists only in instantiations whose Traits enable kCausalTrace
+/// (core/debug_hooks.hpp); elsewhere the stamp is empty and takes no bytes.
+template <bool kTraced>
+struct OwnerStamp {
   std::uint64_t owner = kNoOwner;
-  virtual ~Info() = default;
 };
+template <>
+struct OwnerStamp<false> {};
 
 /// Immutable snapshot of an update field: (state, Info*) in one word — the
 /// four-state EFRB specialization of the shared tagged-word seam
@@ -79,16 +94,19 @@ using AtomicUpdate = AtomicInfoWord<Update>;
 static_assert(sizeof(AtomicUpdate) == sizeof(std::uintptr_t),
               "update field must be one CAS word");
 
-/// The node and Info-record types of one tree instantiation (Fig. 7), bundled
-/// so every layer names them off a single `Layout` template argument.
+/// The node types of one tree instantiation (Fig. 7) and the navigation seam
+/// of the ordered walks (ordered.hpp).
 template <typename Key, typename Value>
-struct TreeLayout {
+struct NodeLayout {
   using key_type = Key;
   using mapped_type = Value;
   using BKey = BoundedKey<Key>;
 
+  // The node kind sits in the key's tail padding (BoundedKey<uint64_t> is a
+  // word and a one-byte class), so the header is 16 B; as a plain member the
+  // key would push is_internal into a word of its own.
   struct Node {
-    const BKey key;
+    [[no_unique_address]] const BKey key;
     const bool is_internal;
     Node(BKey k, bool internal) : key(std::move(k)), is_internal(internal) {}
   };
@@ -102,11 +120,13 @@ struct TreeLayout {
   // kPlainNewAligned assert below): a cache-line alignas would keep hot
   // Internals and Info records off each other's lines, but it sends every
   // heap `new` on the update path through memalign, which measured costlier
-  // than the false sharing it prevents (EXPERIMENTS.md, E1c).
+  // than the false sharing it prevents (EXPERIMENTS.md, E1c). The children
+  // come before the update word, so the bytes a Find reads (key, kind,
+  // children) are the first 32.
   struct Internal final : Node {
-    AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     std::atomic<Node*> left;
     std::atomic<Node*> right;
+    AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     Internal(BKey k, Node* l, Node* r)
         : Node(std::move(k), true), left(l), right(r) {}
   };
@@ -125,6 +145,17 @@ struct TreeLayout {
   static const Value& value(const Node* n) noexcept {
     return static_cast<const Leaf*>(n)->value;
   }
+};
+
+/// The nodes plus the Info-record types of one tree instantiation, bundled
+/// so every layer of the core names them off a single `Layout` template
+/// argument. kTraced (Traits::kCausalTrace) gives each record an owner word;
+/// the node types are the same either way.
+template <typename Key, typename Value, bool kTraced>
+struct TreeLayout : NodeLayout<Key, Value> {
+  using typename NodeLayout<Key, Value>::Node;
+  using typename NodeLayout<Key, Value>::Leaf;
+  using typename NodeLayout<Key, Value>::Internal;
 
   // lines 12-14. new_node is Node* (not Internal*) to support the
   // insert_or_assign extension, which installs a replacement Leaf.
@@ -132,6 +163,7 @@ struct TreeLayout {
     Internal* p;
     Leaf* l;
     Node* new_node;
+    [[no_unique_address]] OwnerStamp<kTraced> stamp;
     IInfo(Internal* p_, Leaf* l_, Node* n_) : p(p_), l(l_), new_node(n_) {}
   };
 
@@ -141,12 +173,19 @@ struct TreeLayout {
     Internal* p;
     Leaf* l;
     Update pupdate;
+    [[no_unique_address]] OwnerStamp<kTraced> stamp;
     DInfo(Internal* gp_, Internal* p_, Leaf* l_, Update pu)
         : gp(gp_), p(p_), l(l_), pupdate(pu) {}
   };
 
   static_assert(alignof(IInfo) >= 4 && alignof(DInfo) >= 4,
                 "two low pointer bits must be free for the state tag");
+  static_assert(std::is_trivially_destructible_v<IInfo> &&
+                    std::is_trivially_destructible_v<DInfo>,
+                "a record retired from a Clean word is freed as raw storage");
+  static_assert(std::is_standard_layout_v<IInfo> &&
+                    std::is_standard_layout_v<DInfo>,
+                "the Info base must share the record's address");
   static_assert(kPlainNewAligned<Leaf, Internal, IInfo, DInfo>,
                 "over-aligned node or Info record: every heap `new` would "
                 "take aligned operator new (glibc memalign, no tcache) on "

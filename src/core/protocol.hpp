@@ -76,7 +76,7 @@ template <typename Key, typename Value, typename Compare, typename Traits,
           typename Ctx>
 class TreeCore {
  public:
-  using Layout = TreeLayout<Key, Value>;
+  using Layout = TreeLayout<Key, Value, hooks::causal_trace_v<Traits>>;
   using BKey = typename Layout::BKey;
   using Node = typename Layout::Node;
   using Leaf = typename Layout::Leaf;
@@ -124,10 +124,11 @@ class TreeCore {
         // referenced by at most one in-tree Clean word (an IInfo by its p, a
         // DInfo by its gp; a DInfo's Mark reference lives on a node already
         // spliced out of the tree), so no double free is possible. At
-        // quiescence no in-tree word can be flagged or marked.
+        // quiescence no in-tree word can be flagged or marked. A Clean word
+        // does not name the record's type: free it as raw storage (Info).
         const Update u = in->update.load(std::memory_order_relaxed);
         EFRB_DCHECK(u.state() == UpdateState::kClean);
-        if (u.state() == UpdateState::kClean) delete u.info();
+        if (u.state() == UpdateState::kClean) dispose_retired<Info>(u.info());
         delete in;
       } else {
         delete static_cast<Leaf*>(n);
@@ -395,7 +396,7 @@ class TreeCore {
       if constexpr (hooks::causal_trace_v<Traits>) {
         // Causal owner stamp: plain store, ordered before helpers by the
         // dflag CAS (acq_rel) that publishes the record.
-        op->owner = ctx.owner();
+        op->stamp.owner = ctx.owner();
       }
       Update expected = s.gpupdate;
       const Update flagged = Update::make(UpdateState::kDFlag, op);
@@ -455,7 +456,7 @@ class TreeCore {
     if constexpr (hooks::causal_trace_v<Traits>) {
       // Causal owner stamp: plain store, ordered before helpers by the iflag
       // CAS (acq_rel) that publishes the record.
-      op->owner = ctx.owner();
+      op->stamp.owner = ctx.owner();
     }
     Update expected = s.pupdate;
     const Update flagged = Update::make(UpdateState::kIFlag, op);
@@ -611,10 +612,13 @@ class TreeCore {
     // The owner stamp of the operation being helped: written by its creator
     // before the flagging CAS published the record, read here strictly after
     // an acquire load of the flagged word — a plain read is race-free. The
-    // load exists only in kCausalTrace instantiations.
+    // word exists only in kCausalTrace instantiations and is read through
+    // the concrete type the state tag names.
     std::uint64_t owner = kNoOwner;
     if constexpr (hooks::causal_trace_v<Traits>) {
-      if (u.info() != nullptr) owner = u.info()->owner;
+      owner = u.state() == UpdateState::kIFlag
+                  ? static_cast<IInfo*>(u.info())->stamp.owner
+                  : static_cast<DInfo*>(u.info())->stamp.owner;
     }
     hooks::emit<Traits>(ctx, HookPoint::kBeforeHelp, owner);
     ctx.help_enter();

@@ -23,8 +23,9 @@
 namespace efrb {
 
 /// The type-erased disposer stored with every retired entry. One
-/// instantiation per retired type, so the destructor call is exact —
-/// including virtual dispatch through base pointers.
+/// instantiation per retired type, so the destructor call is exact. A type
+/// retired through a base pointer with no virtual destructor specializes
+/// it (the EFRB Info records: core/layout.hpp).
 template <typename T>
 inline void dispose_retired(void* p) noexcept {
   delete static_cast<T*>(p);

@@ -220,6 +220,11 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
       << "helper " << helper_tid << " victim " << victim_tid;
   EXPECT_GE(causal.helps_given(helper_tid), 1u);
   EXPECT_GE(causal.helps_received(victim_tid), 1u);
+  // The help edge carries the deleter's exact stamp (its handle's first op),
+  // read from the DInfo the DFlag names.
+  const std::vector<obs::HelpEdge> edges = causal.edges(helper_tid);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].owner, pack_owner(victim_tid, 1));
 
   // (b) The merged Chrome trace carries a flow arrow: "s" on the helper's
   // timeline, "f" bound into the victim's.
@@ -277,6 +282,61 @@ TEST(CausalAcceptanceTest, StalledDeleterIsAttributedFlowedAndReported) {
   for (const obs::HeatBucket& b : heatmap.snapshot()) heat_helps += b.helps;
   EXPECT_EQ(heat_helps, 1u);
   EXPECT_EQ(heatmap.snapshot()[heatmap.bucket_of(30)].helps, 1u);
+}
+
+// The inserter-side twin: help() reads the owner through the concrete
+// record the state tag names, so the IFlag -> IInfo branch needs its own
+// stalled victim.
+
+TEST(CausalAcceptanceTest, StalledInserterIsAttributed) {
+  obs::CausalRegistry causal;
+  const obs::Instruments instruments{.causal = &causal};
+  obs::ObsTraits::attach(&instruments);
+
+  CausalTree t;
+  for (int k : {10, 30, 50, 70}) ASSERT_TRUE(t.insert(k));
+
+  FaultPlan plan;
+  plan.actions.push_back(stall_at(0, HookPoint::kAfterIFlag));
+  FaultScheduler sched(plan);
+
+  bool victim_ret = false;
+  unsigned victim_tid = kNoTid;
+  unsigned helper_tid = kNoTid;
+  std::thread victim([&] {
+    FaultScheduler::ThreadScope scope(sched, 0);
+    auto h = t.handle();
+    victim_tid = h.tid();
+    victim_ret = h.insert(40);
+  });
+  ASSERT_TRUE(sched.wait_until_stalled(0));
+
+  // A second inserter of the same key finds the parent IFlagged, completes
+  // the stalled insert, and then sees the key as present.
+  {
+    FaultScheduler::ThreadScope scope(sched, 1);
+    auto h = t.handle();
+    helper_tid = h.tid();
+    EXPECT_FALSE(h.insert(40));
+  }
+  EXPECT_TRUE(t.contains(40));
+
+  sched.release(0);
+  victim.join();
+  EXPECT_TRUE(victim_ret);
+  EXPECT_TRUE(t.validate().ok);
+
+  ASSERT_NE(victim_tid, kNoTid);
+  ASSERT_NE(helper_tid, kNoTid);
+  ASSERT_NE(victim_tid, helper_tid);
+  EXPECT_EQ(causal.total_helps(), 1u);
+  EXPECT_EQ(causal.helped_by(helper_tid, victim_tid), 1u);
+  // The edge carries the inserter's exact stamp: its handle's first op.
+  const std::vector<obs::HelpEdge> edges = causal.edges(helper_tid);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].owner, pack_owner(victim_tid, 1));
+
+  obs::ObsTraits::detach();
 }
 
 // With causal tracing active, helpers of a *tree-level* operation (no
