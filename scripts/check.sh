@@ -13,6 +13,20 @@ FAST=0
 
 run() { echo "+ $*"; "$@"; }
 
+# Configure build tree $1 (remaining arguments go to cmake). A fresh tree
+# gets Ninja; a tree configured before keeps the generator in its cache, so a
+# build/ first made by the plain `cmake -B build -S .` (the platform default
+# generator) is reused instead of stopping on a generator mismatch.
+configure() {
+  local dir=$1
+  shift
+  if [[ -f "$dir/CMakeCache.txt" ]]; then
+    run cmake -B "$dir" "$@"
+  else
+    run cmake -B "$dir" -G Ninja "$@"
+  fi
+}
+
 echo "=== one event seam, one tree facade, one allocator, one tree per map, one export: no legacy hooks, Handles, knobs, pool, shards or Prometheus ==="
 # Protocol events reach Traits only through hooks::emit -> on_event(const
 # Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
@@ -53,7 +67,7 @@ if grep -rnE 'PromWriter|_prom\(|--prom|obs/prom\.hpp' \
 fi
 
 echo "=== plain build + tests ==="
-run cmake -B build -G Ninja
+configure build
 run cmake --build build
 run ctest --test-dir build --output-on-failure
 
@@ -291,14 +305,14 @@ echo "postmortem OK: exit $probe_rc, $(wc -c < build/obs_crash.bin) byte dump"
 
 if [[ "$FAST" == "0" ]]; then
   echo "=== ASan + UBSan ==="
-  run cmake -B build-asan -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
+  configure build-asan -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   run cmake --build build-asan
   run ctest --test-dir build-asan --output-on-failure --timeout 600
 
   echo "=== TSan ==="
-  run cmake -B build-tsan -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
+  configure build-tsan -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DEFRB_SANITIZE_THREAD=ON
   run cmake --build build-tsan
   run ctest --test-dir build-tsan --output-on-failure --timeout 900
@@ -306,7 +320,7 @@ if [[ "$FAST" == "0" ]]; then
   echo "=== TSan + forced stats (kCountStats=true shards under the race detector) ==="
   # EFRB_TEST_FORCE_STATS switches the concurrent suites to StatsTraits so the
   # per-handle stat shards and the shared counter block race under TSan too.
-  run cmake -B build-tsan-stats -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
+  configure build-tsan-stats -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DEFRB_SANITIZE_THREAD=ON \
       -DCMAKE_CXX_FLAGS="-DEFRB_TEST_FORCE_STATS"
   run cmake --build build-tsan-stats
@@ -379,7 +393,7 @@ EOF
   # EFRB_TEST_FORCE_HOOKS switches the concurrent suites to traits whose
   # on_event sink runs real code, proving every emission point in
   # protocol.hpp survives refactors (NoopTraits compiles them away).
-  run cmake -B build-hooks -G Ninja -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
+  configure build-hooks -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DCMAKE_CXX_FLAGS="-DEFRB_TEST_FORCE_HOOKS"
   run cmake --build build-hooks
   run ctest --test-dir build-hooks --output-on-failure --timeout 600 \
@@ -403,7 +417,7 @@ EOF
   # against these headers, so a layout or protocol change alters the trees it
   # measures. Its ctest runs the oracle test and a short run of every
   # BENCHMARK.json workload through the output checks (smoke_test.py).
-  run cmake -S perfbench -B build-perfbench -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
   run cmake --build build-perfbench
   run ctest --test-dir build-perfbench --output-on-failure
 fi

@@ -14,9 +14,10 @@
 // Structure: leaf-oriented, like EFRB (Fig. 6 of the 2010 paper): real keys
 // live in leaves, internal keys route (left subtree < key <= right subtree),
 // and the sentinel spine ∞₁ < ∞₂ removes the empty/one-key special cases.
-// A single node type serves both roles; a node is a leaf iff its left child
-// pointer is null (stable for the node's whole lifetime — children are only
-// assigned at construction and swung on internals).
+// Leaves and internals are different types over one header (ChromaticLayout,
+// the shape of the EFRB NodeLayout): a leaf holds the value and has no
+// mutable field, an internal holds the two child pointers, and the header's
+// immutable kind bit says which one a node is.
 //
 // Every mutation is one SCX: freeze the O(1)-node window V by CASing its info
 // words onto a fresh ScxRecord, mark the replaced set R, swing one child
@@ -76,6 +77,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -169,51 +171,96 @@ class ParkedViolation {
                                            std::optional<Key>> slot_;
 };
 
-/// The chromatic node: one type for leaves and internals (leaf iff left ==
-/// nullptr), satisfying the ScxNode concept of the LLX/SCX engine. `weight`
-/// is immutable — reweighting replaces the node, which is what lets llx()
-/// treat everything except the children and the info word as constant.
+/// The chromatic node types, the same shape as the EFRB NodeLayout: a leaf
+/// holds the data and no mutable field, an internal routes through two child
+/// pointers, and both are Data-records of the LLX/SCX engine (ScxLayout).
+/// The header's kind and weight are immutable — reweighting replaces the
+/// node, which is what lets llx() treat everything except an internal's
+/// children and the info word as constant.
 template <typename Key, typename Value>
 struct ChromaticLayout {
   using key_type = Key;
   using mapped_type = Value;
   using BKey = BoundedKey<Key>;
 
+  struct Leaf;
+  struct Internal;
+
+  // The kind and the weight sit in the key's tail padding
+  // (BoundedKey<uint64_t> is a word and a one-byte class), so the header
+  // with its info word is 24 B: Leaf 32 B and Internal 40 B for
+  // <uint64_t, uint64_t>, both in glibc's 48 B chunk class.
   struct Node {
-    const BKey key;
-    [[no_unique_address]] Value value;  // meaningful in leaves only
-    const std::int32_t weight;          // 0 = red, 1 = black, >= 2 overweight
-    std::atomic<Node*> left;            // null iff leaf (stable)
-    std::atomic<Node*> right;
+    [[no_unique_address]] const BKey key;
+    const bool is_internal;
+    const std::int32_t weight;  // 0 = red, 1 = black, >= 2 overweight
     AtomicScxWord<Node> scx;
 
-    Node(BKey k, Value v, std::int32_t w, Node* l, Node* r)
-        : key(std::move(k)), value(std::move(v)), weight(w), left(l), right(r) {}
+    Node(BKey k, bool internal, std::int32_t w)
+        : key(std::move(k)), is_internal(internal), weight(w) {}
+
+    // No vptr: `delete` through a Node* (a retired node, a tree being
+    // destroyed, a discarded copy) destroys and frees the node as the kind
+    // its header names, so a Leaf's Value destructor always runs.
+    void operator delete(Node* n, std::destroying_delete_t) noexcept {
+      if (n->is_internal) {
+        delete static_cast<Internal*>(n);
+      } else {
+        delete static_cast<Leaf*>(n);
+      }
+    }
   };
 
-  using Rec = ScxRecordOf<Node>;
-  using Word = ScxWord<Node>;
+  // The kinds' own (plain) operator delete hides Node's dispatching one, so
+  // `delete` on a Leaf* or an Internal* skips the kind test.
+  struct Leaf final : Node {
+    [[no_unique_address]] Value value;
+    Leaf(BKey k, Value v, std::int32_t w)
+        : Node(std::move(k), false, w), value(std::move(v)) {}
+    static void operator delete(void* p, std::size_t size) noexcept {
+      ::operator delete(p, size);
+    }
+  };
 
-  static_assert(ScxNode<Node>);
-  static_assert(kPlainNewAligned<Node, Rec>,
-                "over-aligned node or SCX record: every heap `new` would "
-                "take aligned operator new (glibc memalign, no tcache) on "
-                "the update path");
+  struct Internal final : Node {
+    std::atomic<Node*> left;
+    std::atomic<Node*> right;
+    Internal(BKey k, std::int32_t w, Node* l, Node* r)
+        : Node(std::move(k), true, w), left(l), right(r) {}
+    static void operator delete(void* p, std::size_t size) noexcept {
+      ::operator delete(p, size);
+    }
+  };
 
-  // Navigation seam of the ordered walks (ordered.hpp). A leaf's children
-  // are both null for its whole lifetime and an internal's are never null,
-  // so the leaf test needs no ordering: the acquire load that reached n
-  // already made its construction visible.
-  static bool is_leaf(const Node* n) noexcept {
-    return n->left.load(std::memory_order_relaxed) == nullptr;
-  }
+  static_assert(kPlainNewAligned<Leaf, Internal>,
+                "over-aligned node: every heap `new` would take aligned "
+                "operator new (glibc memalign, no tcache) on the update path");
+
+  // Navigation seam of the ordered walks (ordered.hpp) and of the LLX/SCX
+  // engine: the leaf test, child loads (internal nodes only) and a leaf's
+  // value.
+  static bool is_leaf(const Node* n) noexcept { return !n->is_internal; }
   static const Node* left(const Node* n) noexcept {
-    return n->left.load(std::memory_order_acquire);
+    return static_cast<const Internal*>(n)->left.load(
+        std::memory_order_acquire);
   }
   static const Node* right(const Node* n) noexcept {
-    return n->right.load(std::memory_order_acquire);
+    return static_cast<const Internal*>(n)->right.load(
+        std::memory_order_acquire);
   }
-  static const Value& value(const Node* n) noexcept { return n->value; }
+  static const Value& value(const Node* n) noexcept {
+    return static_cast<const Leaf*>(n)->value;
+  }
+
+  /// Copy `n` as its own kind with a new weight: a leaf keeps its value, an
+  /// internal takes the given (snapshot) children.
+  static Node* clone(const Node* n, std::int32_t w, Node* l, Node* r) {
+    if (is_leaf(n)) {
+      EFRB_DCHECK(l == nullptr && r == nullptr);
+      return new Leaf(n->key, value(n), w);
+    }
+    return new Internal(n->key, w, l, r);
+  }
 };
 
 /// The chromatic tree core: dictionary operations, the cleanup phase and the
@@ -226,10 +273,12 @@ class ChromaticCore {
  public:
   using Layout = ChromaticLayout<Key, Value>;
   using Node = typename Layout::Node;
-  using Rec = typename Layout::Rec;
-  using Word = typename Layout::Word;
+  using Leaf = typename Layout::Leaf;
+  using Internal = typename Layout::Internal;
   using BKey = typename Layout::BKey;
-  using Llx = LlxScx<Node, Traits, Ctx>;
+  using Llx = LlxScx<Layout, Traits, Ctx>;
+  using Rec = typename Llx::Rec;
+  using Word = typename Llx::Word;
   using ValidationResult = ChromaticValidation;
   static constexpr const char* kName = "chromatic-tree";
 
@@ -246,11 +295,11 @@ class ChromaticCore {
 
   explicit ChromaticCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Fig. 6 shape, chromatic weights: every sentinel has weight 1.
-    Node* left = new Node(BKey::inf1(), Value{}, 1, nullptr, nullptr);
-    Node* right = nullptr;
+    Leaf* left = new Leaf(BKey::inf1(), Value{}, 1);
+    Leaf* right = nullptr;
     try {
-      right = new Node(BKey::inf2(), Value{}, 1, nullptr, nullptr);
-      root_ = new Node(BKey::inf2(), Value{}, 1, left, right);
+      right = new Leaf(BKey::inf2(), Value{}, 1);
+      root_ = new Internal(BKey::inf2(), 1, left, right);
     } catch (...) {
       delete right;
       delete left;
@@ -261,23 +310,22 @@ class ChromaticCore {
   ChromaticCore(const ChromaticCore&) = delete;
   ChromaticCore& operator=(const ChromaticCore&) = delete;
 
-  /// Requires quiescence. Frees every node reachable from the root plus the
-  /// ScxRecords still referenced by their info words (deduplicated — one
-  /// committed record is referenced by every node it froze that was never
-  /// displaced afterwards).
+  /// Requires quiescence. Frees every node reachable from the root (each as
+  /// its own kind, see ChromaticLayout::Node) plus the ScxRecords still
+  /// referenced by their info words (deduplicated — one committed record is
+  /// referenced by every node it froze that was never displaced afterwards).
   ~ChromaticCore() {
     std::vector<Node*> stack{root_};
     std::vector<Rec*> recs;
     while (!stack.empty()) {
       Node* n = stack.back();
       stack.pop_back();
-      if (Rec* r = n->scx.load(std::memory_order_relaxed).info(); r != nullptr) {
-        recs.push_back(r);
-      }
-      Node* l = n->left.load(std::memory_order_relaxed);
-      if (l != nullptr) {
-        stack.push_back(l);
-        stack.push_back(n->right.load(std::memory_order_relaxed));
+      const Word w = n->scx.load(std::memory_order_relaxed);
+      if (w.info() != nullptr) recs.push_back(static_cast<Rec*>(w.info()));
+      if (!Layout::is_leaf(n)) {
+        const Internal* in = static_cast<const Internal*>(n);
+        stack.push_back(in->left.load(std::memory_order_relaxed));
+        stack.push_back(in->right.load(std::memory_order_relaxed));
       }
       delete n;
     }
@@ -287,20 +335,20 @@ class ChromaticCore {
   }
 
   const BoundedCompare<Key, Compare>& cmp() const noexcept { return cmp_; }
-  Node* root() const noexcept { return root_; }
+  Internal* root() const noexcept { return root_; }
 
   // ---------------- Reads ----------------
 
   bool contains(const Key& k, Ctx& ctx) const {
     ctx.set_op_key(k);
-    const Node* l = descend(k, ctx);
+    const Leaf* l = descend(k, ctx);
     hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
     return cmp_.equals(k, l->key);
   }
 
   std::optional<Value> get(const Key& k, Ctx& ctx) const {
     ctx.set_op_key(k);
-    const Node* l = descend(k, ctx);
+    const Leaf* l = descend(k, ctx);
     hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
     if (!cmp_.equals(k, l->key)) return std::nullopt;
     return l->value;  // leaf payloads are immutable after publication
@@ -322,8 +370,8 @@ class ChromaticCore {
     for (;;) {
       const DescentWindow w = walk(k, ctx);
       hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
-      Node* p = w.p;
-      Node* l = w.l;
+      Internal* p = w.p;
+      Leaf* l = w.l;
       if (cmp_.equals(k, l->key)) {
         if (!assign_if_present) {
           ctx.end_op();
@@ -338,7 +386,7 @@ class ChromaticCore {
           scx_retry(ctx);
           continue;
         }
-        Node* nl = new Node(l->key, v, l->weight, nullptr, nullptr);
+        Leaf* nl = new Leaf(l->key, v, l->weight);
         Rec* rec = make_rec({p, l}, {rp.info, rl.info},
                             /*finalize_mask=*/0b10, field, l, nl);
         ctx.count_insert_attempt();
@@ -371,12 +419,12 @@ class ChromaticCore {
         wi = l->weight - 1;
         wl = 1;
       }
-      Node* nk = new Node(BKey::real(k), v, wl, nullptr, nullptr);
+      Leaf* nk = new Leaf(BKey::real(k), v, wl);
       // Leaf-oriented split: the larger key routes (left < key <= right).
       const bool k_left = cmp_.less(k, l->key);
-      Node* ni;
+      Internal* ni;
       Rec* rec;
-      Node* nold = nullptr;
+      Leaf* nold = nullptr;
       if (wl == l->weight) {
         // Fast path (the common case — every leaf except an overweight one
         // keeps its weight): the old leaf stays in the tree below the new
@@ -388,8 +436,8 @@ class ChromaticCore {
         // can never return to l and a stalled helper's child CAS (expecting
         // l) can never fire a second time — see the child-swing note in
         // llx_scx.hpp and the matching erase() note below.
-        ni = new Node(k_left ? l->key : BKey::real(k), Value{}, wi,
-                      k_left ? nk : l, k_left ? l : nk);
+        ni = new Internal(k_left ? l->key : BKey::real(k), wi,
+                          k_left ? nk : l, k_left ? l : nk);
         rec = make_rec({p}, {rp.info}, /*finalize_mask=*/0b0, field, l, ni);
       } else {
         // The leaf's weight changes (w >= 2 collapsing to 1): copy it, and
@@ -401,9 +449,9 @@ class ChromaticCore {
           scx_retry(ctx);
           continue;
         }
-        nold = new Node(l->key, l->value, wl, nullptr, nullptr);
-        ni = new Node(k_left ? l->key : BKey::real(k), Value{}, wi,
-                      k_left ? nk : nold, k_left ? nold : nk);
+        nold = new Leaf(l->key, l->value, wl);
+        ni = new Internal(k_left ? l->key : BKey::real(k), wi,
+                          k_left ? nk : nold, k_left ? nold : nk);
         rec = make_rec({p, l}, {rp.info, rl.info},
                        /*finalize_mask=*/0b10, field, l, ni);
       }
@@ -440,8 +488,8 @@ class ChromaticCore {
     for (;;) {
       const DescentWindow w = walk(k, ctx);
       hooks::emit<Traits>(ctx, HookPoint::kAfterSearch);
-      Node* p = w.p;
-      Node* l = w.l;
+      Internal* p = w.p;
+      Leaf* l = w.l;
       if (!cmp_.equals(k, l->key) || !(l->value == expected)) {
         ctx.end_op();
         return false;
@@ -455,7 +503,7 @@ class ChromaticCore {
         scx_retry(ctx);
         continue;
       }
-      Node* nl = new Node(l->key, desired, l->weight, nullptr, nullptr);
+      Leaf* nl = new Leaf(l->key, desired, l->weight);
       Rec* rec = make_rec({p, l}, {rp.info, rl.info},
                           /*finalize_mask=*/0b10, field, l, nl);
       ctx.count_insert_attempt();
@@ -485,9 +533,9 @@ class ChromaticCore {
         ctx.end_op();
         return false;
       }
-      Node* gp = w.gp;
-      Node* p = w.p;
-      Node* l = w.l;
+      Internal* gp = w.gp;
+      Internal* p = w.p;
+      Leaf* l = w.l;
       EFRB_DCHECK(gp != nullptr);  // real leaves sit below the sentinel spine
       const LlxResult<Node> rgp = Llx::llx(ctx, gp);
       std::atomic<Node*>* field = rgp.ok ? field_for(gp, rgp, p) : nullptr;
@@ -526,7 +574,7 @@ class ChromaticCore {
       // re-link the retired internal (resurrecting the erased key, then
       // use-after-free once the reclaimer frees it). Covered by
       // ChromaticFaultTest.StalledInsertHelperCannotResurrectErasedSubtree.
-      Node* ns = new Node(s->key, s->value, nw, rs.left, rs.right);
+      Node* ns = Layout::clone(s, nw, rs.left, rs.right);
       Rec* rec = make_rec({gp, p, l, s}, {rgp.info, rp.info, rl.info, rs.info},
                           /*finalize_mask=*/0b1110, field, p, ns);
       ctx.count_delete_attempt();
@@ -577,22 +625,20 @@ class ChromaticCore {
   /// TreeStats::cleanup_abandoned).
   void cleanup_path(const Key& k, Ctx& ctx) {
     for (int round = 0; round < kMaxCleanupRounds; ++round) {
-      Node* p3 = nullptr;
-      Node* p2 = nullptr;
-      Node* p1 = nullptr;
+      Internal* p3 = nullptr;
+      Internal* p2 = nullptr;
+      Internal* p1 = nullptr;
       Node* u = root_;
       for (;;) {
         const bool red_red =
             u->weight == 0 && p1 != nullptr && p1->weight == 0;
         if (red_red || u->weight >= 2) break;
-        Node* c = cmp_.less(k, u->key)
-                      ? u->left.load(std::memory_order_acquire)
-                      : u->right.load(std::memory_order_acquire);
-        if (c == nullptr) return;  // clean path
+        if (Layout::is_leaf(u)) return;  // clean path
+        Internal* in = static_cast<Internal*>(u);
         p3 = p2;
         p2 = p1;
-        p1 = u;
-        u = c;
+        p1 = in;
+        u = child_toward(k, in);
       }
       hooks::emit<Traits>(ctx, HookPoint::kBeforeRebalance);
       bool fixed;
@@ -666,14 +712,7 @@ class ChromaticCore {
       }
       if (f.n->weight == 0 && f.parent_weight == 0) ++r.red_red;
       if (f.n->weight >= 2) ++r.overweight;
-      const Node* left = f.n->left.load(std::memory_order_acquire);
-      const Node* right = f.n->right.load(std::memory_order_acquire);
-      if (left == nullptr) {
-        if (right != nullptr) {
-          r.ok = false;
-          r.error = "half-null children (leaf-oriented shape broken)";
-          return r;
-        }
+      if (Layout::is_leaf(f.n)) {
         if (f.n->key.is_real()) {
           ++r.real_leaves;
           if (real_sum < 0) {
@@ -686,9 +725,13 @@ class ChromaticCore {
         }
         continue;
       }
-      if (right == nullptr) {
+      const Internal* in = static_cast<const Internal*>(f.n);
+      const Node* left = in->left.load(std::memory_order_acquire);
+      const Node* right = in->right.load(std::memory_order_acquire);
+      if (left == nullptr || right == nullptr) {
         r.ok = false;
-        r.error = "half-null children (leaf-oriented shape broken)";
+        r.error =
+            "internal node with a null child (leaf-oriented shape broken)";
         return r;
       }
       ++r.internals;
@@ -706,9 +749,9 @@ class ChromaticCore {
 
  private:
   struct DescentWindow {
-    Node* gp;
-    Node* p;
-    Node* l;
+    Internal* gp;
+    Internal* p;
+    Leaf* l;
     int gp_violations;  // violations on the path from the root down to gp
     int p_violations;   // ... down to p
   };
@@ -725,49 +768,49 @@ class ChromaticCore {
   /// EFRB's flag-check-then-CAS; a stale count only moves the cleanup
   /// trigger, never correctness.
   DescentWindow walk(const Key& k, Ctx& ctx) const {
-    Node* gp = nullptr;
-    Node* p = nullptr;
+    Internal* gp = nullptr;
+    Internal* p = nullptr;
     Node* l = root_;
     int above_gp = 0;
     int above_p = 0;
     int above_l = 0;
     std::size_t depth = 0;
-    for (;;) {
-      Node* c = cmp_.less(k, l->key)
-                    ? l->left.load(std::memory_order_acquire)
-                    : l->right.load(std::memory_order_acquire);
-      if (c == nullptr) break;
+    while (!Layout::is_leaf(l)) {
+      Internal* in = static_cast<Internal*>(l);
+      Node* c = child_toward(k, in);
       above_gp = above_p;
       above_p = above_l;
-      above_l += violation(c->weight, l->weight);
+      above_l += violation(c->weight, in->weight);
       gp = p;
-      p = l;
+      p = in;
       l = c;
       ++depth;
     }
     if constexpr (Ctx::kCounts) ctx.count_depth(depth);
-    return DescentWindow{gp, p, l, above_gp, above_p};
+    return DescentWindow{gp, p, static_cast<Leaf*>(l), above_gp, above_p};
   }
 
   /// Lean read-only descent (the Find fast path): no window tracking.
-  const Node* descend(const Key& k, Ctx& ctx) const {
+  const Leaf* descend(const Key& k, Ctx& ctx) const {
     const Node* n = root_;
     std::size_t depth = 0;
-    for (;;) {
-      const Node* c = cmp_.less(k, n->key)
-                          ? n->left.load(std::memory_order_acquire)
-                          : n->right.load(std::memory_order_acquire);
-      if (c == nullptr) break;
-      n = c;
+    while (!Layout::is_leaf(n)) {
+      n = child_toward(k, static_cast<const Internal*>(n));
       ++depth;
     }
     if constexpr (Ctx::kCounts) ctx.count_depth(depth);
-    return n;
+    return static_cast<const Leaf*>(n);
+  }
+
+  /// The child of `in` on k's search path (left < key <= right).
+  Node* child_toward(const Key& k, const Internal* in) const {
+    return cmp_.less(k, in->key) ? in->left.load(std::memory_order_acquire)
+                                 : in->right.load(std::memory_order_acquire);
   }
 
   /// The child field of `parent` holding `child` per the llx snapshot, or
   /// null when the snapshot no longer links them (stale window — retry).
-  static std::atomic<Node*>* field_for(Node* parent,
+  static std::atomic<Node*>* field_for(Internal* parent,
                                        const LlxResult<Node>& rp,
                                        Node* child) {
     if (rp.left == child) return &parent->left;
@@ -780,21 +823,17 @@ class ChromaticCore {
     ctx.retry_pause();
   }
 
-  /// Copy `n` with a new weight and the given (snapshot) children.
-  Node* clone(const Node* n, std::int32_t w, Node* l, Node* r) {
-    return new Node(n->key, n->value, w, l, r);
-  }
-
   Rec* make_rec(std::initializer_list<Node*> v,
-                std::initializer_list<Rec*> infos, std::uint8_t finalize_mask,
-                std::atomic<Node*>* field, Node* old_child, Node* new_child) {
+                std::initializer_list<ScxRecordOf<Node>*> infos,
+                std::uint8_t finalize_mask, std::atomic<Node*>* field,
+                Node* old_child, Node* new_child) {
     EFRB_DCHECK(v.size() == infos.size() && v.size() <= Rec::kMaxNodes);
     Rec* rec = new Rec();
     std::uint8_t i = 0;
     for (Node* n : v) rec->nodes[i++] = n;
     rec->num_nodes = i;
     i = 0;
-    for (Rec* r : infos) {
+    for (ScxRecordOf<Node>* r : infos) {
       rec->infos[i++] = Word::make(ScxMark::kUnmarked, r);
     }
     rec->finalize_mask = finalize_mask;
@@ -812,7 +851,7 @@ class ChromaticCore {
   /// sibling above p1, exposing a black sibling for a later PUSH); black
   /// sibling -> PUSH (shift one unit of weight from both children onto p1,
   /// possibly re-siting the violation upward).
-  bool fix_overweight(Ctx& ctx, Node* p2, Node* p1, Node* u) {
+  bool fix_overweight(Ctx& ctx, Internal* p2, Internal* p1, Node* u) {
     EFRB_DCHECK(p1 != nullptr);  // the root is never overweight
     if (!p1->key.is_real()) return relabel(ctx, p1, u);
     EFRB_DCHECK(p2 != nullptr);  // real p1 hangs below the sentinel spine
@@ -845,11 +884,11 @@ class ChromaticCore {
       Node* np1;
       Node* ns;
       if (u_left) {
-        np1 = clone(p1, 0, u, rs.left);
-        ns = clone(s, p1->weight, np1, rs.right);
+        np1 = Layout::clone(p1, 0, u, rs.left);
+        ns = Layout::clone(s, p1->weight, np1, rs.right);
       } else {
-        np1 = clone(p1, 0, rs.right, u);
-        ns = clone(s, p1->weight, rs.left, np1);
+        np1 = Layout::clone(p1, 0, rs.right, u);
+        ns = Layout::clone(s, p1->weight, rs.left, np1);
       }
       Rec* rec = make_rec({p2, p1, s}, {r2.info, r1.info, rs.info},
                           /*finalize_mask=*/0b110, field, p1, ns);
@@ -861,9 +900,10 @@ class ChromaticCore {
 
     // PUSH: (w(u)-1) + (w(p1)+1) and (w(s)-1) + (w(p1)+1) preserve both
     // path sums exactly.
-    Node* nu = clone(u, u->weight - 1, ru.left, ru.right);
-    Node* ns = clone(s, s->weight - 1, rs.left, rs.right);
-    Node* np1 = clone(p1, p1->weight + 1, u_left ? nu : ns, u_left ? ns : nu);
+    Node* nu = Layout::clone(u, u->weight - 1, ru.left, ru.right);
+    Node* ns = Layout::clone(s, s->weight - 1, rs.left, rs.right);
+    Node* np1 = Layout::clone(p1, p1->weight + 1, u_left ? nu : ns,
+                              u_left ? ns : nu);
     Rec* rec = make_rec({p2, p1, u, s}, {r2.info, r1.info, ru.info, rs.info},
                         /*finalize_mask=*/0b1110, field, p1, np1);
     if (Llx::scx(ctx, rec)) return true;
@@ -877,7 +917,8 @@ class ChromaticCore {
   /// blackened by relabeling. Otherwise dispatch on the uncle: red uncle ->
   /// BLK (recolor, shifting one unit from p2 down); black uncle -> RB1/RB2
   /// (single/double rotation bringing a black node over both reds).
-  bool fix_red_red(Ctx& ctx, Node* p3, Node* p2, Node* p1, Node* u) {
+  bool fix_red_red(Ctx& ctx, Internal* p3, Internal* p2, Internal* p1,
+                   Node* u) {
     EFRB_DCHECK(p1 != nullptr && p2 != nullptr);  // red nodes are not the root
     if (!p2->key.is_real()) return relabel(ctx, p2, p1);
     // The walk reports the topmost violation, so p2 is black here; a red p2
@@ -918,10 +959,10 @@ class ChromaticCore {
       // BLK: p2'(w-1)[ p1'(1), uncle'(1) ] — pure recoloring.
       const LlxResult<Node> rn = Llx::llx(ctx, uncle);
       if (!rn.ok) return false;
-      Node* np1 = clone(p1, 1, r1.left, r1.right);
-      Node* nun = clone(uncle, 1, rn.left, rn.right);
-      Node* np2 = clone(p2, p2->weight - 1, p1_left ? np1 : nun,
-                        p1_left ? nun : np1);
+      Node* np1 = Layout::clone(p1, 1, r1.left, r1.right);
+      Node* nun = Layout::clone(uncle, 1, rn.left, rn.right);
+      Node* np2 = Layout::clone(p2, p2->weight - 1, p1_left ? np1 : nun,
+                                p1_left ? nun : np1);
       Rec* rec = make_rec({p3, p2, p1, uncle},
                           {r3.info, r2.info, r1.info, rn.info},
                           /*finalize_mask=*/0b1110, field, p2, np2);
@@ -935,8 +976,10 @@ class ChromaticCore {
     if (u_left == p1_left) {
       // RB1 (outer red): rotate p1 above p2.
       //   p1'(w(p2)) [ u, p2'(0)[c, uncle] ]   (and the mirror image)
-      Node* np2 = clone(p2, 0, p1_left ? c : uncle, p1_left ? uncle : c);
-      Node* np1 = clone(p1, p2->weight, p1_left ? u : np2, p1_left ? np2 : u);
+      Node* np2 = Layout::clone(p2, 0, p1_left ? c : uncle,
+                                p1_left ? uncle : c);
+      Node* np1 = Layout::clone(p1, p2->weight, p1_left ? u : np2,
+                                p1_left ? np2 : u);
       Rec* rec = make_rec({p3, p2, p1}, {r3.info, r2.info, r1.info},
                           /*finalize_mask=*/0b110, field, p2, np1);
       if (Llx::scx(ctx, rec)) return true;
@@ -955,14 +998,14 @@ class ChromaticCore {
     Node* nu;
     if (p1_left) {
       // u = p1.right: u'(w(p2)) [ p1'(0)[c, u.left], p2'(0)[u.right, uncle] ]
-      np1 = clone(p1, 0, c, ru.left);
-      np2 = clone(p2, 0, ru.right, uncle);
-      nu = clone(u, p2->weight, np1, np2);
+      np1 = Layout::clone(p1, 0, c, ru.left);
+      np2 = Layout::clone(p2, 0, ru.right, uncle);
+      nu = Layout::clone(u, p2->weight, np1, np2);
     } else {
       // u = p1.left: u'(w(p2)) [ p2'(0)[uncle, u.left], p1'(0)[u.right, c] ]
-      np2 = clone(p2, 0, uncle, ru.left);
-      np1 = clone(p1, 0, ru.right, c);
-      nu = clone(u, p2->weight, np2, np1);
+      np2 = Layout::clone(p2, 0, uncle, ru.left);
+      np1 = Layout::clone(p1, 0, ru.right, c);
+      nu = Layout::clone(u, p2->weight, np2, np1);
     }
     Rec* rec = make_rec({p3, p2, p1, u}, {r3.info, r2.info, r1.info, ru.info},
                         /*finalize_mask=*/0b1110, field, p2, nu);
@@ -976,13 +1019,13 @@ class ChromaticCore {
   /// Replace u (child of a sentinel-keyed parent) with a weight-1 copy: the
   /// chromatic analogue of blackening a red root / absorbing root overweight.
   /// Shifts every real path sum by the same amount, preserving equality.
-  bool relabel(Ctx& ctx, Node* parent, Node* u) {
+  bool relabel(Ctx& ctx, Internal* parent, Node* u) {
     const LlxResult<Node> rp = Llx::llx(ctx, parent);
     std::atomic<Node*>* field = rp.ok ? field_for(parent, rp, u) : nullptr;
     if (field == nullptr) return false;
     const LlxResult<Node> ru = Llx::llx(ctx, u);
     if (!ru.ok) return false;
-    Node* nu = clone(u, 1, ru.left, ru.right);
+    Node* nu = Layout::clone(u, 1, ru.left, ru.right);
     Rec* rec = make_rec({parent, u}, {rp.info, ru.info},
                         /*finalize_mask=*/0b10, field, u, nu);
     if (Llx::scx(ctx, rec)) return true;
@@ -991,7 +1034,7 @@ class ChromaticCore {
   }
 
   BoundedCompare<Key, Compare> cmp_;
-  Node* root_ = nullptr;
+  Internal* root_ = nullptr;
   ParkedViolation<Key> parked_;
 };
 

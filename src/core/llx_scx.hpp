@@ -12,8 +12,9 @@
 //     pointer). Equality of words is equality of (state, record) pairs, which
 //     is what gives both protocols their "values never repeat" property.
 //
-//  2. The LLX/SCX engine. A Data-record (here: a binary tree node exposing
-//     `left`, `right` and an `scx` info word — see the ScxNode concept) is
+//  2. The LLX/SCX engine. A Data-record (here: a binary tree node with an
+//     `scx` info word; an internal one also has `left` and `right`, a leaf
+//     has no mutable field at all — see the ScxLayout concept) is
 //     read with llx(), which returns a consistent snapshot of the mutable
 //     fields plus the witnessed info word, or FAILED/FINALIZED. An update is
 //     committed with scx(): freeze every node in V by CASing its info word
@@ -159,9 +160,10 @@ enum class ScxState : std::uint8_t {
   kAborted = 2,
 };
 
-template <typename Node>
+template <typename Node, bool kTraced = false>
 struct ScxRecordOf;
 
+// Info words point at the untraced record, whose fields every record has.
 template <typename Node>
 using ScxWord = TaggedInfoWord<ScxMark, ScxRecordOf<Node>>;
 
@@ -176,7 +178,11 @@ using AtomicScxWord = AtomicInfoWord<ScxWord<Node>>;
 /// Precondition on every record: `new_child` is freshly allocated and has
 /// never been linked into the structure before — the child swing's
 /// ABA-freedom depends on it (see the note in help_scx()).
-template <typename Node>
+///
+/// The byte-wide fields sit next to `refs`, so the untraced record is 104 B
+/// (glibc's 112 B chunk class); only a traced one carries an owner word (the
+/// specialization below).
+template <typename Node, bool kTraced>
 struct ScxRecordOf {
   static constexpr std::size_t kMaxNodes = 4;
 
@@ -187,13 +193,6 @@ struct ScxRecordOf {
   Node* new_child = nullptr;
   std::uint8_t num_nodes = 0;
   std::uint8_t finalize_mask = 0;
-  /// Causal owner stamp: pack_owner(tid, op_seq) of the creating operation,
-  /// written by the creator before scx() publishes the record through the
-  /// first freeze CAS (acq_rel) and read by helpers only after an acquire
-  /// load of a frozen info word — so a plain word is race-free. Stays
-  /// kNoOwner unless the instantiating Traits enable kCausalTrace.
-  std::uint64_t owner = kNoOwner;
-
   std::atomic<ScxState> state{ScxState::kInProgress};
   std::atomic<bool> all_frozen{false};
   // Published info-word references (see the reclamation note in the header).
@@ -201,18 +200,35 @@ struct ScxRecordOf {
   std::atomic<bool> claimed{false};
 };
 
-/// Requirements on a Data-record usable with this engine: a binary tree node
-/// whose mutable fields are the two child pointers, plus the packed
-/// (mark, ScxRecord*) info word. Algorithms with other mutable fields (the
-/// "third tree type" seam, see docs/API.md) would generalize the snapshot and
-/// the freeze loop; everything else — records, helping, reclamation — is
-/// already field-agnostic.
-template <typename N>
-concept ScxNode = requires(N n) {
-  { n.left } -> std::same_as<std::atomic<N*>&>;
-  { n.right } -> std::same_as<std::atomic<N*>&>;
-  { n.scx } -> std::same_as<AtomicScxWord<N>&>;
+/// The record of a kCausalTrace instantiation: the shared fields plus the
+/// causal owner stamp, pack_owner(tid, op_seq) of the creating operation.
+/// The creator writes it before scx() publishes the record through the first
+/// freeze CAS (acq_rel), and helpers read it only after an acquire load of a
+/// frozen info word, so a plain word is race-free. Info words hold the
+/// untraced base; every record of one tree has the tree's one record type,
+/// so the engine casts the base back down to it.
+template <typename Node>
+struct ScxRecordOf<Node, true> : ScxRecordOf<Node, false> {
+  std::uint64_t owner = kNoOwner;
 };
+
+/// Requirements on the node types usable with this engine. A Data-record
+/// (Node) carries the packed (mark, ScxRecord*) info word and, in its
+/// immutable header, its kind: the layout's is_leaf(). Only an Internal has
+/// mutable fields, its two child pointers; a leaf has none, so llx() reads
+/// no children of a leaf and its snapshot reports both as null. Algorithms
+/// with other mutable fields (the "third tree type" seam, see docs/API.md)
+/// would generalize the snapshot and the freeze loop; everything else —
+/// records, helping, reclamation — is already field-agnostic.
+template <typename L>
+concept ScxLayout =
+    std::derived_from<typename L::Internal, typename L::Node> &&
+    requires(typename L::Node* n, typename L::Internal* in) {
+      { L::is_leaf(n) } -> std::same_as<bool>;
+      { in->left } -> std::same_as<std::atomic<typename L::Node*>&>;
+      { in->right } -> std::same_as<std::atomic<typename L::Node*>&>;
+      { n->scx } -> std::same_as<AtomicScxWord<typename L::Node>&>;
+    };
 
 /// llx() result. `ok` distinguishes a usable snapshot; `finalized` reports a
 /// node that is being (or has been) spliced out, which callers treat as "the
@@ -231,18 +247,29 @@ struct LlxResult {
 // an OpContext binding the reclaimer, allocator, stats shard and thread/key
 // identity — the same object the EFRB protocol threads through its steps.
 // ---------------------------------------------------------------------------
-template <ScxNode Node, typename Traits, typename Ctx>
+template <ScxLayout Layout, typename Traits, typename Ctx>
 struct LlxScx {
-  using Rec = ScxRecordOf<Node>;
+  using Node = typename Layout::Node;
+  using Internal = typename Layout::Internal;
+  /// The record type this instantiation allocates (owner word iff traced).
+  using Rec = ScxRecordOf<Node, hooks::causal_trace_v<Traits>>;
   using Word = ScxWord<Node>;
+
+  static_assert(sizeof(ScxRecordOf<Node>) <= 104,
+                "untraced SCX record outgrew glibc's 112 B chunk class");
+  static_assert(kPlainNewAligned<Rec>,
+                "over-aligned SCX record: every heap `new` would take "
+                "aligned operator new (glibc memalign, no tcache) on the "
+                "update path");
 
   /// Load-link-extended (paper Fig. 1): witness the info word, confirm the
   /// record is decided and the node unmarked, read the mutable fields, and
   /// confirm the word did not change. Helps any in-progress SCX it runs into.
+  /// A leaf has no mutable fields: the witnessed word is its whole snapshot.
   static LlxResult<Node> llx(Ctx& ctx, Node* n) {
     LlxResult<Node> r;
     const Word m = n->scx.load(std::memory_order_acquire);
-    Rec* rinfo = m.info();
+    Rec* rinfo = static_cast<Rec*>(m.info());
     const ScxState st = rinfo == nullptr
                             ? ScxState::kCommitted
                             : rinfo->state.load(std::memory_order_acquire);
@@ -254,8 +281,14 @@ struct LlxScx {
       return r;
     }
     if (st != ScxState::kInProgress) {
-      Node* l = n->left.load(std::memory_order_acquire);
-      Node* rt = n->right.load(std::memory_order_acquire);
+      if (Layout::is_leaf(n)) {
+        r.info = rinfo;
+        r.ok = true;
+        return r;
+      }
+      const Internal* in = static_cast<const Internal*>(n);
+      Node* l = in->left.load(std::memory_order_acquire);
+      Node* rt = in->right.load(std::memory_order_acquire);
       if (n->scx.load(std::memory_order_acquire) == m) {
         r.info = rinfo;
         r.left = l;
@@ -270,8 +303,8 @@ struct LlxScx {
   }
 
   /// Helps another operation's in-progress transaction through, bracketed by
-  /// the help events. The owner stamp of the helped transaction is loaded
-  /// only in kCausalTrace instantiations (see the help() note in
+  /// the help events. The owner stamp of the helped transaction exists and
+  /// is loaded only in kCausalTrace instantiations (see the help() note in
   /// protocol.hpp).
   static void help_other(Ctx& ctx, Rec* rinfo) {
     std::uint64_t owner = kNoOwner;
@@ -324,7 +357,7 @@ struct LlxScx {
       ctx.count_cas(CasStep::kFreeze, ok);
       if (ok) {
         // Unique freeze winner releases the displaced record's reference.
-        release_ref(ctx, rec->infos[i].info());
+        release_ref(ctx, static_cast<Rec*>(rec->infos[i].info()));
         continue;
       }
       release_ref(ctx, rec);  // roll back the speculative count

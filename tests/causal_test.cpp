@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/chromatic.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
 #include "inject/fault_plan.hpp"
@@ -332,6 +333,71 @@ TEST(CausalAcceptanceTest, StalledInserterIsAttributed) {
   EXPECT_EQ(causal.total_helps(), 1u);
   EXPECT_EQ(causal.helped_by(helper_tid, victim_tid), 1u);
   // The edge carries the inserter's exact stamp: its handle's first op.
+  const std::vector<obs::HelpEdge> edges = causal.edges(helper_tid);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].owner, pack_owner(victim_tid, 1));
+
+  obs::ObsTraits::detach();
+}
+
+// The chromatic twin: LlxScx::help_other reads the owner word of the traced
+// ScxRecord it finds frozen into a node's info word (untraced records have
+// none). The victim runs at a nonzero tid, because a zeroed or misread stamp
+// would still pass as pack_owner(0, ...).
+
+using CausalChromatic =
+    ChromaticTreeSet<int, std::less<int>, EpochReclaimer, CausalInjectTraits>;
+
+TEST(CausalAcceptanceTest, StalledChromaticScxCreatorIsAttributed) {
+  obs::CausalRegistry causal;
+  const obs::Instruments instruments{.causal = &causal};
+  obs::ObsTraits::attach(&instruments);
+
+  CausalChromatic t;
+  for (int k : {10, 30, 50, 70}) ASSERT_TRUE(t.insert(k));
+
+  // An erase freezes V = {gp, p, l, s} in order; the victim stalls before
+  // its second freeze, so only gp is frozen for its in-progress record.
+  FaultPlan plan;
+  plan.actions.push_back(stall_at(0, HookPoint::kBeforeFreeze, 2));
+  FaultScheduler sched(plan);
+
+  // Handle tids are assigned in creation order: this idle handle takes
+  // tid 0, so the victim's stamp carries a nonzero tid.
+  auto idle = t.handle();
+  bool victim_ret = false;
+  unsigned victim_tid = kNoTid;
+  unsigned helper_tid = kNoTid;
+  std::thread victim([&] {
+    FaultScheduler::ThreadScope scope(sched, 0);
+    auto h = t.handle();
+    victim_tid = h.tid();
+    victim_ret = h.erase(30);
+  });
+  ASSERT_TRUE(sched.wait_until_stalled(0));
+
+  // A second eraser of the same key LLXes the frozen gp, completes the
+  // victim's transaction, and then finds the key gone.
+  {
+    FaultScheduler::ThreadScope scope(sched, 1);
+    auto h = t.handle();
+    helper_tid = h.tid();
+    EXPECT_FALSE(h.erase(30));
+  }
+  EXPECT_FALSE(t.contains(30));
+
+  sched.release(0);
+  victim.join();
+  EXPECT_TRUE(victim_ret);
+  EXPECT_TRUE(t.validate().ok);
+
+  ASSERT_NE(victim_tid, kNoTid);
+  ASSERT_NE(victim_tid, 0u);
+  ASSERT_NE(helper_tid, kNoTid);
+  ASSERT_NE(victim_tid, helper_tid);
+  EXPECT_EQ(causal.total_helps(), 1u);
+  EXPECT_EQ(causal.helped_by(helper_tid, victim_tid), 1u);
+  // The edge carries the creator's exact stamp: its handle's first op.
   const std::vector<obs::HelpEdge> edges = causal.edges(helper_tid);
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].owner, pack_owner(victim_tid, 1));

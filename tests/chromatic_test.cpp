@@ -162,11 +162,11 @@ TEST(ChromaticValidatorTest, MaxPathViolationsIsPerPathNotTotal) {
   // no root-to-leaf path carries more than two (n5 plus leaf 1 or leaf 5).
   using Node = Core::Node;
   using BKey = Core::BKey;
-  auto leaf = [](int k, std::int32_t w) {
-    return new Node(BKey::real(k), {}, w, nullptr, nullptr);
+  auto leaf = [](int k, std::int32_t w) -> Node* {
+    return new Core::Leaf(BKey::real(k), {}, w);
   };
-  auto internal = [](int k, std::int32_t w, Node* l, Node* r) {
-    return new Node(BKey::real(k), {}, w, l, r);
+  auto internal = [](int k, std::int32_t w, Node* l, Node* r) -> Node* {
+    return new Core::Internal(BKey::real(k), w, l, r);
   };
   Core core{std::less<int>{}};
   Node* real = internal(
@@ -174,9 +174,9 @@ TEST(ChromaticValidatorTest, MaxPathViolationsIsPerPathNotTotal) {
                       leaf(10, 2)),
       internal(30, 1, leaf(20, 1), leaf(30, 1)));
   // Hang it where the first insert would: ∞₂[∞₁[real, leaf ∞₁], leaf ∞₂].
-  Node* root = core.root();
+  Core::Internal* root = core.root();
   root->left.store(
-      new Node(BKey::inf1(), {}, 1, real, root->left.load()));
+      new Core::Internal(BKey::inf1(), 1, real, root->left.load()));
 
   const auto v = core.validate();
   ASSERT_TRUE(v.ok) << v.error;
@@ -184,6 +184,29 @@ TEST(ChromaticValidatorTest, MaxPathViolationsIsPerPathNotTotal) {
   EXPECT_EQ(v.red_red, 1u);
   EXPECT_EQ(v.overweight, 3u);
   EXPECT_EQ(v.max_path_violations, 2u);
+}
+
+TEST(ChromaticValidatorTest, InternalWithANullChildIsAShapeError) {
+  // Leaves are their own type, so the leaf-oriented shape can only break at
+  // an internal: n20(1)[leaf 10 (1), null], hung where the first insert
+  // would. The validator must fail with its shape message.
+  using BKey = Core::BKey;
+  Core core{std::less<int>{}};
+  auto* real = new Core::Internal(BKey::real(20), 1,
+                                  new Core::Leaf(BKey::real(10), {}, 1),
+                                  nullptr);
+  Core::Internal* root = core.root();
+  root->left.store(
+      new Core::Internal(BKey::inf1(), 1, real, root->left.load()));
+
+  const auto v = core.validate();
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.error,
+            "internal node with a null child (leaf-oriented shape broken)");
+
+  // Complete the shape so the core's destructor can free it.
+  real->right.store(new Core::Leaf(BKey::real(20), {}, 1));
+  EXPECT_TRUE(core.validate().ok);
 }
 
 // --------------------------- the balance property --------------------------
