@@ -68,7 +68,13 @@ fi
 
 echo "=== plain build + tests ==="
 configure build
-run cmake --build build
+# The plain build must compile without a warning (-Wall -Wextra). Only the
+# translation units this run recompiles print theirs, so a fresh tree checks
+# every one of them.
+run cmake --build build 2>&1 | tee build/build.log
+if grep -n 'warning:' build/build.log; then
+  echo "the plain build printed compiler warnings"; exit 1
+fi
 run ctest --test-dir build --output-on-failure
 
 echo "=== header self-containment (each src/ header as a standalone TU) ==="

@@ -53,6 +53,19 @@
 // erase swings in a copy of the sibling, whose subtree the walk never saw, so
 // erase histories bound only the erased key's path, not every path.
 //
+// One repairer at a time. Triggering updates on a sorted stream all walk the
+// same right edge, and concurrent passes there freeze and abort each other's
+// windows. So a trigger repairs only if it takes the tree's repairer flag;
+// while another thread holds the flag it returns and leaves its path to that
+// pass or to a later trigger (cleanup is best-effort work any update can
+// redo). Nobody ever waits on the flag, so every operation stays lock-free.
+// The hatch: a path above kHatchViolations (4 * kLazyViolations) is repaired
+// whether or not its updater holds the flag, so a preempted or stalled
+// repairer leaves other paths at about that many violations, never an
+// unbounded number. A single thread always gets the flag, so the
+// insert-only bound above holds for it unchanged; under concurrency a path
+// can stay between the two thresholds until its next trigger.
+//
 // cleanup(k) walks the search path for k from the root, fixes the topmost
 // violation it meets with one SCX, and restarts, up to a bounded number of
 // rounds. The cap makes the cost strictly bounded; when it is hit the pass
@@ -118,7 +131,10 @@ struct ChromaticValidation {
 /// it — the key remembers which path to resume on. Losing a stash under a
 /// concurrent overwrite is benign (the stash is a repair hint, not a
 /// correctness obligation; abandonments are also counted in TreeStats), so
-/// the slot is deliberately single-entry and last-writer-wins.
+/// the slot is deliberately single-entry and last-writer-wins. Only capped
+/// passes stash: a trigger that skips its repair because another thread holds
+/// the repairer flag (ChromaticCore::cleanup) stashes nothing, since its
+/// violations stay on its own path, where the next trigger there meets them.
 ///
 /// Storage: keys with an integral round-trip go through a pair of atomics
 /// (lock-free; take() may pair a key from one stash with another's armed
@@ -293,6 +309,11 @@ class ChromaticCore {
   /// rebalancing is the special case 0.
   static constexpr int kLazyViolations = 6;
 
+  /// Path violations above which an update repairs even while another
+  /// thread holds the repairer flag (see cleanup()): a stalled repairer can
+  /// leave other paths at about this many violations, never more.
+  static constexpr int kHatchViolations = 4 * kLazyViolations;
+
   explicit ChromaticCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Fig. 6 shape, chromatic weights: every sentinel has weight 1.
     Leaf* left = new Leaf(BKey::inf1(), Value{}, 1);
@@ -463,9 +484,10 @@ class ChromaticCore {
         // or above red leaves; inheriting w(l)-1 >= 2 re-sites an existing
         // overweight). p->weight is immutable, so reading it after the
         // commit is safe even if p was already spliced out.
-        if (w.p_violations + violation(wi, p->weight) + violation(wl, wi) >
-            kLazyViolations) {
-          cleanup(k, ctx);
+        const int violations =
+            w.p_violations + violation(wi, p->weight) + violation(wl, wi);
+        if (violations > kLazyViolations) {
+          cleanup(k, violations, ctx);
         } else {
           resume_parked(ctx);  // clean commit still drains abandoned repairs
         }
@@ -584,8 +606,9 @@ class ChromaticCore {
         // overweight when nw >= 2 and red-red when nw == 0 (both p and s
         // were red) under a red gp. Violations inside s's subtree are not
         // counted: the walk never went there.
-        if (w.gp_violations + violation(nw, gp->weight) > kLazyViolations) {
-          cleanup(k, ctx);
+        const int violations = w.gp_violations + violation(nw, gp->weight);
+        if (violations > kLazyViolations) {
+          cleanup(k, violations, ctx);
         } else {
           resume_parked(ctx);  // clean commit still drains abandoned repairs
         }
@@ -601,11 +624,31 @@ class ChromaticCore {
   // ---------------- Cleanup (decoupled rebalancing) ----------------
 
   /// Drain any previously abandoned repair, then walk k's own path. Called
-  /// by every mutation that left more than kLazyViolations on its path;
+  /// by every mutation that left `violations` > kLazyViolations on its path;
   /// every other mutation calls resume_parked() directly, which is how a
   /// parked violation gets revisited even when no later op ever re-triggers
-  /// on its path.
-  void cleanup(const Key& k, Ctx& ctx) {
+  /// on its path. Up to kHatchViolations the caller repairs only if it takes
+  /// the repairer flag, and otherwise returns at once ("One repairer at a
+  /// time" in the header note).
+  void cleanup(const Key& k, int violations, Ctx& ctx) {
+    if (violations > kHatchViolations) {
+      resume_parked(ctx);
+      cleanup_path(k, ctx);
+      return;
+    }
+    std::atomic<bool>& flag = *repairing_;
+    if (flag.load(std::memory_order_relaxed) ||
+        flag.exchange(true, std::memory_order_acquire)) {
+      return;
+    }
+    // Released on every exit: clone() and make_rec() can throw mid-pass.
+    struct Release {
+      std::atomic<bool>& flag;
+      explicit Release(std::atomic<bool>& r) noexcept : flag(r) {}
+      Release(const Release&) = delete;
+      Release& operator=(const Release&) = delete;
+      ~Release() { flag.store(false, std::memory_order_release); }
+    } const release(flag);
     resume_parked(ctx);
     cleanup_path(k, ctx);
   }
@@ -1035,6 +1078,9 @@ class ChromaticCore {
 
   BoundedCompare<Key, Compare> cmp_;
   Internal* root_ = nullptr;
+  // Set while one updater runs a cleanup pass (cleanup()); on its own line so
+  // taking it does not invalidate root_'s line under every descent.
+  CachePadded<std::atomic<bool>> repairing_;
   ParkedViolation<Key> parked_;
 };
 

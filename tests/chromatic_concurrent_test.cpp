@@ -7,6 +7,7 @@
 // LLXes a frozen node must complete the stalled transaction itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -47,6 +48,13 @@ using inject::InjectTraits;
 template <typename Reclaimer>
 using InjectChromatic =
     ChromaticTreeSet<int, std::less<int>, Reclaimer, InjectTraits>;
+
+// The cleanup thresholds, which do not depend on the core's instantiation.
+using ThresholdCore =
+    ChromaticCore<int, detail::Unit, std::less<int>, NoopTraits,
+                  OpContext<EpochReclaimer, false>>;
+constexpr std::size_t kLazy = ThresholdCore::kLazyViolations;
+constexpr std::size_t kHatch = ThresholdCore::kHatchViolations;
 
 FaultAction stall_at(unsigned tid, HookPoint p, unsigned occurrence = 1) {
   FaultAction a;
@@ -137,9 +145,10 @@ TYPED_TEST(ChromaticReclaimerTest, ContendedHotspotStaysConsistent) {
 
 TEST(ChromaticConcurrentShapeTest, ConcurrentSortedInsertStaysShallow) {
   // Four threads interleave one global ascending stream (thread t inserts
-  // keys == t mod 4). Cleanup is best-effort under concurrency — a violation
-  // can be parked while its window is contended — so the bound is looser
-  // than the quiescent one, but must remain a far cry from the EFRB vine.
+  // keys == t mod 4). Cleanup is best-effort under concurrency — a trigger
+  // skips its repair while another thread holds the repairer flag, so a path
+  // can carry up to about kHatchViolations — so the bound is looser than the
+  // quiescent one, but must remain a far cry from the EFRB vine.
   TestChromaticSet<EpochReclaimer> t;
   constexpr int kN = 40'000;
   run_threads(4, [&](std::size_t tid) {
@@ -283,6 +292,44 @@ TEST(ChromaticFaultTest, StallBeforeRebalanceUnderOpMix) {
   victim.join();
   EXPECT_TRUE(t.validate().ok);
   for (int k = 200; k < 240; ++k) EXPECT_TRUE(t.contains(k));
+}
+
+TEST(ChromaticFaultTest, StalledRepairerMakesOthersDeferWithinHatch) {
+  // The victim's ascending inserts trigger cleanup; it takes the repairer
+  // role and freezes at kBeforeRebalance, holding it. Another thread's
+  // ascending inserts then skip every repair whose path is within the hatch,
+  // so the right edge collects more than kLazyViolations, but each trigger
+  // past kHatchViolations repairs anyway, which caps every path near it.
+  InjectChromatic<EpochReclaimer> t;
+  FaultScheduler sched(
+      FaultPlan{{stall_at(0, HookPoint::kBeforeRebalance)}});
+
+  std::thread victim([&] {
+    FaultScheduler::ThreadScope scope(sched, 0);
+    auto h = t.handle();
+    for (int k = 0; k < 40; ++k) ASSERT_TRUE(h.insert(k));
+  });
+  ASSERT_TRUE(sched.wait_until_stalled(0)) << "sorted inserts never rebalanced";
+
+  // The victim is parked between two steps and holds no frozen node, so the
+  // tree is quiescent between this thread's inserts.
+  std::size_t peak = 0;
+  for (int k = 1000; k < 3000; ++k) {
+    ASSERT_TRUE(t.insert(k));
+    const auto v = t.validate();
+    ASSERT_TRUE(v.ok) << v.error;
+    ASSERT_LE(v.max_path_violations, kHatch + 2) << "at key " << k;
+    peak = std::max(peak, v.max_path_violations);
+  }
+  EXPECT_GT(peak, kLazy) << "the stalled repairer did not make others defer";
+  EXPECT_TRUE(sched.is_stalled(0));
+
+  sched.release(0);
+  victim.join();
+  const auto v = t.validate();
+  EXPECT_TRUE(v.ok) << v.error;
+  for (int k = 0; k < 40; ++k) EXPECT_TRUE(t.contains(k));
+  for (int k = 1000; k < 3000; ++k) EXPECT_TRUE(t.contains(k));
 }
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,9 @@ TEST(PerfDiffTest, AbsoluteFloorsSuppressMicroscopicSwings) {
   const PerfDiffReport rep = obs::perfdiff(base, cand);
   ASSERT_TRUE(rep.ok) << rep.error;
   for (const MetricDelta& d : rep.deltas) {
-    if (d.metric == "result.mops") EXPECT_FALSE(d.regression);
+    if (d.metric == "result.mops") {
+      EXPECT_FALSE(d.regression);
+    }
   }
 }
 
