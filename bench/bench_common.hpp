@@ -5,14 +5,12 @@
 //
 // Every bench binary also accepts `--json <path>` (parsed by init()): when
 // given, cells measured through run_cell()/add_cell() are accumulated into a
-// schema-versioned metrics document (obs/metrics.hpp) written by finish() —
-// the machinery behind the repo-root BENCH_*.json trajectory files (see
-// scripts/bench_json.sh).
+// schema-versioned metrics document (obs/metrics.hpp) written by finish();
+// check.sh's balance gate and bench smoke read it.
 //
 // EFRB_BENCH_SEED pins every cell's workload seed (run_cell applies it over
 // the config's default), so two bench invocations sample identical op/key
-// streams — the reproducibility knob scripts/bench_json.sh sets when
-// regenerating the trajectory files.
+// streams.
 #pragma once
 
 #include <chrono>

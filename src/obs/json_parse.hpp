@@ -6,8 +6,9 @@
 // both entries with find() returning the first — the documents we parse
 // never emit duplicates.
 //
-// Consumers: tools/efrb_perfdiff (snapshot comparison) and the test suite
-// (round-trip validation of the JSON writers).
+// Consumers: the test suite (round-trip validation of the metrics
+// documents in profile_test and watchdog_test; the parser's own cases in
+// obs_test).
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,17 @@
 // The machine-readable metrics document: a stable, schema-versioned JSON
 // bundle of everything a benchmark run knows — workload configuration,
 // throughput result, protocol step counters, latency histograms, and
-// reclaimer gauges — so the BENCH_*.json perf-trajectory files (and any
-// external tooling) consume one self-describing format instead of scraping
-// text tables. It is the repo's only machine-readable metrics export.
+// reclaimer gauges — so the bench binaries' --json output, the archived
+// snapshots under bench/history/ and any external tooling share one
+// self-describing format instead of scraping text tables. It is the repo's
+// only machine-readable metrics export.
 //
 // Document shape (kMetricsSchemaVersion = 4):
 //   {
 //     "schema": "efrb-metrics",
 //     "schema_version": 4,
 //     "tool": "<bench binary name>",
-//     "meta": { hostname, cpu_model, ... },  // optional, script-injected
+//     "meta": { hostname, cpu_model, ... },  // optional, archive-only
 //     "cells": [
 //       {
 //         "name": "...",                 // structure / cell label
@@ -48,9 +49,9 @@
 // v3 -> v4: cells gained the optional "profile" section (per-phase cost
 // attribution and hardware counters from obs/profile.hpp / obs/perfctr.hpp),
 // and documents may carry an optional top-level "meta" object (host, CPU
-// model, governor, perf_event_paranoid — written by
-// scripts/bench_json.sh, consumed by tools/efrb_perfdiff to refuse
-// cross-host comparisons). The version bump marks a semantics commitment,
+// model, governor, perf_event_paranoid). Only the archived snapshots under
+// bench/history/ carry it; no producer writes it, and readers ignore it
+// like any other unknown key. The version bump marks a semantics commitment,
 // not a key change: inside "profile", hardware-derived sections ("hw",
 // "sw", "derived") are ABSENT — never zero-filled — when the backing
 // counters were unavailable, so consumers can distinguish "measured zero"

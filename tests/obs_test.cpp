@@ -1,9 +1,11 @@
 // Tests for the observability layer (src/obs/): histogram bucket math and
 // quantile agreement with the exact Summary, trace-ring wraparound and Chrome
 // export ordering, reclaimer gauge monotonicity across a reclaim cycle, the
-// JSON writer's escaping, and the runner's opt-in latency sampling. The
-// concurrent-record test doubles as the TSan witness that the histogram's
-// record path is safe from any number of threads.
+// JSON writer's escaping, the runner's opt-in latency sampling, and the
+// dependency-free JSON parser (escapes, surrogate pairs, strict number
+// grammar, depth cap, trailing-garbage rejection). The concurrent-record
+// test doubles as the TSan witness that the histogram's record path is safe
+// from any number of threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "obs/histogram.hpp"
 #include "obs/instruments.hpp"
 #include "obs/json.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reclaim/epoch.hpp"
@@ -30,6 +34,7 @@
 namespace efrb {
 namespace {
 
+using obs::JsonValue;
 using obs::JsonWriter;
 using obs::LatencyHistogram;
 using obs::TraceEvent;
@@ -554,6 +559,54 @@ TEST(RunnerTest, LatencySamplingCountsEveryOperation) {
   // Sampled latencies are plausible op durations, not clock garbage.
   EXPECT_GT(lat.insert.percentile(50), 0u);
   EXPECT_LT(lat.insert.percentile(99), std::uint64_t{1} << 34);
+}
+
+// ----------------------------------------------------------- json parser
+
+TEST(JsonParseTest, ParsesScalarsAndContainers) {
+  std::string err;
+  std::optional<JsonValue> v = obs::parse_json(
+      R"({"a": 1.5, "b": [true, false, null], "c": {"d": -2e3}})", &err);
+  ASSERT_TRUE(v.has_value()) << err;
+  EXPECT_DOUBLE_EQ(v->number_at("a", 0), 1.5);
+  const JsonValue* b = v->find("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->array.size(), 3u);
+  EXPECT_TRUE(b->array[0].boolean);
+  EXPECT_FALSE(b->array[1].boolean);
+  EXPECT_TRUE(b->array[2].is_null());
+  EXPECT_DOUBLE_EQ(v->number_at("c.d", 0), -2000.0);
+  EXPECT_DOUBLE_EQ(v->number_at("missing.path", 7.0), 7.0);
+}
+
+TEST(JsonParseTest, DecodesEscapesAndSurrogatePairs) {
+  std::string err;
+  std::optional<JsonValue> v = obs::parse_json(
+      R"({"s": "a\"b\\c\ndA😀"})", &err);
+  ASSERT_TRUE(v.has_value()) << err;
+  EXPECT_EQ(v->string_at("s"), "a\"b\\c\ndA\xF0\x9F\x98\x80");
+}
+
+TEST(JsonParseTest, RejectsMalformedInput) {
+  std::string err;
+  EXPECT_FALSE(obs::parse_json("{\"a\": 1} trailing", &err).has_value());
+  EXPECT_NE(err.find("trailing"), std::string::npos);
+  EXPECT_FALSE(obs::parse_json("{\"a\": 01}").has_value());   // leading zero
+  EXPECT_FALSE(obs::parse_json("{\"a\": 1.}").has_value());   // bad fraction
+  EXPECT_FALSE(obs::parse_json("{\"a\": }").has_value());
+  EXPECT_FALSE(obs::parse_json("{\"a\" 1}").has_value());     // no colon
+  EXPECT_FALSE(obs::parse_json(R"({"s":"\q"})").has_value()); // bad escape
+  EXPECT_FALSE(obs::parse_json(R"({"s":"\uD800"})").has_value());  // lone hi
+  EXPECT_FALSE(obs::parse_json("\"unterminated").has_value());
+  EXPECT_FALSE(obs::parse_json("").has_value());
+}
+
+TEST(JsonParseTest, DepthCapStopsHostileNesting) {
+  std::string deep;
+  for (int i = 0; i < 100; ++i) deep += "[";
+  std::string err;
+  EXPECT_FALSE(obs::parse_json(deep, &err).has_value());
+  EXPECT_NE(err.find("deep"), std::string::npos);
 }
 
 }  // namespace
