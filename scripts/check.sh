@@ -27,7 +27,7 @@ configure() {
   fi
 }
 
-echo "=== one event seam, one tree facade, one allocator, one tree per map, one export, one perf gate: no legacy hooks, Handles, knobs, pool, shards, Prometheus or snapshot diffing ==="
+echo "=== one event seam, one tree facade, one allocator, one tree per map, one export, one perf gate, one profiler clock: no legacy hooks, Handles, knobs, pool, shards, Prometheus, snapshot diffing or perf_event counters ==="
 # Protocol events reach Traits only through hooks::emit -> on_event(const
 # Event&) (core/debug_hooks.hpp). Fail if a second seam grows back: an
 # on_cas hook, a multi-argument at(HookPoint ...) hook, or the old emit_*
@@ -71,6 +71,12 @@ fi
 if grep -rnE 'efrb_perfdiff|obs/perfdiff\.hpp|bench_json\.sh|EFRB_PERFDIFF_STRICT|BENCH_(throughput|latency)\.json' \
     src tests bench tools examples; then
   echo "snapshot-regression name found (perfbench is the perf gate)"; exit 1
+fi
+# One profiler clock: the phase profiler charges each thread for its CPU
+# time (CLOCK_THREAD_CPUTIME_ID). The perf_event counter tiers stay deleted.
+if grep -rnE 'perfctr|PerfCounterGroup|PerfCounts|EFRB_PERFCTR_DISABLE|hw_cycles_est' \
+    src tests bench tools examples; then
+  echo "perf_event counter name found (the profiler uses thread CPU time)"; exit 1
 fi
 
 echo "=== plain build + tests ==="
@@ -119,7 +125,7 @@ import json
 m = json.load(open('build/obs_metrics.json'))
 for k in ('schema', 'schema_version', 'tool', 'cells'):
     assert k in m, f'metrics missing {k}'
-assert m['schema'] == 'efrb-metrics' and m['schema_version'] == 4, m['schema']
+assert m['schema'] == 'efrb-metrics' and m['schema_version'] == 5, m['schema']
 assert m['cells'], 'metrics document has no cells'
 cell = m['cells'][0]
 for k in ('name', 'config', 'result', 'tree_stats', 'gauges', 'latency',
@@ -192,58 +198,45 @@ if grep -q $'\x1b' build/efrb_top_once.txt; then
   echo "efrb_top --once emitted ANSI escapes"; exit 1
 fi
 
-echo "=== profile: phase attribution + hardware-counter fallback ==="
-# obs_probe --profile attaches the phase profiler and per-thread perf
-# counter groups; the v4 `profile` cell must carry the attribution totals
-# with the phase-sum invariant, and the hw/sw/derived sections must follow
-# the absent-not-zero rule in whichever availability tier this host lands.
+echo "=== profile: phase attribution on thread CPU time ==="
+# obs_probe --profile attaches the phase profiler, and each worker hands in
+# its thread CPU time; the v5 `profile` cell must carry the attribution
+# totals with the phase-sum invariant, and the on-CPU phases plus the
+# preempted ticks must add up to the wall in-op ticks.
 run ./build/tools/obs_probe --profile --metrics build/obs_profile.json \
     --duration 60 --interval 10 > /dev/null
 python3 - <<'EOF'
 import json
 m = json.load(open('build/obs_profile.json'))
-assert m['schema_version'] == 4, m['schema_version']
-p = m['cells'][0]['profile']
-for k in ('available', 'sw_available', 'source', 'paranoid', 'ops', 'cycles',
-          'span_cycles', 'cycles_per_op', 'phase_cycles_sum',
-          'events_outside_op', 'dropped', 'phases'):
+assert m['schema_version'] == 5, m['schema_version']
+cell = m['cells'][0]
+p = cell['profile']
+for k in ('source', 'ops', 'cycles', 'wall_cycles', 'preempted_cycles',
+          'span_cycles', 'cycles_per_op', 'phase_cycles_sum', 'cpu_ns',
+          'wall_ns', 'events_outside_op', 'dropped', 'phases'):
     assert k in p, f'profile cell missing {k}'
+for k in ('available', 'sw_available', 'unavailable_reason', 'paranoid',
+          'hw', 'sw', 'derived'):
+    assert k not in p, f'profile cell still carries {k}'
 assert p['ops'] > 0, 'profile attributed no operations'
 assert p['cycles'] > 0, 'profile measured no cycles'
+assert p['cpu_ns'] > 0, 'no worker handed in its thread CPU time'
 assert p['phase_cycles_sum'] <= p['cycles'], \
     f"phase attribution {p['phase_cycles_sum']} exceeds total {p['cycles']}"
+# Each thread's phases truncate separately: at most one tick per phase and
+# thread short of the wall total.
+gap = p['wall_cycles'] - (p['phase_cycles_sum'] + p['preempted_cycles'])
+assert 0 <= gap <= 6 * cell['config']['threads'], \
+    f"phases + preempted miss wall_cycles by {gap}"
 for name in ('descent', 'cas_protocol', 'helping', 'rebalance_cleanup',
              'reclamation', 'pool_alloc'):
     ph = p['phases'][name]
     for k in ('cycles', 'enters', 'share'):
         assert k in ph, f'phase {name} missing {k}'
 assert p['phases']['descent']['cycles'] > 0, 'no descent time attributed'
-if p['available']:
-    assert 'hw' in p and 'derived' in p, 'available profile lacks hw/derived'
-    assert p['hw']['cycles'] > 0, 'hw cycles claimed available but zero'
-else:
-    # Absent-not-zero: unavailable sections must not appear at all.
-    assert 'hw' not in p and 'derived' not in p, \
-        'unavailable profile still renders hw/derived sections'
-    assert p['unavailable_reason'], 'no explanation for hw unavailability'
 print(f"profile OK: {p['ops']} ops, {p['cycles_per_op']:.0f} "
-      f"{p['source']}/op, hw={'yes' if p['available'] else 'no'} "
-      f"({p.get('unavailable_reason', '')})")
-EOF
-# The kill switch forces the cycle-stamp fallback on ANY host: the same
-# command must still succeed, with available=false, an explanation, and no
-# hw/sw/derived sections (absent, never zero-filled).
-EFRB_PERFCTR_DISABLE=1 run ./build/tools/obs_probe --profile \
-    --metrics build/obs_profile_fallback.json --duration 40 > /dev/null
-python3 - <<'EOF'
-import json
-p = json.load(open('build/obs_profile_fallback.json'))['cells'][0]['profile']
-assert p['available'] is False and p['sw_available'] is False
-assert 'hw' not in p and 'sw' not in p and 'derived' not in p
-assert 'EFRB_PERFCTR_DISABLE' in p['unavailable_reason'], \
-    p['unavailable_reason']
-assert p['ops'] > 0 and p['phase_cycles_sum'] <= p['cycles']
-print(f"profile fallback OK: {p['unavailable_reason']}")
+      f"{p['source']}/op on-CPU, preempted "
+      f"{100 * p['preempted_cycles'] / p['wall_cycles']:.1f}%")
 EOF
 
 echo "=== postmortem: abort-injected flight dump must decode ==="

@@ -6,10 +6,10 @@
 // self-describing format instead of scraping text tables. It is the repo's
 // only machine-readable metrics export.
 //
-// Document shape (kMetricsSchemaVersion = 4):
+// Document shape (kMetricsSchemaVersion = 5):
 //   {
 //     "schema": "efrb-metrics",
-//     "schema_version": 4,
+//     "schema_version": 5,
 //     "tool": "<bench binary name>",
 //     "meta": { hostname, cpu_model, ... },  // optional, archive-only
 //     "cells": [
@@ -47,7 +47,7 @@
 // split pair is the authoritative decomposition. docs/OBSERVABILITY.md is
 // the schema's prose home.
 // v3 -> v4: cells gained the optional "profile" section (per-phase cost
-// attribution and hardware counters from obs/profile.hpp / obs/perfctr.hpp),
+// attribution and hardware counters from obs/profile.hpp),
 // and documents may carry an optional top-level "meta" object (host, CPU
 // model, governor, perf_event_paranoid). Only the archived snapshots under
 // bench/history/ carry it; no producer writes it, and readers ignore it
@@ -59,6 +59,13 @@
 // v4, additive: cells gained the optional "watchdog" section
 // (stalled_ops, stall_events_total from obs/watchdog.hpp). A new optional
 // key is not a breaking change, so the version stays 4.
+// v4 -> v5: "profile" counts on-CPU time. Its "cycles", "cycles_per_op" and
+// per-phase "cycles" scale each thread's ticks by that thread's CPU time
+// over its wall time. New keys: "wall_cycles" (the unscaled in-op ticks),
+// "preempted_cycles" (their descheduled part) and "cpu_ns" / "wall_ns" (the
+// thread times behind the scaling). The hardware-counter keys are gone:
+// "available", "sw_available", "unavailable_reason", "paranoid", the "hw",
+// "sw" and "derived" sections and the per-phase hardware cycle estimate.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +86,7 @@
 
 namespace efrb::obs {
 
-inline constexpr int kMetricsSchemaVersion = 4;
+inline constexpr int kMetricsSchemaVersion = 5;
 
 inline void append_config(JsonWriter& w, const WorkloadConfig& cfg) {
   w.begin_object();
@@ -277,26 +284,22 @@ inline void append_heatmap(JsonWriter& w, const KeyHeatmap& h) {
   w.end_object();
 }
 
-/// Profile section (v4): per-phase cost attribution plus whatever hardware/
-/// software counters the host granted. The "hw", "sw" and "derived"
-/// sub-objects are emitted only when their backing counters were collected
-/// (and inside "hw" each counter key appears only when its fd opened) — an
-/// unavailable rate is absent, never zero. "cycles" fields are in
-/// cycle_stamp() units; "source" names that clock ("tsc" on x86-64).
+/// Profile section (v5): per-phase cost attribution in cycle_stamp() units
+/// ("source" names that clock, "tsc" on x86-64). "cycles" and the phase
+/// cycles are on-CPU time; phase_cycles_sum + preempted_cycles equals
+/// wall_cycles up to rounding.
 inline void append_profile(JsonWriter& w, const ProfileSnapshot& p) {
   w.begin_object();
-  w.key("available").value(p.available);
-  w.key("sw_available").value(p.sw_available);
   w.key("source").value(std::string_view(p.source));
-  if (!p.available) {
-    w.key("unavailable_reason").value(std::string_view(p.unavailable_reason));
-  }
-  w.key("paranoid").value(static_cast<std::int64_t>(p.paranoid));
   w.key("ops").value(p.ops);
   w.key("cycles").value(p.cycles);
+  w.key("wall_cycles").value(p.wall_cycles);
+  w.key("preempted_cycles").value(p.preempted_cycles);
   w.key("span_cycles").value(p.span_cycles);
   w.key("cycles_per_op").value(p.cycles_per_op());
   w.key("phase_cycles_sum").value(p.phase_cycles_sum());
+  w.key("cpu_ns").value(p.cpu_ns);
+  w.key("wall_ns").value(p.wall_ns);
   w.key("events_outside_op").value(p.events_outside_op);
   w.key("dropped").value(p.dropped);
   w.key("phases").begin_object();
@@ -305,47 +308,9 @@ inline void append_profile(JsonWriter& w, const ProfileSnapshot& p) {
     w.key("cycles").value(p.phases[i].cycles);
     w.key("enters").value(p.phases[i].enters);
     w.key("share").value(p.phase_share(i));
-    double est = 0;
-    if (p.phase_cycles_est(i, &est)) w.key("hw_cycles_est").value(est);
     w.end_object();
   }
   w.end_object();
-  if (p.available) {
-    w.key("hw").begin_object();
-    w.key("threads").value(static_cast<std::uint64_t>(p.hw_threads));
-    if (p.hw.cycles_ok) w.key("cycles").value(p.hw.cycles);
-    if (p.hw.instructions_ok) w.key("instructions").value(p.hw.instructions);
-    if (p.hw.cache_references_ok) {
-      w.key("cache_references").value(p.hw.cache_references);
-    }
-    if (p.hw.cache_misses_ok) w.key("cache_misses").value(p.hw.cache_misses);
-    if (p.hw.branch_misses_ok) {
-      w.key("branch_misses").value(p.hw.branch_misses);
-    }
-    w.key("time_enabled_ns").value(p.hw.time_enabled_ns);
-    w.key("time_running_ns").value(p.hw.time_running_ns);
-    w.end_object();
-  }
-  if (p.sw_available) {
-    w.key("sw").begin_object();
-    if (p.hw.task_clock_ok) w.key("task_clock_ns").value(p.hw.task_clock_ns);
-    if (p.hw.context_switches_ok) {
-      w.key("context_switches").value(p.hw.context_switches);
-    }
-    w.end_object();
-  }
-  if (p.available) {
-    w.key("derived").begin_object();
-    double v = 0;
-    if (p.hw_cycles_per_op(&v)) w.key("hw_cycles_per_op").value(v);
-    if (p.ipc(&v)) w.key("ipc").value(v);
-    if (p.cache_miss_rate(&v)) w.key("cache_miss_rate").value(v);
-    if (p.branch_miss_per_kinstr(&v)) {
-      w.key("branch_miss_per_kinstr").value(v);
-    }
-    if (p.multiplex_scale(&v)) w.key("multiplex_scale").value(v);
-    w.end_object();
-  }
   w.end_object();
 }
 

@@ -21,8 +21,16 @@
 // clock, segments tile the op window exactly, and attribution only happens
 // inside a window — so the invariant `sum(phase cycles) <= total in-op
 // cycles` holds by construction (events outside a window are counted but not
-// attributed). Hardware counters (obs/perfctr.hpp), when the host grants
-// them, ride alongside as per-run totals folded in by each worker thread.
+// attributed).
+//
+// The segment clock is wall time: a thread descheduled mid-operation keeps
+// accruing ticks. add_thread_time() hands in one thread's CPU time
+// (thread_cpu_ns()) and wall time across its measured loop, and snapshot()
+// scales that thread's ticks by its on-CPU share r = min(1, cpu / wall),
+// putting the rest into `preempted_cycles`. This assumes preemption lands
+// on in-op and between-op time alike. A thread that handed in no times
+// keeps r = 1. Reading the CPU clock per segment instead would cost a
+// syscall per event, an order of magnitude above the TSC read.
 //
 // Concurrency: accumulators are cache-padded per-thread cells of relaxed
 // atomics — each cell has exactly one writer (the owning thread); snapshot()
@@ -34,41 +42,86 @@
 // brackets ops when a profiler is attached.
 #pragma once
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "../core/debug_hooks.hpp"
 #include "../util/cacheline.hpp"
-#include "perfctr.hpp"
 
 namespace efrb::obs {
 
-/// Immutable result of PhaseProfiler::snapshot(): totals plus per-phase
-/// attribution, with derived-rate helpers that return whether the rate is
-/// defined (absent counters must render as absent, never zero).
-struct ProfileSnapshot {
-  bool available = false;      // hardware cycles were collected
-  bool sw_available = false;   // software task-clock was collected
-  std::string source;          // cycle_stamp() clock name ("tsc", ...)
-  std::string unavailable_reason;  // why !available ("" when available)
-  int paranoid = -100;         // perf_event_paranoid at snapshot time
+/// Monotonic cycle-granularity timestamp that never fails: the TSC on
+/// x86-64, the generic counter-timer on aarch64, steady_clock nanoseconds
+/// elsewhere. This is the clock the phase profiler attributes with.
+inline std::uint64_t cycle_stamp() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_ia32_rdtsc();
+#elif defined(__aarch64__)
+  std::uint64_t v = 0;
+  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
+  return v;
+#else
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+#endif
+}
 
-  std::uint64_t ops = 0;             // completed operations
-  std::uint64_t cycles = 0;          // total in-op cycles (cycle_stamp units)
-  std::uint64_t span_cycles = 0;     // wall window since profiler start/reset
+/// Name of the clock cycle_stamp() reads on this build; disclosed in the
+/// metrics `profile` cell as `source` so cross-host consumers know what a
+/// "cycle" is.
+inline const char* cycle_source() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return "tsc";
+#elif defined(__aarch64__)
+  return "cntvct";
+#else
+  return "steady_clock_ns";
+#endif
+}
+
+/// Nanoseconds the calling thread has spent on a CPU
+/// (CLOCK_THREAD_CPUTIME_ID), or 0 where that clock does not exist. Time
+/// the thread sat descheduled does not count.
+inline std::uint64_t thread_cpu_ns() noexcept {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+#else
+  return 0;
+#endif
+}
+
+/// Immutable result of PhaseProfiler::snapshot(): totals plus per-phase
+/// attribution. Every "cycles" figure is on-CPU time in cycle_stamp() ticks
+/// (each thread's ticks scaled by its on-CPU share); `wall_cycles` is the
+/// unscaled in-op total, and phase_cycles_sum() + preempted_cycles equals
+/// it up to rounding.
+struct ProfileSnapshot {
+  std::string source;  // cycle_stamp() clock name ("tsc", ...)
+
+  std::uint64_t ops = 0;               // completed operations
+  std::uint64_t cycles = 0;            // on-CPU in-op cycles
+  std::uint64_t wall_cycles = 0;       // in-op cycles, descheduled time too
+  std::uint64_t preempted_cycles = 0;  // wall_cycles - cycles
+  std::uint64_t span_cycles = 0;       // wall window since profiler start/reset
+  std::uint64_t cpu_ns = 0;   // handed-in thread CPU time (add_thread_time)
+  std::uint64_t wall_ns = 0;  // handed-in thread wall time
   std::uint64_t events_outside_op = 0;  // hook events with no open window
-  std::uint64_t dropped = 0;         // events with out-of-range tid
+  std::uint64_t dropped = 0;            // events with out-of-range tid
 
   struct PhaseSnap {
-    std::uint64_t cycles = 0;  // attributed cycle_stamp ticks
+    std::uint64_t cycles = 0;  // attributed on-CPU ticks
     std::uint64_t enters = 0;  // segment openings
   };
   PhaseSnap phases[kNumPhases] = {};
-
-  unsigned hw_threads = 0;  // worker threads that contributed hw counts
-  PerfCounts hw;            // summed per-thread counter reads
 
   std::uint64_t phase_cycles_sum() const noexcept {
     std::uint64_t s = 0;
@@ -83,48 +136,11 @@ struct ProfileSnapshot {
                        : static_cast<double>(phases[i].cycles) /
                              static_cast<double>(cycles);
   }
-  // Hardware-derived rates: each returns false (rate undefined) when the
-  // counters backing it were not collected.
-  bool hw_cycles_per_op(double* out) const noexcept {
-    if (!hw.cycles_ok || ops == 0) return false;
-    *out = static_cast<double>(hw.cycles) / static_cast<double>(ops);
-    return true;
-  }
-  bool ipc(double* out) const noexcept {
-    if (!hw.cycles_ok || !hw.instructions_ok || hw.cycles == 0) return false;
-    *out = static_cast<double>(hw.instructions) /
-           static_cast<double>(hw.cycles);
-    return true;
-  }
-  bool cache_miss_rate(double* out) const noexcept {
-    if (!hw.cache_references_ok || !hw.cache_misses_ok ||
-        hw.cache_references == 0) {
-      return false;
-    }
-    *out = static_cast<double>(hw.cache_misses) /
-           static_cast<double>(hw.cache_references);
-    return true;
-  }
-  bool branch_miss_per_kinstr(double* out) const noexcept {
-    if (!hw.branch_misses_ok || !hw.instructions_ok || hw.instructions == 0) {
-      return false;
-    }
-    *out = 1000.0 * static_cast<double>(hw.branch_misses) /
-           static_cast<double>(hw.instructions);
-    return true;
-  }
-  bool multiplex_scale(double* out) const noexcept {
-    if (!hw.cycles_ok || hw.time_running_ns == 0) return false;
-    *out = static_cast<double>(hw.time_enabled_ns) /
-           static_cast<double>(hw.time_running_ns);
-    return true;
-  }
-  /// Per-phase hardware-cycle estimate: total hw cycles scaled by the
-  /// phase's tick share. Defined only when hw cycles were collected.
-  bool phase_cycles_est(std::size_t i, double* out) const noexcept {
-    if (!hw.cycles_ok || cycles == 0) return false;
-    *out = static_cast<double>(hw.cycles) * phase_share(i);
-    return true;
+  /// Share of the in-op wall ticks the threads spent descheduled.
+  double preempted_share() const noexcept {
+    return wall_cycles == 0 ? 0.0
+                            : static_cast<double>(preempted_cycles) /
+                                  static_cast<double>(wall_cycles);
   }
 };
 
@@ -149,6 +165,8 @@ class PhaseProfiler {
         t.phase_enters[i].store(0, std::memory_order_relaxed);
       }
       t.outside.store(0, std::memory_order_relaxed);
+      t.cpu_ns.store(0, std::memory_order_relaxed);
+      t.wall_ns.store(0, std::memory_order_relaxed);
       t.in_op = false;
       t.help_depth = 0;
       t.scope_depth = 0;
@@ -249,15 +267,15 @@ class PhaseProfiler {
     }
   }
 
-  /// Fold one worker thread's end-of-run counter read into the run totals.
-  /// Called once per thread after its measured loop; mutex-serialized.
-  void add_hw(const PerfCounts& counts, const std::string& reason) {
-    std::lock_guard<std::mutex> lock(hw_mu_);
-    hw_.accumulate(counts);
-    if (counts.hw_ok) ++hw_threads_;
-    if (!counts.hw_ok && hw_reason_.empty() && !reason.empty()) {
-      hw_reason_ = reason;
-    }
+  /// Hand in thread `tid`'s CPU time (thread_cpu_ns()) and wall time, in
+  /// nanoseconds, across a window that encloses its op windows. Called by
+  /// the owning thread, once per measured loop; repeated calls add up.
+  void add_thread_time(unsigned tid, std::uint64_t cpu_ns,
+                       std::uint64_t wall_ns) noexcept {
+    ThreadState* t = slot(tid);
+    if (t == nullptr) return;
+    add(t->cpu_ns, cpu_ns);
+    add(t->wall_ns, wall_ns);
   }
 
   // -- readers (any thread) -------------------------------------------------
@@ -265,37 +283,38 @@ class PhaseProfiler {
   ProfileSnapshot snapshot() const {
     ProfileSnapshot s;
     s.source = cycle_source();
-    s.paranoid = perf_event_paranoid();
     for (const auto& padded : threads_) {
       const ThreadState& t = padded.value;
+      const std::uint64_t cpu = t.cpu_ns.load(std::memory_order_relaxed);
+      const std::uint64_t wall = t.wall_ns.load(std::memory_order_relaxed);
+      // This thread's on-CPU share; 1 when it handed in no times.
+      const double r = wall == 0 || cpu >= wall
+                           ? 1.0
+                           : static_cast<double>(cpu) / static_cast<double>(wall);
+      const auto on_cpu = [r](std::uint64_t ticks) {
+        return static_cast<std::uint64_t>(static_cast<double>(ticks) * r);
+      };
+      const std::uint64_t in_op = t.in_op_cycles.load(std::memory_order_relaxed);
       s.ops += t.ops.load(std::memory_order_relaxed);
-      s.cycles += t.in_op_cycles.load(std::memory_order_relaxed);
+      s.wall_cycles += in_op;
+      s.cycles += on_cpu(in_op);
+      s.cpu_ns += cpu;
+      s.wall_ns += wall;
       s.events_outside_op += t.outside.load(std::memory_order_relaxed);
       for (std::size_t i = 0; i < kNumPhases; ++i) {
-        s.phases[i].cycles += t.phase_cycles[i].load(std::memory_order_relaxed);
+        s.phases[i].cycles +=
+            on_cpu(t.phase_cycles[i].load(std::memory_order_relaxed));
         s.phases[i].enters += t.phase_enters[i].load(std::memory_order_relaxed);
       }
     }
+    s.preempted_cycles = s.wall_cycles - s.cycles;
     s.dropped = dropped_.load(std::memory_order_relaxed);
     s.span_cycles = cycle_stamp() - start_;
-    {
-      std::lock_guard<std::mutex> lock(hw_mu_);
-      s.hw = hw_;
-      s.hw_threads = hw_threads_;
-      s.available = hw_.cycles_ok;
-      s.sw_available = hw_.task_clock_ok;
-      s.unavailable_reason = s.available ? std::string{} : hw_reason_;
-    }
-    if (!s.available && s.unavailable_reason.empty()) {
-      // No thread reported a reason (e.g. snapshot taken mid-run, or the
-      // runner never attached counters): re-probe for an explanation.
-      PerfAvailability avail = probe_perf_availability();
-      if (!avail.hw) s.unavailable_reason = avail.reason;
-    }
     return s;
   }
 
-  /// Cheap live totals for poller gauges / flight-recorder mirrors.
+  /// Cheap live totals for poller gauges / flight-recorder mirrors. The
+  /// cycles are wall ticks: no thread time is scaled in until snapshot().
   std::uint64_t live_ops() const noexcept {
     std::uint64_t n = 0;
     for (const auto& padded : threads_)
@@ -308,12 +327,6 @@ class PhaseProfiler {
       n += padded.value.in_op_cycles.load(std::memory_order_relaxed);
     return n;
   }
-  std::uint64_t live_phase_cycles(Phase ph) const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& padded : threads_)
-      n += padded.value.phase_cycles[idx(ph)].load(std::memory_order_relaxed);
-    return n;
-  }
 
  private:
   struct ThreadState {
@@ -323,6 +336,8 @@ class PhaseProfiler {
     std::atomic<std::uint64_t> phase_cycles[kNumPhases] = {};
     std::atomic<std::uint64_t> phase_enters[kNumPhases] = {};
     std::atomic<std::uint64_t> outside{0};
+    std::atomic<std::uint64_t> cpu_ns{0};   // add_thread_time totals
+    std::atomic<std::uint64_t> wall_ns{0};
     // Transient state machine: owner-thread only, never read concurrently.
     bool in_op = false;
     std::uint64_t op_start = 0;
@@ -369,11 +384,6 @@ class PhaseProfiler {
   CachePadded<ThreadState> threads_[kMaxTids];
   std::atomic<std::uint64_t> dropped_{0};
   std::uint64_t start_;
-
-  mutable std::mutex hw_mu_;
-  PerfCounts hw_;
-  unsigned hw_threads_ = 0;
-  std::string hw_reason_;
 };
 
 }  // namespace efrb::obs

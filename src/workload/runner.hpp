@@ -21,7 +21,7 @@
 #include "baselines/set_interface.hpp"
 #include "obs/histogram.hpp"
 #include "obs/instruments.hpp"
-#include "obs/perfctr.hpp"
+#include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "util/assert.hpp"
 #include "util/barrier.hpp"
@@ -125,12 +125,12 @@ void prefill(Set& set, std::uint64_t key_range, double fraction,
 ///     one (so op spans land in the same ring as the protocol events an
 ///     ObsTraits tree writes), else by the worker index.
 ///   * `profiler` — every op is bracketed by op_begin/op_end (two
-///     cycle_stamp reads), keyed like the trace, and each worker opens a
-///     per-thread perf-counter group (obs/perfctr.hpp) whose end-of-run
-///     read is folded into the profiler. Where perf_event_open is denied the
-///     counters stay closed and the profiler reports hardware availability
-///     false. Phase detail needs a tree whose events reach the profiler
-///     (obs::ObsTraits with the same Instruments attached).
+///     cycle_stamp reads), keyed like the trace, and each worker reads its
+///     thread CPU time and the wall clock before and after its measured
+///     loop and hands both to add_thread_time(), so the profiler charges
+///     the thread only for its time on a CPU. Phase detail needs a tree
+///     whose events reach the profiler (obs::ObsTraits with the same
+///     Instruments attached).
 ///   * `poller` — each worker adds its 64-op batches to a per-thread padded
 ///     counter that becomes the poller's ops source; the poller runs from
 ///     the start barrier until the workers join, so the series spans exactly
@@ -258,16 +258,11 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
               .record(ns);
         }
       };
-      // Per-thread perf counters for the profiled path. Opened and enabled
-      // here (the start-barrier wait they also cover is microseconds against
-      // a run window of milliseconds); read once after the measured loop and
-      // folded into the profiler's run totals.
-      obs::PerfCounterGroup perf;
-      if (ins.profiler != nullptr) {
-        perf.open();
-        perf.enable();
-      }
       start.arrive_and_wait();
+      // Thread CPU time and wall time across the measured loop, for the
+      // profiler's on-CPU share of this thread's op windows.
+      const std::uint64_t cpu0 = obs::thread_cpu_ns();
+      const auto wall0 = std::chrono::steady_clock::now();
       while (!stop.load(std::memory_order_relaxed)) {
         // A batch per stop-flag check keeps the check off the hot path.
         for (int i = 0; i < kBatch; ++i) {
@@ -282,8 +277,11 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg,
         if (live != nullptr) live->fetch_add(kBatch, std::memory_order_relaxed);
       }
       if (ins.profiler != nullptr) {
-        perf.disable();
-        ins.profiler->add_hw(perf.read(), perf.unavailable_reason());
+        const std::uint64_t cpu = obs::thread_cpu_ns() - cpu0;
+        const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall0);
+        ins.profiler->add_thread_time(op_tid, cpu,
+                                      static_cast<std::uint64_t>(wall.count()));
       }
     });
   }

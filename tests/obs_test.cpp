@@ -532,7 +532,7 @@ TEST(MetricsTest, DocumentCarriesSchemaAndCells) {
   doc.add_cell("cell-one", cfg, res);
   const std::string json = doc.finish();
   EXPECT_NE(json.find("\"schema\":\"efrb-metrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"tool\":\"obs_test\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"cell-one\""), std::string::npos);
   EXPECT_NE(json.find("\"total_ops\":20"), std::string::npos);

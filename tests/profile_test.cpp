@@ -1,24 +1,25 @@
-// Tests for the profiling layer (PR 10): the perf_event_open wrapper's
-// graceful degradation (EFRB_PERFCTR_DISABLE forces the fallback path
-// deterministically, so these pass on hosts with and without a PMU), the
-// PhaseProfiler state machine driven by synthetic hook streams (attribution
-// tiles the op window, helping nests, scopes saturate, out-of-window events
-// are counted but never attributed), the runner integration on an
-// ObsTraits-instrumented tree, and the metrics-v4 `profile` cell's
-// absent-not-zero contract validated by round-tripping through the JSON
-// parser.
+// Tests for the profiling layer: the PhaseProfiler state machine driven by
+// synthetic hook streams (attribution tiles the op window, helping nests,
+// scopes saturate, out-of-window events are counted but never attributed),
+// the on-CPU scaling by handed-in thread times, the runner integration on
+// an ObsTraits-instrumented tree (including an oversubscribed run, whose
+// phases must fit in the threads' CPU time), and the metrics-v5 `profile`
+// cell validated by round-tripping through the JSON parser.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/efrb_tree.hpp"
 #include "obs/instruments.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfctr.hpp"
 #include "obs/profile.hpp"
 #include "reclaim/epoch.hpp"
 #include "workload/runner.hpp"
@@ -27,39 +28,10 @@ namespace efrb {
 namespace {
 
 using obs::JsonValue;
-using obs::PerfAvailability;
-using obs::PerfCounterGroup;
-using obs::PerfCounts;
 using obs::PhaseProfiler;
 using obs::ProfileSnapshot;
 using obs::Instruments;
 using obs::ObsTraits;
-
-/// Scoped environment override; restores (or re-unsets) on destruction so a
-/// failing test cannot leak the kill switch into later cases.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_ = false;
-};
 
 /// Burn a few thousand cycle_stamp ticks so zero-length segments cannot make
 /// an assertion vacuous on a coarse clock.
@@ -67,6 +39,14 @@ void spin_a_little() {
   const std::uint64_t start = obs::cycle_stamp();
   volatile std::uint64_t sink = 0;
   while (obs::cycle_stamp() - start < 5000) sink = sink + 1;
+}
+
+/// CPU time of every thread of this process so far, in ns.
+std::uint64_t process_cpu_ns() {
+  timespec ts{};
+  EXPECT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 // ------------------------------------------------------------ phase basics
@@ -81,7 +61,7 @@ TEST(PhaseTest, EveryPhaseHasAStableName) {
   static_assert(kNumPhases == 6);
 }
 
-TEST(PerfctrTest, CycleStampIsMonotone) {
+TEST(PhaseProfilerTest, CycleStampIsMonotone) {
   std::uint64_t prev = obs::cycle_stamp();
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t now = obs::cycle_stamp();
@@ -89,87 +69,6 @@ TEST(PerfctrTest, CycleStampIsMonotone) {
     prev = now;
   }
   EXPECT_FALSE(std::string(obs::cycle_source()).empty());
-}
-
-// --------------------------------------------------- availability fallback
-
-TEST(PerfctrTest, KillSwitchForcesUnavailable) {
-  EnvGuard guard("EFRB_PERFCTR_DISABLE", "1");
-  EXPECT_TRUE(obs::perfctr_disabled());
-  const PerfAvailability avail = obs::probe_perf_availability();
-  EXPECT_FALSE(avail.hw);
-  EXPECT_FALSE(avail.sw);
-  EXPECT_NE(avail.reason.find("EFRB_PERFCTR_DISABLE"), std::string::npos);
-
-  PerfCounterGroup group;
-  EXPECT_FALSE(group.open());
-  EXPECT_FALSE(group.hw_available());
-  EXPECT_FALSE(group.sw_available());
-  const PerfCounts counts = group.read();
-  EXPECT_FALSE(counts.hw_ok);
-  EXPECT_FALSE(counts.sw_ok);
-  EXPECT_FALSE(counts.cycles_ok);
-  EXPECT_FALSE(counts.task_clock_ok);
-}
-
-TEST(PerfctrTest, KillSwitchIsCheckedFreshEachCall) {
-  {
-    EnvGuard guard("EFRB_PERFCTR_DISABLE", "1");
-    EXPECT_TRUE(obs::perfctr_disabled());
-  }
-  // Guard restored the previous environment: the probe must not have cached
-  // the disabled verdict.
-  if (std::getenv("EFRB_PERFCTR_DISABLE") == nullptr) {
-    EXPECT_FALSE(obs::perfctr_disabled());
-  }
-}
-
-TEST(PerfctrTest, GroupDegradesPerCounterNotWholesale) {
-  // Host-tolerant: on a PMU-less VM hw stays closed while sw task-clock
-  // works; on bare metal both work. Either way the per-field _ok flags must
-  // agree with the headline availability bits and an unavailable group must
-  // explain itself.
-  PerfCounterGroup group;
-  const bool opened = group.open();
-  group.enable();
-  spin_a_little();
-  group.disable();
-  const PerfCounts counts = group.read();
-  EXPECT_EQ(counts.hw_ok, counts.cycles_ok);
-  EXPECT_EQ(counts.sw_ok, counts.task_clock_ok);
-  EXPECT_EQ(opened, group.hw_available() || group.sw_available());
-  if (!group.hw_available()) {
-    EXPECT_FALSE(group.unavailable_reason().empty());
-    EXPECT_FALSE(counts.cycles_ok);
-    EXPECT_EQ(counts.cycles, 0u);  // absent counters stay zero with ok=false
-  } else {
-    EXPECT_GT(counts.cycles, 0u);
-  }
-  if (group.sw_available()) {
-    EXPECT_TRUE(counts.task_clock_ok);
-    EXPECT_GT(counts.task_clock_ns, 0u);
-  }
-}
-
-TEST(PerfctrTest, AccumulateSumsAndUnionsAvailability) {
-  PerfCounts a;
-  a.cycles = 100;
-  a.cycles_ok = true;
-  a.hw_ok = true;
-  PerfCounts b;
-  b.task_clock_ns = 50;
-  b.task_clock_ok = true;
-  b.sw_ok = true;
-  PerfCounts sum;
-  sum.accumulate(a);
-  sum.accumulate(b);
-  EXPECT_TRUE(sum.hw_ok);
-  EXPECT_TRUE(sum.sw_ok);
-  EXPECT_EQ(sum.cycles, 100u);
-  EXPECT_EQ(sum.task_clock_ns, 50u);
-  EXPECT_TRUE(sum.cycles_ok);
-  EXPECT_TRUE(sum.task_clock_ok);
-  EXPECT_FALSE(sum.instructions_ok);
 }
 
 // ------------------------------------------------- profiler state machine
@@ -296,40 +195,53 @@ TEST(PhaseProfilerTest, ResetZeroesEverything) {
   EXPECT_EQ(s.phase_cycles_sum(), 0u);
 }
 
-TEST(PhaseProfilerTest, DerivedRatesAreUndefinedWithoutTheirCounters) {
+TEST(PhaseProfilerTest, HandedInCpuTimeScalesPhasesAndFillsPreempted) {
+  // One thread's synthetic op window, then cpu = wall / 2 handed in: every
+  // phase halves and the other half of the in-op ticks is preempted time.
   PhaseProfiler prof;
   prof.op_begin(0);
+  spin_a_little();  // descent
+  prof.on_point(HookPoint::kAfterSearch, 0);
+  spin_a_little();  // cas_protocol
+  prof.phase(true, Phase::kReclamation, 0);
+  spin_a_little();
+  prof.phase(false, Phase::kReclamation, 0);
   prof.op_end(0);
-  const ProfileSnapshot s = prof.snapshot();
-  double out = 0;
-  if (!s.available) {
-    EXPECT_FALSE(s.hw_cycles_per_op(&out));
-    EXPECT_FALSE(s.ipc(&out));
-    EXPECT_FALSE(s.cache_miss_rate(&out));
-    EXPECT_FALSE(s.branch_miss_per_kinstr(&out));
-    EXPECT_FALSE(s.multiplex_scale(&out));
-    EXPECT_FALSE(s.phase_cycles_est(0, &out));
-  }
-}
+  const ProfileSnapshot whole = prof.snapshot();
+  // Nothing handed in yet: r = 1, the snapshot is the raw tick tiling.
+  EXPECT_EQ(whole.cycles, whole.wall_cycles);
+  EXPECT_EQ(whole.preempted_cycles, 0u);
+  EXPECT_EQ(whole.cpu_ns, 0u);
 
-TEST(PhaseProfilerTest, AddHwFoldsThreadReads) {
-  PhaseProfiler prof;
-  PerfCounts counts;
-  counts.hw_ok = true;
-  counts.cycles_ok = true;
-  counts.cycles = 1000;
-  counts.instructions_ok = true;
-  counts.instructions = 2000;
-  prof.add_hw(counts, "");
-  prof.add_hw(counts, "");
-  const ProfileSnapshot s = prof.snapshot();
-  EXPECT_TRUE(s.available);
-  EXPECT_EQ(s.hw_threads, 2u);
-  EXPECT_EQ(s.hw.cycles, 2000u);
-  double ipc = 0;
-  ASSERT_TRUE(s.ipc(&ipc));
-  EXPECT_DOUBLE_EQ(ipc, 2.0);  // 4000 instructions over 2000 cycles
-  EXPECT_TRUE(s.unavailable_reason.empty());
+  prof.add_thread_time(0, 500, 1000);
+  const ProfileSnapshot half = prof.snapshot();
+  EXPECT_EQ(half.cpu_ns, 500u);
+  EXPECT_EQ(half.wall_ns, 1000u);
+  EXPECT_EQ(half.ops, whole.ops);
+  EXPECT_EQ(half.wall_cycles, whole.wall_cycles);
+  EXPECT_EQ(half.cycles, whole.cycles / 2);
+  EXPECT_EQ(half.preempted_cycles, whole.wall_cycles - whole.cycles / 2);
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    EXPECT_EQ(half.phases[i].cycles, whole.phases[i].cycles / 2)
+        << to_string(static_cast<Phase>(i));
+    EXPECT_EQ(half.phases[i].enters, whole.phases[i].enters);
+  }
+  EXPECT_GT(half.phases[static_cast<std::size_t>(Phase::kReclamation)].cycles,
+            0u);
+  // Each phase truncates on its own: at most one tick per phase short.
+  EXPECT_LE(half.phase_cycles_sum() + half.preempted_cycles, half.wall_cycles);
+  EXPECT_GE(half.phase_cycles_sum() + half.preempted_cycles + kNumPhases,
+            half.wall_cycles);
+
+  // CPU time above the wall time (clock skew) caps r at 1.
+  PhaseProfiler capped;
+  capped.op_begin(0);
+  spin_a_little();
+  capped.op_end(0);
+  capped.add_thread_time(0, 2000, 1000);
+  const ProfileSnapshot c = capped.snapshot();
+  EXPECT_EQ(c.cycles, c.wall_cycles);
+  EXPECT_EQ(c.preempted_cycles, 0u);
 }
 
 // ------------------------------------------------------ runner integration
@@ -367,10 +279,51 @@ TEST(ProfileIntegrationTest, WorkloadAttributionCoversEveryOperation) {
   EXPECT_EQ(s.dropped, 0u);
 }
 
+TEST(ProfileIntegrationTest, OversubscribedPhasesStayWithinThreadCpuTime) {
+  // Twice as many workers as cores: each thread spends about half its loop
+  // descheduled. The attributed phases must fit in the CPU time the
+  // threads actually got, which the process CPU clock bounds from above
+  // (it also counts the main thread and the barrier spins).
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  ProfiledTree tree;
+  WorkloadConfig cfg;
+  cfg.threads = std::min(16u, 2 * cores);
+  cfg.key_range = 1024;
+  cfg.mix = kUpdateHeavy;
+  cfg.duration = std::chrono::milliseconds(300);
+  prefill(tree, cfg.key_range, cfg.prefill_fraction, cfg.seed);
+
+  PhaseProfiler profiler;
+  const Instruments instruments{.profiler = &profiler};
+  ObsTraits::attach(&instruments);
+  const auto wall0 = std::chrono::steady_clock::now();
+  const std::uint64_t tick0 = obs::cycle_stamp();
+  const std::uint64_t cpu0 = process_cpu_ns();
+  const WorkloadResult res = run_workload(tree, cfg, &instruments);
+  const std::uint64_t cpu = process_cpu_ns() - cpu0;
+  const std::uint64_t ticks = obs::cycle_stamp() - tick0;
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - wall0)
+                             .count();
+  ObsTraits::detach();
+
+  const ProfileSnapshot s = profiler.snapshot();
+  ASSERT_GT(res.total_ops(), 0u);
+  EXPECT_EQ(s.ops, res.total_ops());
+  ASSERT_GT(ticks, 0u);
+  const double ns_per_tick = wall_ns / static_cast<double>(ticks);
+  const double phase_ns = static_cast<double>(s.phase_cycles_sum()) * ns_per_tick;
+  // 2% slack covers the tick-to-ns conversion over a 300 ms window.
+  EXPECT_LE(phase_ns, 1.02 * static_cast<double>(cpu))
+      << "phases " << phase_ns / 1e6 << " ms vs process CPU "
+      << static_cast<double>(cpu) / 1e6 << " ms at " << cfg.threads
+      << " threads";
+}
+
 TEST(ProfileIntegrationTest, FallbackModeStillAttributesAndStaysCorrect) {
-  // The differential check under the kill switch: instrumented tree semantics
-  // against std::set, with the profiler attached and hardware denied.
-  EnvGuard guard("EFRB_PERFCTR_DISABLE", "1");
+  // The differential check: instrumented tree semantics against std::set,
+  // with the profiler attached and op windows opened by hand (no thread
+  // times handed in, so the raw tick tiling stands).
   ProfiledTree tree;
   PhaseProfiler profiler;
   const Instruments instruments{.profiler = &profiler};
@@ -400,15 +353,16 @@ TEST(ProfileIntegrationTest, FallbackModeStillAttributesAndStaysCorrect) {
 
   const ProfileSnapshot s = profiler.snapshot();
   EXPECT_EQ(s.ops, 4000u);
-  EXPECT_FALSE(s.available);  // kill switch wins whatever the host has
   EXPECT_LE(s.phase_cycles_sum(), s.cycles);
-  EXPECT_FALSE(s.unavailable_reason.empty());
+  EXPECT_EQ(s.cycles, s.wall_cycles);
+  EXPECT_EQ(s.preempted_cycles, 0u);
 }
 
-// ----------------------------------------------- metrics v4 profile cell
+// ----------------------------------------------- metrics v5 profile cell
 
 TEST(ProfileMetricsTest, FallbackCellOmitsHwAndDerivedSections) {
-  EnvGuard guard("EFRB_PERFCTR_DISABLE", "1");
+  // The v5 cell shape: on-CPU attribution plus the wall and preempted
+  // ticks and the thread times behind them; no hardware-counter keys.
   ProfiledTree tree;
   WorkloadConfig cfg;
   cfg.threads = 2;
@@ -430,7 +384,7 @@ TEST(ProfileMetricsTest, FallbackCellOmitsHwAndDerivedSections) {
   std::string err;
   std::optional<JsonValue> parsed = obs::parse_json(json, &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->number_at("schema_version", 0), 4.0);
+  EXPECT_EQ(parsed->number_at("schema_version", 0), 5.0);
   const JsonValue* cells = parsed->find("cells");
   ASSERT_NE(cells, nullptr);
   ASSERT_EQ(cells->array.size(), 1u);
@@ -438,20 +392,23 @@ TEST(ProfileMetricsTest, FallbackCellOmitsHwAndDerivedSections) {
 
   const JsonValue* profile = cell.find("profile");
   ASSERT_NE(profile, nullptr);
-  const JsonValue* available = profile->find("available");
-  ASSERT_NE(available, nullptr);
-  EXPECT_FALSE(available->boolean);
-  // The absent-not-zero contract: no hw section, no derived rates, and an
-  // explanation for why.
-  EXPECT_EQ(profile->find("hw"), nullptr);
-  EXPECT_EQ(profile->find("derived"), nullptr);
-  EXPECT_FALSE(std::string(profile->string_at("unavailable_reason")).empty());
-  // The tick-based attribution is still fully populated.
+  for (const char* gone : {"available", "sw_available", "unavailable_reason",
+                           "paranoid", "hw", "sw", "derived"}) {
+    EXPECT_EQ(profile->find(gone), nullptr) << gone;
+  }
+  EXPECT_FALSE(std::string(profile->string_at("source")).empty());
   EXPECT_GT(profile->number_at("ops", 0), 0.0);
   EXPECT_GT(profile->number_at("cycles", 0), 0.0);
   EXPECT_NE(profile->find("cycles_per_op"), nullptr);
-  EXPECT_LE(profile->number_at("phase_cycles_sum", 0),
-            profile->number_at("cycles", 0));
+  EXPECT_NE(profile->find("span_cycles"), nullptr);
+  // The runner handed in both workers' times.
+  EXPECT_GT(profile->number_at("cpu_ns", 0), 0.0);
+  EXPECT_GT(profile->number_at("wall_ns", 0), 0.0);
+  const double wall = profile->number_at("wall_cycles", 0);
+  EXPECT_GE(wall, profile->number_at("cycles", 0));
+  EXPECT_NEAR(profile->number_at("phase_cycles_sum", 0) +
+                  profile->number_at("preempted_cycles", -1),
+              wall, static_cast<double>(kNumPhases * cfg.threads));
   const JsonValue* phases = profile->find("phases");
   ASSERT_NE(phases, nullptr);
   for (std::size_t i = 0; i < kNumPhases; ++i) {
@@ -460,56 +417,8 @@ TEST(ProfileMetricsTest, FallbackCellOmitsHwAndDerivedSections) {
     EXPECT_NE(ph->find("cycles"), nullptr);
     EXPECT_NE(ph->find("enters"), nullptr);
     EXPECT_NE(ph->find("share"), nullptr);
-    // hw_cycles_est is hw-derived: absent in fallback mode.
-    EXPECT_EQ(ph->find("hw_cycles_est"), nullptr);
+    EXPECT_EQ(ph->object.size(), 3u);
   }
-  EXPECT_FALSE(std::string(profile->string_at("source")).empty());
-}
-
-TEST(ProfileMetricsTest, HwSectionsAppearWhenCountersWereCollected) {
-  // Synthesize an available snapshot (no PMU dependence) and check the
-  // conditional sections materialize with only the counters that reported.
-  PhaseProfiler profiler;
-  profiler.op_begin(0);
-  spin_a_little();
-  profiler.op_end(0);
-  PerfCounts counts;
-  counts.hw_ok = true;
-  counts.cycles_ok = true;
-  counts.cycles = 123456;
-  counts.instructions_ok = true;
-  counts.instructions = 246912;
-  counts.time_enabled_ns = 1000;
-  counts.time_running_ns = 1000;
-  profiler.add_hw(counts, "");
-  const ProfileSnapshot snap = profiler.snapshot();
-  ASSERT_TRUE(snap.available);
-
-  obs::MetricsDocument doc("profile_test");
-  WorkloadConfig cfg;
-  WorkloadResult res;
-  res.finds = 1;
-  res.seconds = 1;
-  doc.add_cell("cell", cfg, res, nullptr, nullptr, nullptr, nullptr, nullptr,
-               nullptr, &snap);
-  std::string err;
-  std::optional<JsonValue> parsed = obs::parse_json(doc.finish(), &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  const JsonValue* profile =
-      parsed->find("cells")->array[0].find("profile");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_EQ(profile->find("unavailable_reason"), nullptr);
-  const JsonValue* hw = profile->find("hw");
-  ASSERT_NE(hw, nullptr);
-  EXPECT_EQ(hw->number_at("cycles", 0), 123456.0);
-  EXPECT_EQ(hw->number_at("instructions", 0), 246912.0);
-  // Counters that never opened stay absent even inside an available cell.
-  EXPECT_EQ(hw->find("cache_misses"), nullptr);
-  EXPECT_EQ(hw->find("branch_misses"), nullptr);
-  const JsonValue* derived = profile->find("derived");
-  ASSERT_NE(derived, nullptr);
-  EXPECT_DOUBLE_EQ(derived->number_at("ipc", 0), 2.0);
-  EXPECT_EQ(derived->find("cache_miss_rate"), nullptr);
 }
 
 }  // namespace

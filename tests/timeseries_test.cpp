@@ -418,7 +418,7 @@ TEST(MetricsV2Test, DocumentCarriesTimeseriesAndHeatmapSections) {
   doc.add_cell("cell", cfg, res, nullptr, nullptr, nullptr, &samples, &heat);
   const std::string json = doc.finish();
 
-  EXPECT_NE(json.find("\"schema_version\":4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
   EXPECT_NE(json.find("\"windows\""), std::string::npos);
   EXPECT_NE(json.find("\"heatmap\""), std::string::npos);

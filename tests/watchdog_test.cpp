@@ -200,7 +200,7 @@ TEST(WatchdogTest, MetricsCellCarriesStallCounters) {
     const std::optional<obs::JsonValue> doc = obs::parse_json(json, &err);
     EXPECT_TRUE(doc.has_value()) << err;
     if (!doc) return obs::JsonValue{};
-    EXPECT_EQ(doc->number_at("schema_version", 0), 4.0);
+    EXPECT_EQ(doc->number_at("schema_version", 0), 5.0);
     const obs::JsonValue* cells = doc->find("cells");
     return cells != nullptr && cells->array.size() == 1 ? cells->array[0]
                                                          : obs::JsonValue{};

@@ -23,8 +23,8 @@
 // PR 10 adds two rows: `latency` (per-op p50/p99 plus the histogram
 // saturated counts — workers merge samples at join, so live frames show a
 // collecting placeholder) and `profile` (phase-attributed cycles/op from
-// obs/profile.hpp, with per-phase shares and the hw/sw counter verdict on
-// the final frame).
+// obs/profile.hpp, with per-phase shares and the on-CPU / preempted split
+// on the final frame).
 //
 // Usage: efrb_top [--ms N] [--interval N] [--threads N] [--range N]
 //                 [--mix read|mostly|balanced|update] [--uniform] [--once]
@@ -224,31 +224,27 @@ void render_latency(const efrb::LatencySamples& lat, bool collecting) {
 }
 
 /// Profile row: where the cycles go, by protocol phase. Live frames read
-/// the profiler's relaxed running totals; the final frame renders the full
-/// snapshot with per-phase shares and the hw/sw availability verdict.
+/// the profiler's relaxed running totals, which are wall ticks; the final
+/// frame renders the full snapshot: on-CPU cycles per op, the on-CPU and
+/// preempted shares of the in-op time, and the per-phase shares.
 void render_profile(const efrb::obs::PhaseProfiler& profiler, bool live) {
   if (live) {
-    std::printf("profile  %llu ops, %llu cycles attributed (live)\n",
+    std::printf("profile  %llu ops, %llu wall ticks in ops (live)\n",
                 static_cast<unsigned long long>(profiler.live_ops()),
                 static_cast<unsigned long long>(profiler.live_cycles()));
     return;
   }
   const efrb::obs::ProfileSnapshot s = profiler.snapshot();
-  std::printf("profile  %llu ops, %.1f %s/op, hw=%s sw=%s\n",
+  std::printf("profile  %llu ops, %.1f %s/op on-CPU, on-CPU %.1f%% "
+              "preempted %.1f%%\n",
               static_cast<unsigned long long>(s.ops), s.cycles_per_op(),
-              s.source.c_str(), s.available ? "yes" : "no",
-              s.sw_available ? "yes" : "no");
+              s.source.c_str(), 100.0 * (1.0 - s.preempted_share()),
+              100.0 * s.preempted_share());
   std::printf("         ");
   for (std::size_t i = 0; i < efrb::kNumPhases; ++i) {
     std::printf("%s %.1f%%%s", efrb::to_string(static_cast<efrb::Phase>(i)),
                 100.0 * s.phase_share(i),
                 i + 1 < efrb::kNumPhases ? "  " : "\n");
-  }
-  double ipc = 0;
-  if (s.ipc(&ipc)) {
-    double miss = 0;
-    s.cache_miss_rate(&miss);
-    std::printf("         ipc=%.2f cache-miss=%.1f%%\n", ipc, 100.0 * miss);
   }
 }
 

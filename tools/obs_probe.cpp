@@ -2,7 +2,7 @@
 // instrumented EFRB tree (trace + heatmap + causal help attribution +
 // liveness watchdog + flight recorder) and writes every machine-readable
 // artifact the obs layer produces:
-//   * a schema-versioned metrics document (obs/metrics.hpp, v4 — includes
+//   * a schema-versioned metrics document (obs/metrics.hpp, v5 — includes
 //     the "causality" and "watchdog" sections and the self/helper-completed
 //     latency split),
 //   * a Chrome trace-event JSON with help-flow arrows (obs/causal.hpp),
@@ -46,7 +46,7 @@ struct Options {
   std::string trace_path = "obs_trace.json";
   std::string flight_path;  // empty = no flight dump
   bool abort_after_run = false;
-  bool profile = false;  // attach the phase profiler + perf counters
+  bool profile = false;  // attach the phase profiler
   long ms = 50;
   long interval_ms = 10;
   std::size_t threads = 4;
@@ -141,14 +141,9 @@ int main(int argc, char** argv) {
   // efrb_postmortem shows the counter state at crash time.
   static std::atomic<std::uint64_t> live_profile_ops{0};
   static std::atomic<std::uint64_t> live_profile_cycles{0};
-  static std::atomic<std::uint64_t> live_profile_available{0};
   if (opt.profile) {
     flight.add_gauge("profile_ops", &live_profile_ops);
     flight.add_gauge("profile_cycles", &live_profile_cycles);
-    flight.add_gauge("profile_available", &live_profile_available);
-    live_profile_available.store(
-        efrb::obs::probe_perf_availability().hw ? 1 : 0,
-        std::memory_order_relaxed);
   }
   flight.attach_progress(&tree.progress_table());
 
@@ -245,18 +240,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < efrb::kNumPhases; ++i) {
       if (profile.phases[i].cycles > profile.phases[top].cycles) top = i;
     }
-    std::printf("obs_probe: profile %llu ops, %.1f %s/op, hw=%s sw=%s, "
-                "top phase %s (%.1f%%)\n",
+    std::printf("obs_probe: profile %llu ops, %.1f %s/op on-CPU, "
+                "on-CPU %.1f%% preempted %.1f%%, top phase %s (%.1f%%)\n",
                 static_cast<unsigned long long>(profile.ops),
                 profile.cycles_per_op(), profile.source.c_str(),
-                profile.available ? "yes" : "no",
-                profile.sw_available ? "yes" : "no",
+                100.0 * (1.0 - profile.preempted_share()),
+                100.0 * profile.preempted_share(),
                 efrb::to_string(static_cast<efrb::Phase>(top)),
                 100.0 * profile.phase_share(top));
-    if (!profile.available && !profile.unavailable_reason.empty()) {
-      std::printf("obs_probe: profile hw counters off: %s\n",
-                  profile.unavailable_reason.c_str());
-    }
   }
   std::printf("obs_probe: metrics -> %s\n", opt.metrics_path.c_str());
   std::printf("obs_probe: trace   -> %s\n", opt.trace_path.c_str());
