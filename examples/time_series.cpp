@@ -45,19 +45,22 @@ int main() {
       if (tid == 0) stop.store(true);
     } else if (tid == 2) {
       // Dashboard: aggregate the last 10ms window. Every point it sees must
-      // lie inside the requested interval (range() never invents keys).
+      // lie inside the requested interval (range() never invents keys), and
+      // the points must come in strictly ascending order.
       while (!stop.load(std::memory_order_relaxed)) {
         const Timestamp hi = now.load(std::memory_order_relaxed);
         const Timestamp lo = hi > 10'000 ? hi - 10'000 : 0;
         double sum = 0;
         std::size_t n = 0;
-        bool in_bounds = true;
+        bool well_formed = true;
+        Timestamp prev = 0;
         index.range(lo, hi, [&](const Timestamp& t, const double& v) {
-          if (t < lo || t > hi) in_bounds = false;
+          if (t < lo || t > hi || (n > 0 && t <= prev)) well_formed = false;
+          prev = t;
           sum += v;
           ++n;
         });
-        if (!in_bounds) bad_windows.fetch_add(1, std::memory_order_relaxed);
+        if (!well_formed) bad_windows.fetch_add(1, std::memory_order_relaxed);
         windows.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
@@ -94,8 +97,8 @@ int main() {
   std::printf("points expired:    %llu (retention %llu us)\n",
               static_cast<unsigned long long>(expired.load()),
               static_cast<unsigned long long>(kRetention));
-  std::printf("windows aggregated:%llu (out-of-bounds points: %llu — must "
-              "be 0)\n",
+  std::printf("windows aggregated:%llu (out-of-bounds or out-of-order: %llu "
+              "— must be 0)\n",
               static_cast<unsigned long long>(windows.load()),
               static_cast<unsigned long long>(bad_windows.load()));
   std::printf("resident points:   %zu, oldest %llu, newest %llu\n",

@@ -29,10 +29,15 @@
 // over the whole region.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
 namespace efrb::ordered {
+
+/// Initial capacity of the range/for_each stack, allocated once per call:
+/// a scan stacks at most one node per level of its deepest path.
+inline constexpr std::size_t kStackReserve = 64;
 
 /// Leftmost leaf under `n`: Search for a key below every real key. The
 /// result is the subtree's minimum (the ∞₁ sentinel on an empty tree).
@@ -140,48 +145,77 @@ std::optional<typename Layout::key_type> bound_down(
   return real_key<Layout>(rightmost<Layout>(last_left));
 }
 
-/// Visits every (key, value) with lo <= key <= hi in order, pruning subtrees
-/// by the BST bounds. Uses an explicit stack: the EFRB tree is unbalanced
-/// (the paper leaves balancing to future work, §6), so sequential insertion
-/// produces a path-shaped tree and recursion depth would be O(n).
+/// Visits every (key, value) with lo <= key <= hi in order, pruning
+/// subtrees by the BST bounds. The walk follows left children directly and
+/// stacks only the right subtrees it still has to visit: at an internal
+/// node wanted on both sides it pushes the right child and steps left, and
+/// at a leaf it pops. The stack is explicit because the EFRB tree is
+/// unbalanced (the paper leaves balancing to future work, §6): descending
+/// insertion builds a left vine, and the stack then grows to n.
+///
+/// Each pushed right child is prefetched as it is pushed. It is not needed
+/// until the whole left subtree's walk is done, so its cache miss overlaps
+/// that walk instead of stalling the pop. The bound walks and leftmost/
+/// rightmost get neither mechanism: each is a single descent with nothing
+/// to overlap.
+///
+/// Each child pointer is still read once, on a root path, so the
+/// consistency argument above is unchanged.
 template <typename Layout, typename Cmp, typename Fn>
 void range(const typename Layout::Node* root, const Cmp& cmp,
            const typename Layout::key_type& lo,
            const typename Layout::key_type& hi, Fn&& fn) {
   using Node = typename Layout::Node;
   if (cmp.user_compare()(hi, lo)) return;  // empty interval
-  std::vector<const Node*> stack{root};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
+  std::vector<const Node*> stack;
+  stack.reserve(kStackReserve);
+  const Node* n = root;
+  for (;;) {
     if (!Layout::is_leaf(n)) {
-      // Left subtree holds keys < n->key: visit iff lo < n->key.
-      // Right subtree holds keys >= n->key: visit iff hi >= n->key.
-      // Push right first so the left subtree pops first (in-order leaves).
-      if (!cmp.less(hi, n->key)) stack.push_back(Layout::right(n));
-      if (cmp.less(lo, n->key)) stack.push_back(Layout::left(n));
-    } else if (n->key.is_real() && !cmp.user_compare()(n->key.key, lo) &&
-               !cmp.user_compare()(hi, n->key.key)) {
+      // Left subtree holds keys < n->key: wanted iff lo < n->key.
+      // Right subtree holds keys >= n->key: wanted iff hi >= n->key.
+      // With lo <= hi at least one of the two is wanted.
+      const bool go_left = cmp.less(lo, n->key);
+      const bool go_right = !cmp.less(hi, n->key);
+      if (go_left && go_right) {
+        const Node* r = Layout::right(n);
+        __builtin_prefetch(r);
+        stack.push_back(r);
+      }
+      n = go_left ? Layout::left(n) : Layout::right(n);
+      continue;
+    }
+    if (n->key.is_real() && !cmp.user_compare()(n->key.key, lo) &&
+        !cmp.user_compare()(hi, n->key.key)) {
       fn(n->key.key, Layout::value(n));
     }
+    if (stack.empty()) return;
+    n = stack.back();
+    stack.pop_back();
   }
 }
 
-/// Depth-first in-order visit of every real (key, value) pair under `root`.
+/// In-order visit of every real (key, value) pair under `root`: range's
+/// walk with no bounds, so every right child is prefetched, stacked, and
+/// popped once the left subtree under its parent is done.
 template <typename Layout, typename Fn>
 void for_each(const typename Layout::Node* root, Fn&& fn) {
   using Node = typename Layout::Node;
-  std::vector<const Node*> stack{root};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
+  std::vector<const Node*> stack;
+  stack.reserve(kStackReserve);
+  const Node* n = root;
+  for (;;) {
     if (!Layout::is_leaf(n)) {
-      // Right first so the left subtree pops first: in-order for leaves.
-      stack.push_back(Layout::right(n));
-      stack.push_back(Layout::left(n));
-    } else if (n->key.is_real()) {
-      fn(n->key.key, Layout::value(n));
+      const Node* r = Layout::right(n);
+      __builtin_prefetch(r);
+      stack.push_back(r);
+      n = Layout::left(n);
+      continue;
     }
+    if (n->key.is_real()) fn(n->key.key, Layout::value(n));
+    if (stack.empty()) return;
+    n = stack.back();
+    stack.pop_back();
   }
 }
 

@@ -3,8 +3,10 @@
 // a std::map oracle through the tree and through a Handle, on EfrbTreeMap
 // and ChromaticTreeMap, each under epoch and hazard-pointer reclamation.
 // Both trees share one facade (core/tree_map.hpp) and one set of walks
-// (core/ordered.hpp), so every test here runs on all four instantiations;
-// weak-consistency smoke under concurrency closes the file.
+// (core/ordered.hpp), so every test here runs on all four instantiations.
+// Deep EFRB vines check the scan stack at depth n; weak consistency under
+// concurrency, window scans under rotations and a scan past a parked
+// chromatic rebalance close the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,11 +16,16 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/chromatic.hpp"
+#include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
+#include "inject/fault_plan.hpp"
+#include "inject/fault_scheduler.hpp"
+#include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -245,6 +252,61 @@ TYPED_TEST(OrderedQueryTest, HandleCoversFullSurface) {
 }
 
 // ---------------------------------------------------------------------------
+// Deep vines: the unbalanced EFRB tree under sorted insertion.
+// ---------------------------------------------------------------------------
+
+/// Ascending insertion builds a right vine, where range/for_each stack one
+/// node at a time; descending insertion builds a left vine, where every
+/// internal's right leaf stays stacked and the stack grows to n.
+///
+/// Building a vine costs n²/2 node visits, since each insert walks the whole
+/// vine: about 20 s at 2^16 keys in a -O2 build, but over 400 s under TSan.
+/// The vine tests are single-threaded, so TSan builds use 2^13 keys, which
+/// still stacks 128 times the walks' initial reserve.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kVineKeys = 1 << 13;
+#else
+constexpr int kVineKeys = 1 << 16;
+#endif
+
+void expect_vine_scans(bool descending) {
+  constexpr int n = kVineKeys;
+  EfrbTreeMap<int, int> t;
+  Oracle o;
+  for (int i = 0; i < n; ++i) {
+    const int k = descending ? n - 1 - i : i;
+    ASSERT_TRUE(t.insert(k, ~k));
+    o.emplace(k, ~k);
+  }
+  EXPECT_EQ(all_of(t), Pairs(o.begin(), o.end()));
+  EXPECT_EQ(t.size(), o.size());
+  const int windows[][2] = {
+      {INT_MIN, INT_MAX},  // the whole key space
+      {0, n - 1},          // exactly the keys
+      {n / 4, 3 * n / 4},  // middle
+      {INT_MIN, 9},        // low edge
+      {0, 0},              // lowest key alone
+      {n - 10, n - 1},     // high edge
+      {n - 1, n - 1},      // highest key alone
+      {n - 10, INT_MAX},   // up to the maximum key: the sentinels are next
+      {n, INT_MAX},        // only the sentinel spine in the way
+  };
+  for (const auto& w : windows) {
+    EXPECT_EQ(ranged(t, w[0], w[1]), oracle_range(o, w[0], w[1]))
+        << "[" << w[0] << "," << w[1] << "]";
+  }
+  EXPECT_TRUE(t.validate().ok);
+}
+
+TEST(OrderedVineTest, AscendingRightVineScansMatchStdMap) {
+  expect_vine_scans(false);
+}
+
+TEST(OrderedVineTest, DescendingLeftVineScansMatchStdMap) {
+  expect_vine_scans(true);
+}
+
+// ---------------------------------------------------------------------------
 // Weak consistency under concurrency.
 // ---------------------------------------------------------------------------
 
@@ -348,6 +410,147 @@ TYPED_TEST(OrderedQueryTest, BoundsNeverInventKeys) {
     }
   });
   EXPECT_TRUE(t.validate().ok);
+}
+
+/// One scan's output over [lo, hi] under odd-key churn: strictly ascending,
+/// inside [lo, hi], each key carrying its own value, and every permanent
+/// (even) key of the window reported.
+void expect_window_scan(const Pairs& got, int lo, int hi) {
+  std::vector<int> evens;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto [k, v] = got[i];
+    ASSERT_GE(k, lo);
+    ASSERT_LE(k, hi);
+    ASSERT_EQ(v, k) << "wrong value";
+    if (i > 0) {
+      ASSERT_LT(got[i - 1].first, k) << "out of order";
+    }
+    if (k % 2 == 0) evens.push_back(k);
+  }
+  std::vector<int> want;
+  for (int k = lo + (lo % 2 != 0); k <= hi; k += 2) want.push_back(k);
+  ASSERT_EQ(evens, want) << "a permanent key was missed";
+}
+
+TYPED_TEST(OrderedQueryTest, WindowScansUnderRotations) {
+  // Even keys in [0, kSpan) are permanent. Churners insert runs of 32
+  // ascending odd keys inside the scanned window and erase them again, so
+  // on the chromatic tree rotations reshape the subtree a scan is inside.
+  constexpr int kSpan = 2048;
+  constexpr int kLo = 512;
+  constexpr int kHi = 1535;
+  constexpr int kRun = 32;
+  TypeParam t;
+  for (int k = 0; k < kSpan; k += 2) ASSERT_TRUE(t.insert(k, k));
+  std::atomic<bool> stop{false};
+  run_threads(3, [&](std::size_t tid) {
+    auto h = t.handle();
+    if (tid == 0) {
+      StopOnExit guard{stop};
+      for (int i = 0; i < 600 && !::testing::Test::HasFatalFailure(); ++i) {
+        expect_window_scan(ranged(t, kLo, kHi), kLo, kHi);
+        expect_window_scan(ranged(h, kLo + 1, kHi - 1), kLo + 1, kHi - 1);
+        expect_window_scan(all_of(h), 0, kSpan - 1);
+      }
+    } else {
+      Xoshiro256 rng(tid);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int first =
+            kLo + 1 + 2 * static_cast<int>(rng.next_below((kHi - kLo) / 2 -
+                                                          kRun));
+        for (int j = 0; j < kRun; ++j) h.insert(first + 2 * j, first + 2 * j);
+        for (int j = 0; j < kRun; ++j) h.erase(first + 2 * j);
+      }
+    }
+  });
+  const auto v = t.validate();
+  EXPECT_TRUE(v.ok) << v.error;
+  Oracle o;
+  for (int k = 0; k < kSpan; k += 2) o.emplace(k, k);
+  expect_both(t, o, kLo, kLo, kHi);
+}
+
+// ---------------------------------------------------------------------------
+// A scan across a parked chromatic rebalance.
+// ---------------------------------------------------------------------------
+
+using InjectChromaticMap =
+    ChromaticTreeMap<int, int, std::less<int>, EpochReclaimer,
+                     inject::InjectTraits>;
+
+inject::FaultAction stall_at(unsigned tid, HookPoint p, unsigned occurrence) {
+  inject::FaultAction a;
+  a.kind = inject::FaultKind::kStall;
+  a.tid = tid;
+  a.point = static_cast<int>(p);
+  a.occurrence = occurrence;
+  return a;
+}
+
+/// Every scan of `t` over the ascending keys [0, last] in `o`.
+template <typename Tree>
+void expect_scans_exact(const Tree& t, const Oracle& o, int last) {
+  for (const auto& w : {std::pair{INT_MIN, INT_MAX}, std::pair{0, last},
+                        std::pair{last / 2, last}, std::pair{last - 8, last},
+                        std::pair{1, last - 1}}) {
+    EXPECT_EQ(ranged(t, w.first, w.second),
+              oracle_range(o, w.first, w.second))
+        << "[" << w.first << "," << w.second << "]";
+  }
+  EXPECT_EQ(all_of(t), Pairs(o.begin(), o.end()));
+  EXPECT_EQ(t.size(), o.size());
+}
+
+TEST(OrderedScanFaultTest, ScansAreExactAcrossParkedRebalance) {
+  // One thread's ascending inserts are deterministic. A dry run finds the
+  // insert whose cleanup runs the first fix, and how many SCX child swings
+  // precede that fix's own.
+  int trigger = -1;
+  unsigned swings_before = 0;
+  {
+    InjectChromaticMap dry;
+    inject::FaultScheduler sched(
+        inject::FaultPlan{{stall_at(0, HookPoint::kBeforeRebalance, 1)}});
+    std::atomic<int> current{-1};
+    std::thread victim([&] {
+      inject::FaultScheduler::ThreadScope scope(sched, 0);
+      auto h = dry.handle();
+      for (int k = 0; k < 1000; ++k) {
+        current.store(k);
+        h.insert(k, 3 * k);
+      }
+    });
+    const bool stalled = sched.wait_until_stalled(0);
+    trigger = current.load();
+    swings_before = sched.point_hits(0, HookPoint::kBeforeScxChild);
+    sched.release_all();
+    victim.join();
+    ASSERT_TRUE(stalled) << "ascending inserts never rebalanced";
+  }
+  ASSERT_GT(trigger, 8);
+
+  // The same inserts, parked at the fix's SCX: its nodes are frozen, the
+  // child pointer above them is not yet swung.
+  InjectChromaticMap t;
+  inject::FaultScheduler sched(inject::FaultPlan{
+      {stall_at(0, HookPoint::kBeforeScxChild, swings_before + 1)}});
+  std::thread victim([&] {
+    inject::FaultScheduler::ThreadScope scope(sched, 0);
+    auto h = t.handle();
+    for (int k = 0; k <= trigger; ++k) h.insert(k, 3 * k);
+  });
+  const bool stalled = sched.wait_until_stalled(0);
+  const unsigned fixes = sched.point_hits(0, HookPoint::kBeforeRebalance);
+  Oracle o;
+  for (int k = 0; k <= trigger; ++k) o.emplace(k, 3 * k);
+  if (stalled) expect_scans_exact(t, o, trigger);  // before the swing
+  sched.release_all();
+  victim.join();
+  ASSERT_TRUE(stalled) << "the fix's SCX never reached its child swing";
+  EXPECT_EQ(fixes, 1u) << "the parked SCX was not the first fix";
+  expect_scans_exact(t, o, trigger);  // after the swing
+  const auto v = t.validate();
+  EXPECT_TRUE(v.ok) << v.error;
 }
 
 }  // namespace
