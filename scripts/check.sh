@@ -84,14 +84,14 @@ configure build
 # The plain build must compile without a warning (-Wall -Wextra). Only the
 # translation units this run recompiles print theirs, so a fresh tree checks
 # every one of them.
-run cmake --build build 2>&1 | tee build/build.log
+run cmake --build build --parallel "$(nproc)" 2>&1 | tee build/build.log
 if grep -n 'warning:' build/build.log; then
   echo "the plain build printed compiler warnings"; exit 1
 fi
 run ctest --test-dir build --output-on-failure
 
 echo "=== header self-containment (each src/ header as a standalone TU) ==="
-run cmake --build build --target header_selfcontained
+run cmake --build build --parallel "$(nproc)" --target header_selfcontained
 
 echo "=== examples ==="
 for ex in quickstart kv_cache order_book adversarial_find time_series; do
@@ -267,13 +267,13 @@ if [[ "$FAST" == "0" ]]; then
   configure build-asan -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  run cmake --build build-asan
+  run cmake --build build-asan --parallel "$(nproc)"
   run ctest --test-dir build-asan --output-on-failure --timeout 600
 
   echo "=== TSan ==="
   configure build-tsan -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DEFRB_SANITIZE_THREAD=ON
-  run cmake --build build-tsan
+  run cmake --build build-tsan --parallel "$(nproc)"
   run ctest --test-dir build-tsan --output-on-failure --timeout 900
 
   echo "=== TSan + forced stats (kCountStats=true shards under the race detector) ==="
@@ -282,7 +282,7 @@ if [[ "$FAST" == "0" ]]; then
   configure build-tsan-stats -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DEFRB_SANITIZE_THREAD=ON \
       -DCMAKE_CXX_FLAGS="-DEFRB_TEST_FORCE_STATS"
-  run cmake --build build-tsan-stats
+  run cmake --build build-tsan-stats --parallel "$(nproc)"
   run ctest --test-dir build-tsan-stats --output-on-failure --timeout 900 \
       -R 'Handle|Stats|Concurrent|Chaos'
 
@@ -354,7 +354,7 @@ EOF
   # protocol.hpp survives refactors (NoopTraits compiles them away).
   configure build-hooks -DEFRB_BUILD_BENCH=OFF -DEFRB_BUILD_EXAMPLES=OFF \
       -DCMAKE_CXX_FLAGS="-DEFRB_TEST_FORCE_HOOKS"
-  run cmake --build build-hooks
+  run cmake --build build-hooks --parallel "$(nproc)"
   run ctest --test-dir build-hooks --output-on-failure --timeout 600 \
       -R 'Concurrent|Instrumented|StateMachine|Schedule'
 
@@ -365,9 +365,9 @@ EOF
   # through the tee).
   FAULT_LOG=build/fault_injection.log
   : > "$FAULT_LOG"
-  run cmake --build build-hooks --target fault_injection_test
+  run cmake --build build-hooks --parallel "$(nproc)" --target fault_injection_test
   ./build-hooks/tests/fault_injection_test --gtest_color=no 2>&1 | tee -a "$FAULT_LOG"
-  run cmake --build build-tsan --target fault_injection_test
+  run cmake --build build-tsan --parallel "$(nproc)" --target fault_injection_test
   ./build-tsan/tests/fault_injection_test --gtest_color=no 2>&1 | tee -a "$FAULT_LOG"
   echo "fault-injection output (incl. chaos seeds) saved to $FAULT_LOG"
 
@@ -377,7 +377,7 @@ EOF
   # measures. Its ctest runs the oracle test and a short run of every
   # BENCHMARK.json workload through the output checks (smoke_test.py).
   configure build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
-  run cmake --build build-perfbench
+  run cmake --build build-perfbench --parallel "$(nproc)"
   run ctest --test-dir build-perfbench --output-on-failure
 fi
 

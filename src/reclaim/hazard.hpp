@@ -155,11 +155,13 @@ struct HazardRule {
   }
 
   template <typename Reg>
-  static std::uint64_t sweep(Reg&, const std::vector<void*>& hazards,
-                             RetireList& list) noexcept {
-    return list.free_if([&hazards](const Retired& r) {
-      return !std::binary_search(hazards.begin(), hazards.end(), r.ptr);
-    });
+  static void sweep(Reg&, const std::vector<void*>& hazards, RetireList& list,
+                    RetireList& ready) {
+    list.move_if(
+        [&hazards](const Retired& r) {
+          return !std::binary_search(hazards.begin(), hazards.end(), r.ptr);
+        },
+        ready);
   }
 
   template <typename Reg>
@@ -248,14 +250,16 @@ struct GraceRoundRule {
     return {};
   }
 
-  /// One round step: drop the readers that moved on, free the pending set
-  /// once none remain, then start a round for the accumulated retired list.
+  /// One round step: drop the readers that moved on, hand the pending set
+  /// to `ready` once none remain, then start a round for the accumulated
+  /// retired list.
   template <typename Reg>
-  static std::uint64_t sweep(Reg& reg, Pass, Backlog& b) {
-    // Reserve first: the only throw point fires before the round state
-    // changes, so a started round never holds a partial reader snapshot
-    // (which could free the pending set while an unsnapshotted reader still
-    // holds references).
+  static void sweep(Reg& reg, Pass, Backlog& b, RetireList& ready) {
+    // Reserve first: the snapshot below cannot throw, so a started round
+    // never holds a partial reader snapshot (which could free the pending
+    // set while an unsnapshotted reader still holds references). The
+    // hand-off to `ready` is all-or-nothing; if it throws, the pending set
+    // stays whole for the next pass.
     b.readers.reserve(reg.slots.size());
     std::size_t kept = 0;
     for (const Reader& r : b.readers) {
@@ -267,8 +271,7 @@ struct GraceRoundRule {
       }
     }
     b.readers.resize(kept);
-    std::uint64_t freed = 0;
-    if (b.readers.empty()) freed = b.pending.free_all();
+    if (b.readers.empty()) ready.adopt(b.pending);
     if (b.pending.empty() && !b.retired.empty()) {
       std::swap(b.pending, b.retired);
       for (const auto& padded : reg.slots) {
@@ -277,7 +280,6 @@ struct GraceRoundRule {
         if ((seq & 1) != 0) b.readers.push_back({&padded->seq, seq});
       }
     }
-    return freed;
   }
 
   template <typename Reg>

@@ -5,8 +5,9 @@
 // once: the type-erased Retired entry, the cache-padded slot table with its
 // bounded-retry acquire_slot(), the orphan store that adopts a released
 // slot's backlog, the thread_local lease and the movable Attachment that own
-// slots, the per-slot gauge counters, and the destructor that frees whatever
-// is left. A policy ("rule") plugs in as a
+// slots, the per-slot gauge counters, the paced ready list that runs the
+// deleters, and the destructor that frees whatever is left. A policy
+// ("rule") plugs in as a
 // template parameter — no virtual calls — and supplies only:
 //
 //   SlotState                  per-slot announcement (shared) + owner state
@@ -14,7 +15,8 @@
 //                              set with the same members (grace rounds)
 //   stamp(reg)                 the value recorded with each Retired entry
 //   begin_pass(reg) -> pass    per-pass setup: epoch advance, hazard snapshot
-//   sweep(reg, pass, backlog)  frees what the pass proves safe; returns count
+//   sweep(reg, pass, backlog, ready)
+//                              moves what the pass proves safe to `ready`
 //   quiesce(slot)              runs before a slot is released
 //   epoch_gauge(reg)           ReclaimGauges::epoch (0 where meaningless)
 //   kName, kPinned             error text; pin() guards vs hazard handles
@@ -55,42 +57,64 @@ struct Retired {
   std::uint64_t stamp;  // rule-defined: the retire epoch for EBR, else 0
 };
 
-/// A single-owner list of Retired entries: a slot's backlog or the orphan
-/// store.
+/// A single-owner list of Retired entries: a slot's backlog or ready list,
+/// or the orphan store.
 class RetireList {
  public:
   std::size_t size() const noexcept { return entries_.size(); }
+  std::size_t capacity() const noexcept { return entries_.capacity(); }
   bool empty() const noexcept { return entries_.empty(); }
   void push_back(const Retired& r) { entries_.push_back(r); }
-  void reserve(std::size_t n) { entries_.reserve(n); }
 
-  /// Frees every entry `is_safe` accepts and compacts the rest in place;
-  /// returns the number freed.
+  /// Room for `n` entries, growing geometrically: a ready list refilled by
+  /// every sweep would otherwise reallocate at each one.
+  void reserve(std::size_t n) {
+    if (n > entries_.capacity()) {
+      entries_.reserve(std::max(n, 2 * entries_.capacity()));
+    }
+  }
+
+  /// Moves every entry `is_safe` accepts to the back of `ready` and compacts
+  /// the rest in place. Capacity for the worst case is reserved first, so on
+  /// bad_alloc both lists are left intact.
   template <typename Pred>
-  std::uint64_t free_if(Pred is_safe) noexcept {
+  void move_if(Pred is_safe, RetireList& ready) {
+    ready.reserve(ready.size() + entries_.size());
     std::size_t kept = 0;
     for (const Retired& r : entries_) {
       if (is_safe(r)) {
-        r.deleter(r.ptr);
+        ready.entries_.push_back(r);
       } else {
         entries_[kept++] = r;
       }
     }
-    const std::uint64_t freed = entries_.size() - kept;
     entries_.resize(kept);
-    return freed;
   }
 
-  std::uint64_t free_all() noexcept {
-    return free_if([](const Retired&) { return true; });
+  /// Runs the deleters of up to `n` entries, newest first, and returns how
+  /// many ran. LIFO: the chunk freed last is the one the allocator hands out
+  /// next.
+  std::uint64_t free_back(std::size_t n) noexcept {
+    n = std::min(n, entries_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const Retired r = entries_.back();
+      entries_.pop_back();
+      r.deleter(r.ptr);
+    }
+    // The next entry's chunk was last touched a sweep ago; start its fetch
+    // now so the next free, usually a later retire's, finds it in cache.
+    if (!entries_.empty()) __builtin_prefetch(entries_.back().ptr, 1);
+    return n;
   }
+
+  std::uint64_t free_all() noexcept { return free_back(entries_.size()); }
 
   /// Moves every entry of `from` to the back of this list. Capacity is
   /// reserved first and the copy that follows cannot throw (Retired is
   /// trivially copyable), so on bad_alloc both lists are left intact: no
   /// partial hand-off, and no entry held twice.
   void adopt(RetireList& from) {
-    entries_.reserve(entries_.size() + from.size());
+    reserve(entries_.size() + from.size());
     entries_.insert(entries_.end(), from.entries_.begin(),
                     from.entries_.end());
     from.entries_.clear();
@@ -117,11 +141,13 @@ struct RetireSlot : Rule::SlotState {
   // survive slot recycling: counting the slot's whole history keeps the
   // aggregate monotone across attach/detach cycles.
   std::atomic<std::uint64_t> retired_count{0};
+  std::atomic<std::uint64_t> freed_count{0};  // deleters run by this slot
   std::atomic<std::uint64_t> pins{0};
   std::atomic<std::uint64_t> unpins{0};
   // Owner-thread only.
   std::size_t next_collect = 0;  // backlog.size() that triggers the next pass
   typename Rule::Backlog backlog;
+  RetireList ready;  // proven safe by a sweep, freed a few per retire
 };
 
 template <typename Rule>
@@ -225,7 +251,8 @@ class ReclaimRegistry : public Rule {
       reg_->retire(*slot_, retire_batch_, p);
     }
 
-    /// Best-effort drain of this slot's backlog and the orphan store.
+    /// Best-effort drain of this slot's backlog and the orphan store; frees
+    /// everything it proves safe.
     void flush() {
       EFRB_DCHECK(slot_ != nullptr);
       reg_->flush(*slot_);
@@ -247,7 +274,10 @@ class ReclaimRegistry : public Rule {
   ~ReclaimRegistry() {
     // Last reference dropped: nothing is pinned or published; free all
     // leftovers.
-    for (auto& padded : slots) padded->backlog.free_all();
+    for (auto& padded : slots) {
+      padded->ready.free_all();
+      padded->backlog.free_all();
+    }
     orphans.free_all();
   }
 
@@ -287,7 +317,13 @@ class ReclaimRegistry : public Rule {
   void retire(Slot& slot, std::size_t retire_batch, T* p) {
     EFRB_DCHECK(p != nullptr);
     slot.backlog.push_back(Retired{p, &dispose_retired<T>, Rule::stamp(*this)});
-    slot.retired_count.fetch_add(1, std::memory_order_relaxed);
+    bump(slot.retired_count, 1);
+    // Paced frees: one safe object back to the heap per retire, two while
+    // the ready list is longer than a batch. Freeing a whole sweep at once
+    // overflows the allocator's small per-thread cache, and each chunk past
+    // it takes a locked trip through the shared arena on free and again on
+    // the next allocation.
+    free_ready(slot, slot.ready.size() > retire_batch ? 2 : 1);
     // Collect on a size *schedule*, not a fixed threshold: when a stalled
     // reader holds reclamation back, entries pile up past the batch size,
     // and re-sweeping the whole list on every retire would be quadratic.
@@ -296,26 +332,35 @@ class ReclaimRegistry : public Rule {
     if (slot.backlog.size() >= std::max(slot.next_collect, retire_batch)) {
       collect(slot);
       slot.next_collect = slot.backlog.size() + retire_batch;
+      // The first sweep after a stall can hand over many batches at once;
+      // the excess over two is freed now, so what a slot holds safe but
+      // unfreed stays bounded however long the stall was.
+      if (slot.ready.size() > 2 * retire_batch) {
+        free_ready(slot, slot.ready.size() - 2 * retire_batch);
+      }
     }
   }
 
   /// One reclamation pass over `slot`'s backlog and, when its lock is free,
-  /// the orphan store. try_lock: a retire never stalls on the orphan slow
-  /// path. The lock is taken before the rule's pass begins, as the hazard
-  /// rule requires (see HazardRule::begin_pass).
+  /// the orphan store; what the pass proves safe joins the slot's ready
+  /// list. try_lock: a retire never stalls on the orphan slow path. The lock
+  /// is taken before the rule's pass begins, as the hazard rule requires
+  /// (see HazardRule::begin_pass).
   void collect(Slot& slot) {
     const std::unique_lock<std::mutex> orphan_lock(orphan_mu,
                                                    std::try_to_lock);
     const auto pass = Rule::begin_pass(*this);
-    sweep_counted(pass, slot.backlog);
-    if (orphan_lock.owns_lock()) sweep_orphans(pass);
+    Rule::sweep(*this, pass, slot.backlog, slot.ready);
+    if (orphan_lock.owns_lock()) sweep_orphans(pass, slot.ready);
   }
 
-  /// Unconditionally runs kFlushRounds passes: a flush must make progress
+  /// Unconditionally runs kFlushRounds passes (a flush must make progress
   /// on the orphan store too, which an empty caller backlog says nothing
-  /// about.
+  /// about), then frees the whole ready list and returns its buffer.
   void flush(Slot& slot) {
     for (int i = 0; i < kFlushRounds; ++i) collect(slot);
+    free_ready(slot, slot.ready.size());
+    slot.ready.release_memory();
   }
 
   /// Common tail of Attachment::detach and the thread-exit lease. Runs the
@@ -340,37 +385,51 @@ class ReclaimRegistry : public Rule {
       }
     } catch (...) {
     }
+    // Whatever a failed pass already proved safe is freed here.
+    free_ready(slot, slot.ready.size());
+    slot.ready.release_memory();
     slot.backlog.release_memory();
     slot.next_collect = 0;
     slot.in_use.store(false, std::memory_order_release);
+    // The slot is no longer ours, so the drain frees into a local list and
+    // counts on the registry.
+    RetireList ready;
     try {
       const std::lock_guard<std::mutex> lock(orphan_mu);
       for (int i = 0; i < kFlushRounds && !orphans.empty(); ++i) {
-        sweep_orphans(Rule::begin_pass(*this));
+        sweep_orphans(Rule::begin_pass(*this), ready);
       }
+      // A stall can leave a backlog of many batches adopted here; once
+      // drained, its buffer goes back to the heap too.
+      orphans.release_memory();
     } catch (...) {
     }
+    const std::uint64_t freed = ready.free_all();
+    if (freed != 0) orphans_freed.fetch_add(freed, std::memory_order_relaxed);
   }
 
   /// Relaxed reads of the owner-written per-slot counters: monotone per
   /// counter, but not an atomic cross-thread cut (a concurrent retire may
-  /// show in retired_total before its sweep shows in freed_total, so
+  /// show in retired_total before its free shows in freed_total, so
   /// backlog() is momentarily conservative).
   ReclaimGauges gauges() const noexcept {
     ReclaimGauges g;
     for (const auto& padded : slots) {
       g.retired_total += padded->retired_count.load(std::memory_order_relaxed);
+      g.freed_total += padded->freed_count.load(std::memory_order_relaxed);
       g.pins += padded->pins.load(std::memory_order_relaxed);
       g.unpins += padded->unpins.load(std::memory_order_relaxed);
     }
-    g.freed_total = freed_total.load(std::memory_order_relaxed);
+    g.freed_total += orphans_freed.load(std::memory_order_relaxed);
     g.orphan_depth = orphan_count.load(std::memory_order_relaxed);
     g.epoch = Rule::epoch_gauge(*this);
     return g;
   }
 
   std::vector<CachePadded<Slot>> slots;
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> freed_total{0};
+  // Frees by the orphan drain of release(), which runs after the releasing
+  // thread has given up its slot and so its slot counter.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> orphans_freed{0};
   // Backlogs of released slots, re-homed here so they are freed while the
   // structure is still live, under the same rule as a slot's own backlog.
   std::mutex orphan_mu;
@@ -380,17 +439,25 @@ class ReclaimRegistry : public Rule {
   std::atomic<std::uint64_t> orphan_count{0};
 
  private:
-  template <typename Pass>
-  void sweep_counted(const Pass& pass, Backlog& list) {
-    const std::uint64_t freed = Rule::sweep(*this, pass, list);
-    if (freed != 0) freed_total.fetch_add(freed, std::memory_order_relaxed);
+  /// A counter with a single writer: a plain load and store, no locked
+  /// read-modify-write on the retire path.
+  static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+  }
+
+  /// Runs up to `n` of `slot`'s ready deleters and counts them on the slot.
+  /// Owner thread only.
+  static void free_ready(Slot& slot, std::size_t n) noexcept {
+    const std::uint64_t freed = slot.ready.free_back(n);
+    if (freed != 0) bump(slot.freed_count, freed);
   }
 
   /// Caller holds orphan_mu.
   template <typename Pass>
-  void sweep_orphans(const Pass& pass) {
+  void sweep_orphans(const Pass& pass, RetireList& ready) {
     if (orphans.empty()) return;
-    sweep_counted(pass, orphans);
+    Rule::sweep(*this, pass, orphans, ready);
     orphan_count.store(orphans.size(), std::memory_order_relaxed);
   }
 };
@@ -429,13 +496,14 @@ class RegistryReclaimer {
   }
 
   /// Best-effort drain at quiescent points: kFlushRounds passes over the
-  /// calling thread's backlog and the orphan store. Call it outside any
-  /// region of the calling thread, or that region holds its own rounds open.
+  /// calling thread's backlog and the orphan store, then every object they
+  /// proved safe is freed. Call it outside any region of the calling thread,
+  /// or that region holds its own rounds open.
   void flush() { reg_->flush(*local_slot()); }
 
   /// Objects freed so far (for tests asserting reclamation actually happens).
   std::uint64_t freed_count() const noexcept {
-    return reg_->freed_total.load(std::memory_order_relaxed);
+    return reg_->gauges().freed_total;
   }
 
   /// Gauge snapshot for the observability layer; see ReclaimRegistry::gauges.

@@ -3,11 +3,15 @@
 // and later freed by a thread that never owned it, the orphan gauge mirrors
 // the books under churn, the last detach of a quiet structure drains the
 // orphan store, attach() throws CapacityExhausted and recovers, and a
-// thread's slot is reusable after it exits. Behaviour specific to one rule
-// (pinned readers, protect/revalidate, grace-round waits) stays in the
-// per-policy suites.
+// thread's slot is reusable after it exits. The paced-free books too:
+// freed_count() counts deleters that ran, a slot holds at most two batches
+// proven safe but not yet freed, even right after a stall, and flush() and
+// detach() free all of it and return the ready list's buffer. Behaviour
+// specific to one rule (pinned readers, protect/revalidate, grace-round
+// waits) stays in the per-policy suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -33,7 +37,7 @@ constexpr std::size_t kHazards = 4;
 
 template <typename R>
 R make_reclaimer(std::size_t max_threads, std::size_t retire_batch) {
-  if constexpr (std::is_same_v<R, HazardPointerDomain>) {
+  if constexpr (std::is_base_of_v<HazardPointerDomain, R>) {
     return R(max_threads, kHazards, retire_batch);
   } else {
     return R(max_threads, retire_batch);
@@ -71,6 +75,32 @@ void read(Region& region, const std::atomic<Tracked*>& src) {
     src.load(std::memory_order_acquire);
   }
 }
+
+/// A policy with read access to its slot table's ready lists, which the
+/// public surface does not show. Single-threaded use only: the lists are
+/// owner-thread state.
+template <typename R>
+struct Inspected : R {
+  using R::R;
+
+  /// Largest number of entries one slot holds proven safe but not freed.
+  std::size_t max_ready() const {
+    std::size_t n = 0;
+    for (const auto& padded : this->reg_->slots) {
+      n = std::max(n, padded->ready.size());
+    }
+    return n;
+  }
+
+  /// Largest ready-list buffer still allocated by any slot.
+  std::size_t max_ready_capacity() const {
+    std::size_t n = 0;
+    for (const auto& padded : this->reg_->slots) {
+      n = std::max(n, padded->ready.capacity());
+    }
+    return n;
+  }
+};
 
 template <typename R>
 class ReclaimContractTest : public ::testing::Test {};
@@ -215,6 +245,134 @@ TYPED_TEST(ReclaimContractTest, SlotReleasedAtThreadExitIsReusable) {
     t.join();  // the slot must be released, or round 3+ would throw
   }
   SUCCEED();
+}
+
+TYPED_TEST(ReclaimContractTest, FreedCountEqualsDeleterCallsAtEveryCheckpoint) {
+  // freed_count() is the number of deleters that have run: not the number a
+  // sweep proved safe, which may still wait on the ready list.
+  std::atomic<int> freed{0};
+  constexpr std::size_t kBatch = 16;
+  auto r = make_reclaimer<TypeParam>(/*max_threads=*/4, kBatch);
+  auto books_balance = [&] {
+    return r.freed_count() == static_cast<std::uint64_t>(freed.load()) &&
+           r.gauges().freed_total == r.freed_count();
+  };
+  int retired = 0;
+  auto att = r.attach();
+  for (std::size_t i = 0; i < 20 * kBatch; ++i, ++retired) {
+    att.retire(new Tracked(&freed));
+    ASSERT_TRUE(books_balance()) << "after retire " << i;
+  }
+  // Paced frees ran before any flush.
+  EXPECT_GT(freed.load(), 0);
+  {
+    // Retires inside a region: sweeps hand over less, the books still hold.
+    auto region = enter(att);
+    for (std::size_t i = 0; i < 3 * kBatch; ++i, ++retired) {
+      att.retire(new Tracked(&freed));
+      ASSERT_TRUE(books_balance()) << "after pinned retire " << i;
+    }
+  }
+  att.flush();
+  ASSERT_TRUE(books_balance());
+  // The thread-lease path counts on its own slot.
+  for (std::size_t i = 0; i < 3 * kBatch; ++i, ++retired) {
+    r.retire(new Tracked(&freed));
+    ASSERT_TRUE(books_balance()) << "after lease retire " << i;
+  }
+  r.flush();
+  ASSERT_TRUE(books_balance());
+  att.detach();
+  ASSERT_TRUE(books_balance());
+  EXPECT_EQ(freed.load(), retired);
+  EXPECT_EQ(r.gauges().backlog(), 0u);
+}
+
+TYPED_TEST(ReclaimContractTest, UnpinnedRetiresHoldAtMostTwoBatchesReady) {
+  std::atomic<int> freed{0};
+  constexpr std::size_t kBatch = 64;
+  constexpr int kRetires = 100000;
+  auto r = make_reclaimer<Inspected<TypeParam>>(/*max_threads=*/4, kBatch);
+  auto att = r.attach();
+  for (int i = 0; i < kRetires; ++i) {
+    att.retire(new Tracked(&freed));
+    ASSERT_LE(r.max_ready(), 2 * kBatch) << "after retire " << i;
+    // Two batches awaiting their safety condition plus two ready: the pace
+    // keeps up with the retire stream.
+    ASSERT_LE(r.gauges().backlog(), 4 * kBatch) << "after retire " << i;
+  }
+  att.detach();
+  EXPECT_EQ(freed.load(), kRetires);
+}
+
+TYPED_TEST(ReclaimContractTest, StalledRegionsExcessIsFreedAtTheNextSweep) {
+  // A region held across ten batches of retires keeps a pinning rule from
+  // proving anything safe. Once it ends, the sweeps that follow hand all of
+  // it over at once; the slot frees everything past two batches then and
+  // there rather than pacing it out over the retires to come. (A hazard
+  // handle covers only what it publishes, so under hazard pointers the
+  // stall holds back nothing and the bounds hold throughout.)
+  std::atomic<int> freed{0};
+  constexpr std::size_t kBatch = 64;
+  auto r = make_reclaimer<Inspected<TypeParam>>(/*max_threads=*/4, kBatch);
+  auto reader = r.attach();
+  auto writer = r.attach();
+  {
+    auto region = enter(reader);
+    for (std::size_t i = 0; i < 10 * kBatch; ++i) {
+      writer.retire(new Tracked(&freed));
+    }
+    if constexpr (!std::is_base_of_v<HazardPointerDomain, TypeParam>) {
+      EXPECT_EQ(freed.load(), 0) << "the region did not hold reclamation";
+    }
+  }
+  // Two sweeps suffice for every rule: the epoch rule needs two advances
+  // past the stalled stamp, the grace-round rule one sweep to end the held
+  // round and one to end the round after it.
+  for (std::size_t i = 0; i < 3 * kBatch; ++i) {
+    writer.retire(new Tracked(&freed));
+    ASSERT_LE(r.max_ready(), 2 * kBatch) << "after retire " << i;
+  }
+  EXPECT_LE(r.gauges().backlog(), 4 * kBatch);
+  writer.detach();
+  EXPECT_EQ(freed.load(), static_cast<int>(13 * kBatch));
+}
+
+TYPED_TEST(ReclaimContractTest, FlushAndDetachFreeAllAndReturnTheReadyBuffer) {
+  std::atomic<int> freed{0};
+  constexpr std::size_t kBatch = 32;
+  int retired = 0;
+  auto r = make_reclaimer<Inspected<TypeParam>>(/*max_threads=*/4, kBatch);
+  auto retire_some = [&](auto& owner) {
+    for (std::size_t i = 0; i < 5 * kBatch + 7; ++i, ++retired) {
+      owner.retire(new Tracked(&freed));
+    }
+    // A sweep has handed entries over, so the ready buffer exists.
+    ASSERT_GT(r.max_ready_capacity(), 0u);
+  };
+  auto expect_drained = [&](const char* after) {
+    EXPECT_EQ(r.max_ready(), 0u) << after;
+    EXPECT_EQ(r.max_ready_capacity(), 0u) << after;
+    EXPECT_EQ(freed.load(), retired) << after;
+    EXPECT_EQ(r.gauges().backlog(), 0u) << after;
+  };
+
+  auto att = r.attach();
+  retire_some(att);
+  att.flush();
+  expect_drained("Attachment::flush");
+
+  retire_some(att);
+  att.detach();
+  expect_drained("Attachment::detach");
+
+  retire_some(r);
+  r.flush();
+  expect_drained("flush on the thread's lease");
+
+  std::thread t([&] { retire_some(r); });
+  t.join();
+  expect_drained("thread exit");
 }
 
 }  // namespace
